@@ -45,6 +45,14 @@ def _float_list(text: str) -> list[float]:
         raise SchemaError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+def _checked(where: str, build):
+    """Build a config; a bad field value becomes a SchemaError naming it."""
+    try:
+        return build()
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
 def _pipeline_config(args) -> PipelineConfig:
     cfg = PipelineConfig()
     overrides = {}
@@ -59,19 +67,18 @@ def _pipeline_config(args) -> PipelineConfig:
         if value is not None:
             overrides[field] = value
     if overrides:
-        cfg = replace(cfg, **overrides)
+        cfg = _checked("command line", lambda: replace(cfg, **overrides))
     config_path = getattr(args, "config", None)
     if config_path:
         data = fileio.load_json(config_path)
         if not isinstance(data, dict):
             raise SchemaError(f"{config_path}: config must be a JSON object")
-        try:
-            cfg = PipelineConfig.from_dict({**cfg.to_dict(), **data})
-        except TypeError as exc:
-            raise SchemaError(f"{config_path}: {exc}") from exc
+        cfg = _checked(
+            config_path, lambda: PipelineConfig.from_dict({**cfg.to_dict(), **data})
+        )
     env = _env_seed()
     if env is not None:
-        cfg = replace(cfg, rng_seed=env)
+        cfg = _checked(_ENV_SEED, lambda: replace(cfg, rng_seed=env))
     return cfg
 
 

@@ -9,8 +9,10 @@ byte offset, for malformed JSON).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -76,13 +78,34 @@ def _need(data: dict, key: str, where: str):
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{where}: expected a finite number")
+    return number
 
 
 def _vector(value, n: int, where: str) -> np.ndarray:
     if not isinstance(value, list) or len(value) != n:
         raise SchemaError(f"{where}: expected a list of {n} numbers")
     return np.array([_number(v, where) for v in value])
+
+
+def _points(value, where: str) -> np.ndarray:
+    """An ``(n, 3)`` array from a list of lists of 3 finite numbers.
+
+    Shapes, value types and finiteness are checked in bulk; only when that
+    fails are the points walked one at a time, to name the offending one.
+    """
+    shaped = all(isinstance(p, list) and len(p) == 3 for p in value)
+    if shaped and set(map(type, chain.from_iterable(value))) <= {float, int}:
+        with contextlib.suppress(OverflowError):
+            points = np.array(value, dtype=float)
+            if np.isfinite(points).all():
+                return points
+    return np.stack([_vector(p, 3, f"{where}[{j}]") for j, p in enumerate(value)])
 
 
 def _matrix(value, rows: int, cols: int, where: str) -> np.ndarray:
@@ -206,20 +229,13 @@ def read_observation_file(
         samples = _need(entry, "source_samples", where)
         if not isinstance(samples, list) or len(samples) < 2:
             raise SchemaError(f"{where}.source_samples: expected >= 2 points")
-        src = np.stack(
-            [_vector(p, 3, f"{where}.source_samples[{j}]") for j, p in enumerate(samples)]
-        )
+        src = _points(samples, f"{where}.source_samples")
         tgt_raw = _need(entry, "target_samples", where)
         tgt = None
         if tgt_raw is not None:
             if not isinstance(tgt_raw, list) or len(tgt_raw) < 2:
                 raise SchemaError(f"{where}.target_samples: expected >= 2 points or null")
-            tgt = np.stack(
-                [
-                    _vector(p, 3, f"{where}.target_samples[{j}]")
-                    for j, p in enumerate(tgt_raw)
-                ]
-            )
+            tgt = _points(tgt_raw, f"{where}.target_samples")
         observations.append(
             LineObservation(
                 obs_id=int(_number(_need(entry, "id", where), f"{where}.id")),

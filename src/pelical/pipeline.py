@@ -46,7 +46,7 @@ from .selection import (
     gate_rotation,
     rotation_rows,
 )
-from .solver import PoseSolution, SolverConfig, refine, solve_quadratic_system
+from .solver import PoseSolution, SolverConfig, _real, refine, solve_quadratic_system
 
 #: Accepted pairs required before the first finalize attempt.
 MIN_PAIRS_FOR_FINALIZE = 4
@@ -57,6 +57,13 @@ class RansacConfig:
     distance_threshold_m: float = 0.01
     iterations: int = 200
     min_inlier_count: int = 8
+
+    def __post_init__(self) -> None:
+        if not _real(self, "distance_threshold_m") > 0:
+            raise ValueError("distance_threshold_m must be positive")
+        for name in ("iterations", "min_inlier_count"):
+            if _real(self, name, integer=True) < 1:
+                raise ValueError(f"{name} must be at least 1")
 
     def to_dict(self) -> dict:
         return {
@@ -81,6 +88,20 @@ class PipelineConfig:
     eviction_factor: float = 0.5
     solver: SolverConfig = field(default_factory=SolverConfig)
 
+    def __post_init__(self) -> None:
+        if not _real(self, "epsilon_d_m") > 0:
+            raise ValueError("epsilon_d_m must be positive")
+        for name in ("inlier_ratio_threshold", "vote_fraction"):
+            if not 0 < _real(self, name) <= 1:
+                raise ValueError(f"{name} must lie in (0, 1]")
+        for name in ("vote_min_count", "max_pairs"):
+            if _real(self, name, integer=True) < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if _real(self, "rng_seed", integer=True) < 0:
+            raise ValueError("rng_seed must be non-negative")
+        for name in ("cost_threshold", "rotation_gate_slack", "rotation_gate_growth", "eviction_factor"):
+            _real(self, name)
+
     def vote_threshold(self, n_lines: int) -> int:
         return max(self.vote_min_count, math.ceil(self.vote_fraction * n_lines))
 
@@ -97,14 +118,21 @@ class PipelineConfig:
             "rotation_gate_slack": self.rotation_gate_slack,
             "rotation_gate_growth": self.rotation_gate_growth,
             "eviction_factor": self.eviction_factor,
+            "solver": self.solver.to_dict(),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "PipelineConfig":
         kwargs = dict(data)
-        ransac = kwargs.pop("ransac", None)
-        if ransac is not None:
-            kwargs["ransac"] = RansacConfig(**ransac)
+        for name, kind in (("ransac", RansacConfig), ("solver", SolverConfig)):
+            block = kwargs.pop(name, None)
+            if block is not None:
+                if not isinstance(block, dict):
+                    raise TypeError(f"{name} must be an object")
+                try:
+                    kwargs[name] = kind(**block)
+                except (TypeError, ValueError) as exc:
+                    raise type(exc)(f"{name}: {exc}") from exc
         return cls(**kwargs)
 
 

@@ -11,6 +11,8 @@ grid-search oracle over the same objective, used to certify the solver.
 
 from __future__ import annotations
 
+import itertools
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +39,17 @@ from .geometry import (
 )
 
 
+def _real(config, name: str, integer: bool = False):
+    """Config field ``name``, checked to be a real number (an integer if
+    asked) and not a bool; raises TypeError naming the field otherwise."""
+    value = getattr(config, name)
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if integer else "a number"
+        raise TypeError(f"{name} must be {noun}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     max_lm_iterations: int = 100
@@ -46,11 +59,20 @@ class SolverConfig:
     oracle_grid_step: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.max_lm_iterations < 1:
+        if _real(self, "max_lm_iterations", integer=True) < 1:
             raise ValueError("max_lm_iterations must be positive")
         for name in ("lm_initial_damping", "cost_tolerance", "oracle_grid_halfwidth", "oracle_grid_step"):
-            if getattr(self, name) <= 0:
+            if not _real(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
+
+    def to_dict(self) -> dict:
+        return {
+            "max_lm_iterations": self.max_lm_iterations,
+            "lm_initial_damping": self.lm_initial_damping,
+            "cost_tolerance": self.cost_tolerance,
+            "oracle_grid_halfwidth": self.oracle_grid_halfwidth,
+            "oracle_grid_step": self.oracle_grid_step,
+        }
 
 
 @dataclass(frozen=True)
@@ -92,7 +114,7 @@ def eliminate_translation(system: QuadraticSystem) -> tuple[np.ndarray, np.ndarr
     return G, tau_map
 
 
-def _polish_root(G_reduced: np.ndarray, s0: np.ndarray, max_iter: int = 80) -> np.ndarray | None:
+def _polish_root(G_reduced: np.ndarray, s0: np.ndarray, max_iter: int = 80) -> np.ndarray:
     """Damped Gauss-Newton on ``||G r(s)||`` from a single start."""
     s = np.asarray(s0, dtype=float).copy()
     h = G_reduced @ monomial_vector(s)
@@ -138,48 +160,20 @@ def _dedupe(cands: list[np.ndarray], tol: float = 1e-6) -> list[np.ndarray]:
     return kept
 
 
-def solve_quadratic_system(system: QuadraticSystem, cfg: SolverConfig) -> PoseSolution:
-    """Recover ``(R, t)`` from the merged system.
+def _select(
+    system: QuadraticSystem,
+    tau_map: np.ndarray,
+    polished: list[np.ndarray],
+    sigma_min: float,
+    scale: float,
+) -> tuple[list, tuple]:
+    """Score the distinct polished roots and check the winner.
 
-    Root candidates come from two sources: the trailing right-singular
-    vectors of the reduced system (in the noise-free case the null vector
-    is exactly the monomial vector of the true root, so ``s`` reads off its
-    linear entries) and a fixed 27-point multi-start lattice.  Every
-    candidate is Gauss-Newton polished; the root with the smallest
-    ``||A r + B tau||_2`` wins, with ties (within 1e-12) broken by the
-    smaller ``|s|``.
+    Returns the candidates sorted by ``(residual, |s|)`` and the winner:
+    the smallest ``||A r + B tau||_2``, with ties (within 1e-12) broken by
+    the smaller ``|s|``.  Raises NoRealSolution when there is no candidate
+    or the winner fails the sanity floor.
     """
-    G, tau_map = eliminate_translation(system)
-    # Reduce to a square triangular factor: ||G r|| == ||R r||.
-    G_reduced = np.linalg.qr(G, mode="r")
-
-    _, sing, Vt = np.linalg.svd(G_reduced)
-    starts: list[np.ndarray] = []
-    for v in Vt[-3:][::-1]:
-        if abs(v[9]) > 1e-6 * np.linalg.norm(v):
-            starts.append(v[6:9] / v[9])
-
-    polished: list[np.ndarray] = []
-    for s0 in starts:
-        s = _polish_root(G_reduced, s0)
-        if s is not None:
-            polished.append(s)
-
-    scale = float(np.linalg.norm(G_reduced)) or 1.0
-    best_so_far = min(
-        (float(np.linalg.norm(G_reduced @ monomial_vector(s))) for s in polished),
-        default=np.inf,
-    )
-    if best_so_far > 1e-10 * scale:
-        # Null-vector extraction was not decisive (noise or near-degenerate
-        # geometry); sweep a coarse deterministic lattice as well.
-        for a in (-1.0, 0.0, 1.0):
-            for b in (-1.0, 0.0, 1.0):
-                for c in (-1.0, 0.0, 1.0):
-                    s = _polish_root(G_reduced, np.array([a, b, c]))
-                    if s is not None:
-                        polished.append(s)
-
     candidates = _dedupe(polished)
     if not candidates:
         raise NoRealSolution("no stationary point found")
@@ -193,19 +187,58 @@ def solve_quadratic_system(system: QuadraticSystem, cfg: SolverConfig) -> PoseSo
     best_res = scored[0][0]
     in_tie = [item for item in scored if item[0] <= best_res + 1e-12]
     in_tie.sort(key=lambda item: item[1])
-    _, _, s_best, tau_best = in_tie[0]
+    winner = in_tie[0]
 
     # Sanity floor: sigma_min bounds the best achievable residual of any
     # unit vector, so a root orders of magnitude above it means the
     # polynomial search failed rather than the data being noisy.
-    r_best = monomial_vector(s_best)
-    floor = sing[-1] * float(np.linalg.norm(r_best))
-    allowance = 1e3 * floor + 1e-9 * scale * float(np.linalg.norm(r_best))
+    r_norm = float(np.linalg.norm(monomial_vector(winner[2])))
+    floor = sigma_min * r_norm
+    allowance = 1e3 * floor + 1e-9 * scale * r_norm
     if best_res > max(allowance, 1e-12):
         raise NoRealSolution(
             f"best residual {best_res:.3e} exceeds sanity bound {allowance:.3e}"
         )
+    return scored, winner
 
+
+def solve_quadratic_system(system: QuadraticSystem, cfg: SolverConfig) -> PoseSolution:
+    """Recover ``(R, t)`` from the merged system.
+
+    Root candidates come from the trailing right-singular vectors of the
+    reduced system: in the noise-free case the null vector is exactly the
+    monomial vector of the true root, so ``s`` reads off its linear
+    entries.  Every candidate is Gauss-Newton polished; the root with the
+    smallest ``||A r + B tau||_2`` wins, with ties (within 1e-12) broken by
+    the smaller ``|s|``, and must pass a sanity floor set by the smallest
+    singular value.  Only when no null-vector start is usable or their
+    winner fails the floor is a fixed 27-point multi-start lattice polished
+    as well, and the winner picked and checked again over all candidates.
+    """
+    G, tau_map = eliminate_translation(system)
+    # Reduce to a square triangular factor: ||G r|| == ||R r||.
+    G_reduced = np.linalg.qr(G, mode="r")
+
+    _, sing, Vt = np.linalg.svd(G_reduced)
+    scale = float(np.linalg.norm(G_reduced)) or 1.0
+    polished = [
+        _polish_root(G_reduced, v[6:9] / v[9])
+        for v in Vt[-3:][::-1]
+        if abs(v[9]) > 1e-6 * np.linalg.norm(v)
+    ]
+    try:
+        scored, winner = _select(system, tau_map, polished, sing[-1], scale)
+    except NoRealSolution:
+        # Fallback: the null-vector roots are unusable (near-degenerate
+        # geometry); sweep a coarse deterministic lattice as well.
+        polished += [
+            _polish_root(G_reduced, np.array(s0))
+            for s0 in itertools.product((-1.0, 0.0, 1.0), repeat=3)
+        ]
+        scored, winner = _select(system, tau_map, polished, sing[-1], scale)
+
+    best_res = scored[0][0]
+    _, _, s_best, tau_best = winner
     ss = float(s_best @ s_best)
     t = tau_best / (1.0 + ss)
     pose = Extrinsics(cgr_to_rotation(s_best), t)

@@ -1,11 +1,14 @@
 """Shared synthetic-data builders for the test suite.
 
-Everything here constructs *algebraically exact* inputs from a known pose,
-without going through the simulator, so solver/selection tests do not
-depend on the modules they are meant to check.
+Everything here constructs *algebraically exact* inputs from a known pose
+(``noisy_correspondences`` then perturbs them with seeded noise), without
+going through the simulator, so solver/selection tests do not depend on the
+modules they are meant to check.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 from scipy.spatial.transform import Rotation
@@ -167,3 +170,28 @@ def make_observation(
         source_2d=Line2D.from_endpoints(s_uv[0], s_uv[1]),
         target_2d=Line2D.from_endpoints(t_uv[0], t_uv[1]),
     )
+
+
+def noisy_correspondences(
+    rng: np.random.Generator,
+    correspondences: list[Correspondence],
+    pixel_sigma: float = 0.5,
+    depth_sigma: float = 0.003,
+) -> list[Correspondence]:
+    """Perturb the target side of exact correspondences with Gaussian noise.
+
+    Every 2D target endpoint moves by ``pixel_sigma`` pixels per axis and,
+    for FULL3D pairs, every 3D target endpoint by ``depth_sigma`` meters,
+    with the target line refit through the moved endpoints.
+    """
+    out = []
+    for c in correspondences:
+        uv = c.target_line_2d.endpoints + rng.normal(size=(2, 2)) * pixel_sigma
+        c = replace(c, target_line_2d=Line2D.from_endpoints(uv[0], uv[1]))
+        if c.kind is CaseKind.FULL3D:
+            ends = c.target_endpoints + rng.normal(size=(2, 3)) * depth_sigma
+            c = replace(
+                c, target_endpoints=ends, target_line_3d=plucker_from_points(ends[0], ends[1])
+            )
+        out.append(c)
+    return out

@@ -54,6 +54,14 @@ def write_spec(path, spec: RigSpec) -> None:
     write_json(path, rig_spec_to_dict(spec))
 
 
+def observation_file(tmp_path) -> Path:
+    """A short simulated observation file."""
+    spec_path, obs_path = tmp_path / "rig.json", tmp_path / "obs.json"
+    write_spec(spec_path, easy_spec(n_lines=8))
+    assert main(["simulate", "--spec", str(spec_path), "--output", str(obs_path)]) == 0
+    return obs_path
+
+
 INFEASIBLE = dict(
     truth=Extrinsics(rotation_about_y(170.0), np.array([500.0, 0.0, 0.0])),
     scene_depth_m=(0.8, 1.0),
@@ -206,6 +214,42 @@ class TestCalibrate:
         monkeypatch.delenv("PELICAL_SEED")
         cfg = _pipeline_config(args)
         assert cfg.rng_seed == 3 and cfg.cost_threshold == 5.0
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"solver": {"max_lm_iterations": 0}}, "solver: max_lm_iterations must be positive"),
+            ({"epsilon_d_m": -1}, "epsilon_d_m must be positive"),
+            ({"vote_fraction": "0.5"}, "vote_fraction must be a number, got '0.5'"),
+        ],
+    )
+    def test_bad_config_field_exits_1(self, tmp_path, capsys, config, message):
+        obs_path, cfg_path = observation_file(tmp_path), tmp_path / "cfg.json"
+        write_json(cfg_path, config)
+        code = main(["calibrate", "--input", str(obs_path), "--output",
+                     str(tmp_path / "c.json"), "--config", str(cfg_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+
+    def test_solver_block_in_config_reaches_the_solver(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        write_json(cfg_path, {"solver": {"max_lm_iterations": 5}})
+        args = argparse.Namespace(
+            seed=None, cost_threshold=None, config=str(cfg_path),
+            epsilon_d=None, max_pairs=None, inlier_ratio=None,
+        )
+        cfg = _pipeline_config(args)
+        assert cfg.solver.max_lm_iterations == 5
+        assert cfg.solver.lm_initial_damping == 1e-3
+
+    def test_bad_flag_or_env_seed_exits_1(self, tmp_path, capsys, monkeypatch):
+        argv = ["calibrate", "--input", str(observation_file(tmp_path)),
+                "--output", str(tmp_path / "c.json")]
+        assert main(argv + ["--epsilon-d", "0"]) == 1
+        assert capsys.readouterr().err == "error: command line: epsilon_d_m must be positive\n"
+        monkeypatch.setenv("PELICAL_SEED", "-1")
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: PELICAL_SEED: rng_seed must be non-negative\n"
 
 
 class TestSweep:

@@ -1,5 +1,8 @@
 """File format tests: canonical JSON writers, schema validation, sweep CSV."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
@@ -161,6 +164,51 @@ class TestObservationFile:
         doc["observations"][0]["source_samples"][0][2] = True
         write_json(path, doc)
         with pytest.raises(SchemaError, match="expected a number"):
+            read_observation_file(path)
+
+    @pytest.mark.parametrize(
+        "field, point, value, message",
+        [
+            ("source_samples", 4, ["1.0", 2.0, 3.0], "expected a number"),
+            ("source_samples", 7, [1.0, 2.0], "expected a list of 3 numbers"),
+            ("target_samples", 5, [1.0, 2.0, False], "expected a number"),
+            ("target_samples", 2, [1.0, 10**400, 3.0], "expected a finite number"),
+            ("source_samples", 0, [10**400, 2.0, 3.0], "expected a finite number"),
+            ("source_samples", 9, [1.0, 2.0, float("nan")], "expected a finite number"),
+        ],
+    )
+    def test_bad_sample_names_the_point(
+        self, tmp_path, observations, field, point, value, message
+    ):
+        path = tmp_path / "obs.json"
+        write_observation_file(path, DEFAULT_K, DEFAULT_K, observations)
+        doc = load_json(path)
+        doc["observations"][2][field][point] = value
+        path.write_text(json.dumps(doc))  # keeps NaN, which write_json nulls
+        where = rf"observations\[2\]\.{field}\[{point}\]"
+        with pytest.raises(SchemaError, match=f"^{where}: {message}$"):
+            read_observation_file(path)
+
+    @pytest.mark.parametrize(
+        "where, literal",
+        [
+            ("observations[1].id", "1" + "0" * 400),
+            ("target_intrinsics.width", "1e400"),
+            ("target_intrinsics.fx", "NaN"),
+            ("source_intrinsics.cy", "-Infinity"),
+        ],
+    )
+    def test_non_finite_scalar_names_the_field(self, tmp_path, observations, where, literal):
+        path = tmp_path / "obs.json"
+        write_observation_file(path, DEFAULT_K, DEFAULT_K, observations)
+        doc = load_json(path)
+        if where.startswith("observations"):
+            doc["observations"][1]["id"] = "BAD"
+        else:
+            block, key = where.split(".")
+            doc[block][key] = "BAD"
+        path.write_text(dumps_canonical(doc).replace('"BAD"', literal))
+        with pytest.raises(SchemaError, match=rf"^{re.escape(where)}: expected a finite number$"):
             read_observation_file(path)
 
     def test_missing_intrinsics_field(self, tmp_path, observations):

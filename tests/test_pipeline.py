@@ -8,6 +8,7 @@ from pelical import (
     LineObservation,
     PipelineConfig,
     RansacConfig,
+    SolverConfig,
     TerminationReason,
     TooFewSamples,
     assemble,
@@ -287,10 +288,38 @@ class TestConfig:
             cost_threshold=7.5,
             max_pairs=42,
             ransac=RansacConfig(distance_threshold_m=0.02, iterations=77),
+            solver=SolverConfig(max_lm_iterations=5),
         )
         again = PipelineConfig.from_dict(cfg.to_dict())
+        assert again == cfg
         assert again.to_dict() == cfg.to_dict()
         assert again.ransac.iterations == 77
+        assert again.solver.max_lm_iterations == 5
+        assert cfg.to_dict()["solver"]["max_lm_iterations"] == 5
+
+    @pytest.mark.parametrize(
+        "data, error, field",
+        [
+            ({"epsilon_d_m": -1}, ValueError, "epsilon_d_m"),
+            ({"epsilon_d_m": float("nan")}, ValueError, "epsilon_d_m"),
+            ({"vote_fraction": "0.5"}, TypeError, "vote_fraction"),
+            ({"vote_fraction": 1.5}, ValueError, "vote_fraction"),
+            ({"inlier_ratio_threshold": 0}, ValueError, "inlier_ratio_threshold"),
+            ({"max_pairs": 0}, ValueError, "max_pairs"),
+            ({"vote_min_count": 2.5}, TypeError, "vote_min_count"),
+            ({"cost_threshold": True}, TypeError, "cost_threshold"),
+            ({"rng_seed": -1}, ValueError, "rng_seed"),
+            ({"ransac": {"distance_threshold_m": 0}}, ValueError, "ransac: distance_threshold_m"),
+            ({"ransac": {"iterations": 0}}, ValueError, "ransac: iterations"),
+            ({"ransac": {"min_inlier_count": False}}, TypeError, "ransac: min_inlier_count"),
+            ({"solver": {"max_lm_iterations": 0}}, ValueError, "solver: max_lm_iterations"),
+            ({"solver": {"cost_tolerance": "1e-9"}}, TypeError, "solver: cost_tolerance"),
+            ({"solver": []}, TypeError, "solver must be an object"),
+        ],
+    )
+    def test_from_dict_rejects_bad_fields(self, data, error, field):
+        with pytest.raises(error, match=f"^{field}"):
+            PipelineConfig.from_dict(data)
 
     def test_vote_threshold_floor_and_fraction(self):
         cfg = PipelineConfig()

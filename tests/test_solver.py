@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -16,7 +18,9 @@ from pelical import (
     rotation_to_cgr,
     solve_quadratic_system,
 )
+from pelical import solver
 from pelical.constraints import CaseKind, monomial_vector
+from pelical.errors import NoRealSolution
 from pelical.solver import PoseSolution, SolverConfig
 
 from helpers import (
@@ -24,6 +28,7 @@ from helpers import (
     consistent_correspondences,
     consistent_system,
     make_correspondence,
+    noisy_correspondences,
     rand_truth,
 )
 
@@ -127,6 +132,73 @@ class TestSolve:
         sol = solve_quadratic_system(system, SolverConfig())
         gaps = [np.linalg.norm(s - sol.s.s) for s, _ in sol.all_candidates]
         assert min(gaps) < 1e-12
+
+
+def full_lattice_search(system):
+    """The solver's pick with the 27-start lattice always swept as well:
+    the candidates it ranks and the winner, or NoRealSolution."""
+    G, tau_map = eliminate_translation(system)
+    G_reduced = np.linalg.qr(G, mode="r")
+    _, sing, Vt = np.linalg.svd(G_reduced)
+    starts = [v[6:9] / v[9] for v in Vt[-3:][::-1] if abs(v[9]) > 1e-6 * np.linalg.norm(v)]
+    starts += [np.array(p) for p in itertools.product((-1.0, 0.0, 1.0), repeat=3)]
+    polished = [solver._polish_root(G_reduced, s0) for s0 in starts]
+    scale = float(np.linalg.norm(G_reduced)) or 1.0
+    return solver._select(system, tau_map, polished, sing[-1], scale)
+
+
+@pytest.fixture()
+def polish_calls(monkeypatch):
+    """Counts the solver's ``_polish_root`` calls (reset it between solves)."""
+    calls = [0]
+    polish = solver._polish_root
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return polish(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_polish_root", counting)
+    return calls
+
+
+class TestLatticeFallback:
+    def test_noisy_solve_polishes_only_null_vector_starts(self, polish_calls):
+        rng = np.random.default_rng(15)
+        cfg = SolverConfig()
+        for _ in range(4):
+            truth = rand_truth(rng, max_deg=60.0)
+            cs = noisy_correspondences(rng, consistent_correspondences(rng, truth, 4, 2))
+            system = assemble(cs, DEFAULT_K)
+            polish_calls[0] = 0
+            sol = solve_quadratic_system(system, cfg)
+            assert polish_calls[0] <= 3
+            # The noise is real: the residual is far above round-off.
+            G, _ = eliminate_translation(system)
+            assert sol.algebraic_residual > 1e-8 * np.linalg.norm(G)
+            _, (res, _, s_ref, _) = full_lattice_search(system)
+            assert np.array_equal(sol.s.s, s_ref)
+            assert sol.algebraic_residual == res
+            roots = brute_force_roots(system, cfg)
+            assert roots[0][1] <= sol.algebraic_residual + 1e-9
+            assert min(np.linalg.norm(s - sol.s.s) for s, _ in roots) < 1e-4
+
+    def test_rank_deficient_system_still_sweeps_lattice(self, polish_calls):
+        # Two FULL3D and two PnL pairs leave G rank deficient (sigma_min at
+        # round-off), so under noise no null-vector root passes the floor.
+        rng = np.random.default_rng(16)
+        truth = rand_truth(rng)
+        cs = noisy_correspondences(rng, consistent_correspondences(rng, truth, 2, 2))
+        system = assemble(cs, DEFAULT_K)
+        G, _ = eliminate_translation(system)
+        sing = np.linalg.svd(G, compute_uv=False)
+        assert sing[-1] < 1e-9 * sing[0]
+        with pytest.raises(NoRealSolution) as got:
+            solve_quadratic_system(system, SolverConfig())
+        assert polish_calls[0] > 27
+        with pytest.raises(NoRealSolution) as want:
+            full_lattice_search(system)
+        assert str(got.value) == str(want.value)
+        assert "exceeds sanity bound" in str(got.value)
 
 
 class TestOracle:
