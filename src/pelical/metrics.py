@@ -54,7 +54,7 @@ def fit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
     if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 3:
         raise EmptyInput("plane fit needs at least 3 points of shape (n, 3)")
     centroid = pts.mean(axis=0)
-    _, sing, Vt = np.linalg.svd(pts - centroid)
+    _, sing, Vt = np.linalg.svd(pts - centroid, full_matrices=False)
     eig = sing**2  # descending
     # collinear clouds leave both trailing eigenvalues at round-off level,
     # where their ratio is meaningless -- require real planar extent first

@@ -156,12 +156,40 @@ class LineObservation:
         src = np.asarray(self.source_samples, dtype=float)
         if src.ndim != 2 or src.shape[1] != 3 or src.shape[0] < 2:
             raise ValueError("source_samples must be (n >= 2, 3)")
+        if not np.isfinite(src).all():
+            raise ValueError("source_samples must be finite")
         object.__setattr__(self, "source_samples", src)
         if self.target_samples is not None:
             tgt = np.asarray(self.target_samples, dtype=float)
             if tgt.ndim != 2 or tgt.shape[1] != 3 or tgt.shape[0] < 2:
                 raise ValueError("target_samples must be (n >= 2, 3) or None")
+            if not np.isfinite(tgt).all():
+                raise ValueError("target_samples must be finite")
             object.__setattr__(self, "target_samples", tgt)
+
+
+def _inlier_masks(
+    pts: np.ndarray, ii: np.ndarray, d: np.ndarray, threshold: float
+) -> np.ndarray:
+    """Which samples lie within ``threshold`` of each hypothesis line.
+
+    Hypothesis ``h`` passes through ``pts[ii[h]]`` with unit direction
+    ``d[h]``.  The squared distance of sample ``k`` is taken by Pythagoras
+    on centred samples ``q``: ``|q_k - q_i|^2`` from the Gram form minus the
+    squared projection ``d . (q_k - q_i)``.  Every temporary is
+    ``(iterations, n)``, so time and memory stay O(iterations * n).
+    """
+    q = pts - pts.mean(axis=0)
+    sq = np.einsum("nj,nj->n", q, q)
+    qi = q[ii]
+    along = d @ q.T
+    along -= np.einsum("ij,ij->i", d, qi)[:, None]
+    dist2 = qi @ q.T
+    dist2 *= -2.0
+    dist2 += sq
+    dist2 += sq[ii][:, None]
+    dist2 -= np.square(along, out=along)
+    return dist2 < threshold * threshold
 
 
 def ransac_fit_line(
@@ -190,22 +218,18 @@ def ransac_fit_line(
     dirs = pts[jj] - pts[ii]
     norms = np.linalg.norm(dirs, axis=1)
     valid = norms > 1e-9
-    # Degenerate hypotheses score zero inliers.
+    # Degenerate hypotheses score -1, below any real consensus.
     safe = np.where(valid, norms, 1.0)[:, None]
-    d = dirs / safe
-    diff = pts[None, :, :] - pts[ii][:, None, :]  # (it, n, 3)
-    along = np.einsum("inj,ij->in", diff, d)
-    perp = diff - along[..., None] * d[:, None, :]
-    dist = np.linalg.norm(perp, axis=2)
-    counts = np.where(valid, (dist < cfg.distance_threshold_m).sum(axis=1), -1)
+    masks = _inlier_masks(pts, ii, dirs / safe, cfg.distance_threshold_m)
+    counts = np.where(valid, masks.sum(axis=1), -1)
     best = int(np.argmax(counts))
     if counts[best] < 2:
         raise DegenerateLine("no two-point hypothesis found a consensus")
-    inlier_mask = dist[best] < cfg.distance_threshold_m
+    inlier_mask = masks[best]
     inliers = pts[inlier_mask]
 
     centroid = inliers.mean(axis=0)
-    _, _, Vt = np.linalg.svd(inliers - centroid)
+    _, _, Vt = np.linalg.svd(inliers - centroid, full_matrices=False)
     direction = Vt[0]
     idx = np.flatnonzero(inlier_mask)
     span = pts[idx[-1]] - pts[idx[0]]
@@ -263,7 +287,6 @@ class PipelineState:
     correspondences: list[Correspondence] = field(default_factory=list)
     pair_rows: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
-    accept_distances: list[float] = field(default_factory=list)
     evicted_ids: list[int] = field(default_factory=list)
     ingested: int = 0
     last_solution: PoseSolution | None = None
@@ -324,7 +347,6 @@ def ingest(
     state.gate = new_gate
     state.correspondences.append(corr)
     state.pair_rows.append(rows)
-    state.accept_distances.append(new_gate.distance)
     return RoundOutcome(RoundStatus.ACCEPTED, distance=new_gate.distance)
 
 

@@ -195,3 +195,20 @@ def noisy_correspondences(
             )
         out.append(c)
     return out
+
+
+def reference_inlier_masks(
+    pts: np.ndarray, ii: np.ndarray, d: np.ndarray, threshold: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """RANSAC line scoring by explicit offsets: the reference for ``_inlier_masks``.
+
+    Builds every sample's offset from each hypothesis anchor
+    ``pts[ii]`` as one ``(iterations, n, 3)`` tensor and takes the norm of
+    its part perpendicular to the unit direction ``d``.  Returns the
+    ``(iterations, n)`` inlier masks and the distances they threshold.
+    """
+    diff = pts[None, :, :] - pts[ii][:, None, :]
+    along = np.einsum("inj,ij->in", diff, d)
+    perp = diff - along[..., None] * d[:, None, :]
+    dist = np.linalg.norm(perp, axis=2)
+    return dist < threshold, dist

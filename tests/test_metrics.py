@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -63,6 +65,16 @@ class TestFitPlane:
     def test_too_few_points(self):
         with pytest.raises(EmptyInput):
             fit_plane(np.zeros((2, 3)))
+
+    def test_memory_is_linear_in_points(self, rng):
+        pts = board_points(rng, [0.1, 0.3, -1.0], 1.2, n=5000, noise=0.001)
+        tracemalloc.start()
+        try:
+            fit_plane(pts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestPlaneMerge:

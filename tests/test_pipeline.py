@@ -1,5 +1,10 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pelical import (
@@ -26,10 +31,11 @@ from pelical.pipeline import (
     PipelineState,
     RoundStatus,
     _full3d_weights,
+    _inlier_masks,
     _maybe_evict,
 )
 
-from helpers import DEFAULT_K, make_observation, rand_truth
+from helpers import DEFAULT_K, make_observation, rand_truth, reference_inlier_masks
 
 
 def segment_samples(rng, n=100, noise=0.0, outliers=0):
@@ -99,6 +105,60 @@ class TestRansacFitLine:
         assert np.array_equal(a[0].m, b[0].m)
         assert a[1] == b[1]
         assert np.array_equal(a[2], b[2])
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        radius=st.floats(0.0, 10.0),
+        length=st.floats(0.05, 5.0),
+        noise=st.floats(0.0, 0.005),
+        outlier_frac=st.floats(0.0, 0.5),
+        n=st.integers(2, 200),
+    )
+    def test_scoring_matches_reference(self, seed, radius, length, noise, outlier_frac, n):
+        rng = np.random.default_rng(seed)
+        unit = rng.normal(size=(2, 3))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        centre, d = radius * unit[0], unit[1]
+        pts = centre + rng.uniform(-0.5, 0.5, size=(n, 1)) * length * d
+        pts += rng.normal(size=pts.shape) * noise
+        bad = rng.random(n) < outlier_frac
+        pts[bad] = centre + rng.uniform(-length, length, size=(int(bad.sum()), 3))
+        # the hypothesis draws of ransac_fit_line
+        ii = rng.integers(0, n, size=200)
+        jj = rng.integers(0, n - 1, size=200)
+        jj = jj + (jj >= ii)
+        dirs = pts[jj] - pts[ii]
+        norms = np.linalg.norm(dirs, axis=1)
+        keep = norms > 1e-9
+        ii, dirs = ii[keep], dirs[keep] / norms[keep, None]
+
+        threshold = RansacConfig().distance_threshold_m
+        ref, dist = reference_inlier_masks(pts, ii, dirs, threshold)
+        new = _inlier_masks(pts, ii, dirs, threshold)
+        # both round the same real distance: only a sample on the threshold may flip
+        decided = np.abs(dist - threshold) > 1e-9
+        assert np.array_equal(new[decided], ref[decided])
+
+    def test_memory_is_linear_in_samples(self):
+        pts, _, _ = segment_samples(np.random.default_rng(3), n=5000, noise=0.003)
+        tracemalloc.start()
+        try:
+            ransac_fit_line(pts, RansacConfig(), np.random.default_rng(4))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+
+class TestLineObservation:
+    @pytest.mark.parametrize("side", ["source_samples", "target_samples"])
+    def test_non_finite_samples_rejected(self, rng, side):
+        obs = make_observation(rng, rand_truth(rng), CaseKind.FULL3D)
+        samples = getattr(obs, side).copy()
+        samples[3, 1] = np.nan
+        with pytest.raises(ValueError, match=f"{side} must be finite"):
+            replace(obs, **{side: samples})
 
 
 class TestIngest:
