@@ -11,7 +11,6 @@ Seeding precedence: built-in defaults < command line flags < --config file
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -20,8 +19,13 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .errors import IllConditionedPlane, InfeasibleSpec, SchemaError
-from .metrics import PlaneMergeInput, plane_merge_metrics, pose_variation_errors
+from .errors import EmptyInput, IllConditionedPlane, InfeasibleSpec, SchemaError
+from .metrics import (
+    PlaneMergeInput,
+    plane_merge_metrics,
+    pose_variation_errors,
+    square_size_error_mm,
+)
 from .pipeline import PipelineConfig, TerminationReason, run as run_pipeline
 from .simulator import generate, sweep
 
@@ -127,6 +131,15 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _point_list(data: dict, key: str, count: int, exact: bool = False) -> np.ndarray:
+    """The ``(n, 3)`` point list ``data[key]``: at least (or, if ``exact``,
+    exactly) ``count`` points of 3 finite numbers, or a SchemaError naming it."""
+    value = data[key]
+    if not isinstance(value, list) or len(value) < count or (exact and len(value) > count):
+        raise SchemaError(f"{key}: expected {'' if exact else '>= '}{count} points")
+    return fileio._points(value, key)
+
+
 def _cmd_evaluate_planes(args) -> int:
     data = fileio.load_json(args.input)
     calib = fileio.read_calibration_file(args.transform)
@@ -135,16 +148,21 @@ def _cmd_evaluate_planes(args) -> int:
     for key in ("target_points", "source_points"):
         if key not in data or not isinstance(data[key], list):
             raise SchemaError(f"{args.input}: missing point list '{key}'")
+    corners = {
+        key: None if data.get(key) is None else _point_list(data, key, 2, exact=True)
+        for key in ("target_corners", "source_corners")
+    }
+    squares = data.get("squares_per_row")
+    if squares is not None:
+        squares = fileio._number(squares, "squares_per_row")
+        if squares < 1 or squares != int(squares):
+            raise SchemaError("squares_per_row: expected a positive integer")
+        squares = int(squares)
     inp = PlaneMergeInput(
-        target_points=np.asarray(data["target_points"], dtype=float),
-        source_points=np.asarray(data["source_points"], dtype=float),
-        target_corners=None
-        if data.get("target_corners") is None
-        else np.asarray(data["target_corners"], dtype=float),
-        source_corners=None
-        if data.get("source_corners") is None
-        else np.asarray(data["source_corners"], dtype=float),
-        squares_per_row=data.get("squares_per_row"),
+        target_points=_point_list(data, "target_points", 3),
+        source_points=_point_list(data, "source_points", 3),
+        squares_per_row=squares,
+        **corners,
     )
     try:
         metrics = plane_merge_metrics(inp, calib["extrinsics"])
@@ -153,8 +171,6 @@ def _cmd_evaluate_planes(args) -> int:
         return 2
     if metrics.square_size_error_mm is not None and args.square_mm != 108.0:
         # Recompute the span metric against a non-default square edge.
-        from .metrics import square_size_error_mm
-
         err = square_size_error_mm(
             inp.target_corners,
             calib["extrinsics"].transform_points(inp.source_corners),
@@ -178,28 +194,25 @@ def _cmd_pose_errors(args) -> int:
     raw_groups = data.get("groups") if isinstance(data, dict) else None
     if not isinstance(raw_groups, list):
         raise SchemaError(f"{args.input}: expected an object with a 'groups' list")
-    groups = []
+    rows = []
     for i, g in enumerate(raw_groups):
         where = f"groups[{i}]"
-        if not isinstance(g, dict) or "poses" not in g:
-            raise SchemaError(f"{where}: missing 'poses'")
-        poses = [
-            fileio.extrinsics_from_dict(p, f"{where}.poses[{j}]")
-            for j, p in enumerate(g["poses"])
-        ]
-        groups.append(
-            {
-                "name": str(g.get("name", f"group{i}")),
-                "vary": str(g.get("vary", "rotation")),
-                "poses": poses,
-            }
-        )
-    try:
-        rows = pose_variation_errors(
-            groups, step_rot_deg=args.step_rot_deg, step_trans_cm=args.step_trans_cm
-        )
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
+        if not isinstance(g, dict) or not isinstance(g.get("poses"), list):
+            raise SchemaError(f"{where}: missing 'poses' list")
+        group = {
+            "name": str(g.get("name", f"group{i}")),
+            "vary": str(g.get("vary", "rotation")),
+            "poses": [
+                fileio.extrinsics_from_dict(p, f"{where}.poses[{j}]")
+                for j, p in enumerate(g["poses"])
+            ],
+        }
+        try:
+            rows += pose_variation_errors(
+                [group], step_rot_deg=args.step_rot_deg, step_trans_cm=args.step_trans_cm
+            )
+        except (EmptyInput, ValueError) as exc:
+            raise SchemaError(f"{where}: {exc}") from exc
     lines = ["group,vary,step_index,error"]
     for row in rows:
         lines.append(

@@ -18,20 +18,12 @@ homogeneous system ``A r + B tau = 0`` assembled here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateProjection, EmptyInput, WrongKind
-from .geometry import (
-    CameraIntrinsics,
-    Extrinsics,
-    Line2D,
-    PluckerLine,
-    line_projection_matrix,
-    skew,
-    transform_line,
-)
+from .errors import EmptyInput, WrongKind
+from .geometry import CameraIntrinsics, Line2D, PluckerLine, skew
 
 #: Monomial order shared by the assembled system, the solver and its oracle.
 MONOMIALS = ("s1^2", "s2^2", "s3^2", "s1*s2", "s1*s3", "s2*s3", "s1", "s2", "s3", "1")
@@ -118,8 +110,6 @@ class Correspondence:
     source_line: PluckerLine
     source_endpoints: np.ndarray
     target_line_2d: Line2D
-    source_inlier_ratio: float
-    target_inlier_ratio: float
     target_line_3d: PluckerLine | None = None
     target_endpoints: np.ndarray | None = None
     obs_id: int | None = None
@@ -238,76 +228,3 @@ def assemble(
         blocks_a.append(a)
         blocks_b.append(b)
     return QuadraticSystem(np.vstack(blocks_a), np.vstack(blocks_b), n_full, n_pnl)
-
-
-def line_reprojection_residual(
-    c: Correspondence, T: Extrinsics, K_t: CameraIntrinsics
-) -> np.ndarray:
-    """Signed pixel distances of the two observed 2D endpoints to the
-    reprojected source line.
-
-    The source line is mapped into the target frame, its moment projected to
-    an image line ``l_hat``, and each endpoint contributes
-    ``x^T l_hat / sqrt(l1^2 + l2^2)``.
-    """
-    moved = transform_line(c.source_line, T)
-    l_hat = line_projection_matrix(K_t) @ moved.m
-    norm_sq = l_hat[0] * l_hat[0] + l_hat[1] * l_hat[1]
-    if norm_sq < 1e-18:
-        raise DegenerateProjection("projected line has no image direction")
-    scale = 1.0 / np.sqrt(norm_sq)
-    out = np.empty(2)
-    for j, uv in enumerate(c.target_line_2d.endpoints):
-        out[j] = scale * (l_hat @ np.array([uv[0], uv[1], 1.0]))
-    return out
-
-
-def point_to_line_residual(c: Correspondence, T: Extrinsics) -> np.ndarray:
-    """3D residuals of the transformed source endpoints against the target line.
-
-    Returns a (2, 3) array; each row is ``(I - d d^T)(R X_s + t - X_t)``
-    using the matching target endpoint, so perfectly matched noiseless data
-    gives exactly zero.
-    """
-    if c.kind is not CaseKind.FULL3D:
-        raise WrongKind("point_to_line_residual needs a FULL3D correspondence")
-    d = c.target_line_3d.d
-    P = np.eye(3) - np.outer(d, d)
-    out = np.empty((2, 3))
-    for j in range(2):
-        moved = T.transform_point(c.source_endpoints[j])
-        out[j] = P @ (moved - c.target_endpoints[j])
-    return out
-
-
-@dataclass(frozen=True)
-class ResidualBlock:
-    """Residual contribution of one correspondence at a given pose."""
-
-    kind: CaseKind
-    values: np.ndarray
-    obs_id: int | None = None
-
-    @property
-    def squared_norm(self) -> float:
-        return float(np.sum(np.square(self.values)))
-
-
-def residual_blocks(
-    correspondences: list[Correspondence],
-    T: Extrinsics,
-    K_t: CameraIntrinsics,
-) -> list[ResidualBlock]:
-    """Evaluate every correspondence's native residual at a pose.
-
-    FULL3D pairs yield their 3D point-to-line residuals (meters), PNL pairs
-    their 2D reprojection residuals (pixels).
-    """
-    blocks = []
-    for c in correspondences:
-        if c.kind is CaseKind.FULL3D:
-            vals = point_to_line_residual(c, T).ravel()
-        else:
-            vals = line_reprojection_residual(c, T, K_t)
-        blocks.append(ResidualBlock(c.kind, vals, c.obs_id))
-    return blocks

@@ -25,10 +25,6 @@ class EmptyInput(CalibrationError):
     """A non-empty collection was required."""
 
 
-class DegenerateProjection(CalibrationError):
-    """Projected image line is numerically undefined."""
-
-
 class DegenerateTranslation(CalibrationError):
     """Translation coefficient block is rank deficient (e.g. all lines parallel)."""
 
@@ -39,10 +35,6 @@ class NoRealSolution(CalibrationError):
 
 class ParallelPlanes(CalibrationError):
     """Back-projected endpoint planes do not intersect in a line."""
-
-
-class ParallelLines(CalibrationError):
-    """Two candidate lines are parallel; no equidistant point exists."""
 
 
 class InsufficientLines(CalibrationError):

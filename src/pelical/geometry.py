@@ -89,9 +89,6 @@ class PluckerLine:
         object.__setattr__(self, "d", _readonly(d))
         object.__setattr__(self, "m", _readonly(m))
 
-    def point_closest_to_origin(self) -> np.ndarray:
-        return np.cross(self.d, self.m)
-
     def distance_to_point(self, p: np.ndarray) -> float:
         """Orthogonal distance from a point to the line."""
         p = np.asarray(p, dtype=float)
@@ -208,20 +205,6 @@ def transform_line(line: PluckerLine, T: Extrinsics) -> PluckerLine:
     d = d / np.linalg.norm(d)
     m = m - (d @ m) * d
     return PluckerLine(d, m)
-
-
-def dual_plucker_matrix(line: PluckerLine) -> np.ndarray:
-    """4x4 antisymmetric matrix whose null space is the line's point set.
-
-    ``M @ (X, 1)`` vanishes exactly when ``X`` lies on the line: the top
-    block reads ``-d x X - m`` which is zero for on-line points under the
-    ``m = p x d`` moment convention used in this package.
-    """
-    M = np.zeros((4, 4))
-    M[:3, :3] = -skew(line.d)
-    M[:3, 3] = -line.m
-    M[3, :3] = line.m
-    return M
 
 
 def cgr_to_rotation(s: CGRParams | np.ndarray) -> np.ndarray:

@@ -35,8 +35,9 @@ from .errors import (
     ParallelPlanes,
     TooFewSamples,
 )
-from .geometry import CameraIntrinsics, Extrinsics, Line2D, PluckerLine, plucker_from_points
+from .geometry import CameraIntrinsics, Extrinsics, Line2D, PluckerLine
 from .selection import (
+    ROTATION_ROW_COUNT,
     CandidateLine,
     RotationGateState,
     _solve_state,
@@ -64,6 +65,9 @@ class RansacConfig:
         for name in ("iterations", "min_inlier_count"):
             if _real(self, name, integer=True) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        # scoring holds (iterations x samples) arrays
+        if self.iterations > 10_000:
+            raise ValueError("iterations must be at most 10000")
 
     def to_dict(self) -> dict:
         return {
@@ -285,9 +289,7 @@ class PipelineState:
     rng: np.random.Generator
     gate: RotationGateState = field(default_factory=RotationGateState.empty)
     correspondences: list[Correspondence] = field(default_factory=list)
-    pair_rows: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
-    evicted_ids: list[int] = field(default_factory=list)
     ingested: int = 0
     last_solution: PoseSolution | None = None
 
@@ -330,8 +332,6 @@ def ingest(
         source_line=src_line,
         source_endpoints=src_endpoints,
         target_line_2d=obs.target_2d,
-        source_inlier_ratio=src_ratio,
-        target_inlier_ratio=tgt_ratio,
         target_line_3d=tgt_line,
         target_endpoints=tgt_endpoints,
         obs_id=obs.obs_id,
@@ -346,7 +346,6 @@ def ingest(
                             distance=state.gate.distance)
     state.gate = new_gate
     state.correspondences.append(corr)
-    state.pair_rows.append(rows)
     return RoundOutcome(RoundStatus.ACCEPTED, distance=new_gate.distance)
 
 
@@ -369,42 +368,38 @@ def _maybe_evict(state: PipelineState, cfg: PipelineConfig) -> list[int | None]:
         return []
     if orig.distance <= 0.0:
         return []
-    keep = list(range(len(state.pair_rows)))
+    # Each pair's rows, as views of the gate's stacked system.
+    sizes = np.array([ROTATION_ROW_COUNT[c.kind] for c in state.correspondences])
+    blocks = [
+        (orig.C[end - n : end], orig.b[end - n : end]) for n, end in zip(sizes, np.cumsum(sizes))
+    ]
+    kept = np.ones(len(sizes), dtype=bool)
+    keep = list(range(len(sizes)))
     cur = orig
     removed: list[int] = []
-    committed: tuple[list[int], RotationGateState] | None = None
     max_steps = max(1, math.ceil(0.5 * len(keep)))
     for _ in range(max_steps):
         if cur.rotation is None:
             break
         vec = cur.rotation.reshape(-1)
         residuals = [
-            float(np.linalg.norm(state.pair_rows[i][0] @ vec - state.pair_rows[i][1]))
-            for i in keep
+            float(np.linalg.norm(blocks[i][0] @ vec - blocks[i][1])) for i in keep
         ]
         worst_pos = int(np.argmax(residuals))
         worst = keep[worst_pos]
-        rows_left = cur.row_count - state.pair_rows[worst][0].shape[0]
-        if rows_left < 9 or len(keep) - 1 < MIN_PAIRS_FOR_FINALIZE:
+        if cur.row_count - sizes[worst] < 9 or len(keep) - 1 < MIN_PAIRS_FOR_FINALIZE:
             break
         keep.pop(worst_pos)
         removed.append(worst)
-        C = np.vstack([state.pair_rows[i][0] for i in keep])
-        b = np.concatenate([state.pair_rows[i][1] for i in keep])
-        cur = _solve_state(C, b)
+        kept[worst] = False
+        rows = np.repeat(kept, sizes)
+        cur = _solve_state(orig.C[rows], orig.b[rows])
         if cur.distance < cfg.eviction_factor * orig.distance:
-            committed = (list(removed), cur)
-            break
-    if committed is None:
-        return []
-    removed, new_gate = committed
-    kept = [i for i in range(len(state.pair_rows)) if i not in removed]
-    evicted_ids = [state.correspondences[i].obs_id for i in removed]
-    state.gate = new_gate
-    state.correspondences = [state.correspondences[i] for i in kept]
-    state.pair_rows = [state.pair_rows[i] for i in kept]
-    state.evicted_ids.extend(i for i in evicted_ids if i is not None)
-    return evicted_ids
+            evicted = [state.correspondences[i].obs_id for i in removed]
+            state.gate = cur
+            state.correspondences = [state.correspondences[i] for i in keep]
+            return evicted
+    return []
 
 
 def _full3d_weights(
@@ -476,7 +471,7 @@ def try_finalize(
     state.last_solution = refined
     mean_cost = refined.refined_cost / len(inlier_cs)
     entry["mean_cost"] = mean_cost
-    if mean_cost >= cfg.cost_threshold:
+    if not mean_cost < cfg.cost_threshold:  # a NaN cost never converges
         # A vote can converge around a pose that still fits poorly -- e.g.
         # when a mismatched pair slipped into the store early.  Give the
         # eviction pass a chance here too; it is a no-op for honest stores.

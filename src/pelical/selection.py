@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constraints import CaseKind, Correspondence
-from .errors import InsufficientLines, ParallelLines, ParallelPlanes, RankDeficient
+from .errors import InsufficientLines, ParallelPlanes, RankDeficient
 from .geometry import (
     CameraIntrinsics,
     line_projection_matrix,
@@ -37,19 +37,18 @@ _FULL_ROWS = 9
 class RotationGateState:
     """Accumulated direction constraints and the current rotation estimate.
 
-    ``matrix`` is the unconstrained least-squares solution reshaped 3x3
-    (row-major), ``rotation`` its SO(3) projection (None while the system is
-    too degenerate to project), and ``distance`` the spectrum distance of
-    ``matrix`` to SO(3) -- infinity until enough rows exist to make it
-    meaningful.
+    ``C``/``b`` stack every accepted pair's :func:`rotation_rows` in
+    acceptance order.  ``rotation`` is the SO(3) projection of their
+    unconstrained least-squares solution (reshaped 3x3, row-major; None
+    while the system is too degenerate to project), and ``distance`` the
+    spectrum distance of that solution to SO(3) -- infinity until enough
+    rows exist to make it meaningful.
     """
 
     C: np.ndarray
     b: np.ndarray
-    matrix: np.ndarray | None = None
     rotation: np.ndarray | None = None
     distance: float = np.inf
-    underdetermined: bool = True
 
     @classmethod
     def empty(cls) -> "RotationGateState":
@@ -58,6 +57,10 @@ class RotationGateState:
     @property
     def row_count(self) -> int:
         return self.C.shape[0]
+
+
+#: Rows :func:`rotation_rows` contributes per pair, by kind.
+ROTATION_ROW_COUNT = {CaseKind.FULL3D: 3, CaseKind.PNL: 1}
 
 
 def rotation_rows(
@@ -89,14 +92,7 @@ def _solve_state(C: np.ndarray, b: np.ndarray) -> RotationGateState:
         dist = so3_distance(sigma, sigma_target)
     except RankDeficient:
         R, dist = None, np.inf
-    return RotationGateState(
-        C=C,
-        b=b,
-        matrix=M,
-        rotation=R,
-        distance=dist,
-        underdetermined=C.shape[0] < _FULL_ROWS,
-    )
+    return RotationGateState(C=C, b=b, rotation=R, distance=dist)
 
 
 def gate_rotation(
@@ -136,7 +132,6 @@ class CandidateLine:
 
     p0: np.ndarray
     u: np.ndarray
-    origin: tuple[int | None, CaseKind]
 
     def __post_init__(self) -> None:
         u = np.asarray(self.u, dtype=float).reshape(3)
@@ -162,7 +157,7 @@ def candidate_from_full3d(c: Correspondence, R: np.ndarray) -> CandidateLine:
         raise ParallelPlanes("candidate_from_full3d needs a FULL3D pair")
     Rd = R @ c.source_line.d
     p0 = np.cross(R @ c.source_line.m - c.target_line_3d.m, Rd)
-    return CandidateLine(p0=p0, u=Rd, origin=(c.obs_id, c.kind))
+    return CandidateLine(p0=p0, u=Rd)
 
 
 def candidate_from_pnl(
@@ -242,25 +237,7 @@ def candidate_from_pnl(
             best = (misfit, sol)
     if best is None:
         raise ParallelPlanes("endpoint planes are degenerate")
-    return CandidateLine(p0=best[1], u=Rd, origin=(c.obs_id, c.kind))
-
-
-def equidistant_point(l1: CandidateLine, l2: CandidateLine) -> np.ndarray:
-    """Midpoint of the common perpendicular of two candidate lines."""
-    u1, u2 = l1.u, l2.u
-    cross = np.cross(u1, u2)
-    if np.linalg.norm(cross) < 1e-9:
-        raise ParallelLines("candidate lines are parallel")
-    w0 = l1.p0 - l2.p0
-    b = float(u1 @ u2)
-    d = float(u1 @ w0)
-    e = float(u2 @ w0)
-    denom = 1.0 - b * b
-    s = (b * e - d) / denom
-    t = (e - b * d) / denom
-    q1 = l1.p0 + s * u1
-    q2 = l2.p0 + t * u2
-    return 0.5 * (q1 + q2)
+    return CandidateLine(p0=best[1], u=Rd)
 
 
 @dataclass(frozen=True)
@@ -270,8 +247,6 @@ class VotingResult:
     converged: bool
     inlier_indices: tuple[int, ...]
     convergence_point: np.ndarray | None
-    epsilon_d: float
-    vote_threshold: int
 
 
 def convergence_voting(
@@ -292,8 +267,8 @@ def convergence_voting(
     p0 = np.stack([l.p0 for l in lines])  # (n, 3)
     u = np.stack([l.u for l in lines])  # (n, 3)
 
-    # all-pairs common-perpendicular midpoints, batched (same formula as
-    # equidistant_point); parallel pairs are dropped
+    # all-pairs common-perpendicular midpoints, batched; parallel pairs are
+    # dropped
     ii, jj = np.triu_indices(n, k=1)
     u1, u2 = u[ii], u[jj]
     ok = np.linalg.norm(np.cross(u1, u2), axis=1) >= 1e-9
@@ -324,6 +299,4 @@ def convergence_voting(
         converged=len(inliers) >= vote_threshold,
         inlier_indices=inliers,
         convergence_point=pts[best],
-        epsilon_d=epsilon_d,
-        vote_threshold=vote_threshold,
     )

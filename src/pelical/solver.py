@@ -12,8 +12,9 @@ grid-search oracle over the same objective, used to certify the solver.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.ndimage
@@ -35,18 +36,26 @@ from .geometry import (
     cgr_to_rotation,
     line_projection_matrix,
     project_so3,
+    rotation_to_cgr,
     skew,
 )
 
 
 def _real(config, name: str, integer: bool = False):
-    """Config field ``name``, checked to be a real number (an integer if
-    asked) and not a bool; raises TypeError naming the field otherwise."""
+    """Config field ``name``, checked to be a finite real number (an integer
+    if asked) and not a bool; raises TypeError or ValueError naming the
+    field otherwise."""
     value = getattr(config, name)
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if integer else "a number"
         raise TypeError(f"{name} must be {noun}, got {value!r}")
+    try:
+        finite = integer or math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite")
     return value
 
 
@@ -415,6 +424,8 @@ def refine(
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
+            if not np.isfinite(delta).all():
+                break  # the damping overflowed or the residuals are not finite
             R_new = R @ _ScipyRotation.from_rotvec(delta[:3]).as_matrix()
             R_new, _, _ = project_so3(R_new)
             t_new = t + delta[3:]
@@ -438,8 +449,6 @@ def refine(
         if converged:
             break
 
-    from .geometry import rotation_to_cgr
-
     pose = Extrinsics(R, t)
     return PoseSolution(
         extrinsics=pose,
@@ -449,31 +458,3 @@ def refine(
         all_candidates=initial.all_candidates,
         lm_converged=converged,
     )
-
-
-def jacobian_check(
-    correspondences: list[Correspondence],
-    K_t: CameraIntrinsics,
-    T: Extrinsics,
-    step: float = 1e-6,
-) -> float:
-    """Max relative deviation between analytic and central-difference Jacobians."""
-    if not correspondences:
-        raise EmptyInput("nothing to check")
-    w = np.ones(len(correspondences))
-    R0 = np.array(T.rotation)
-    t0 = np.array(T.translation)
-    _, J = _stack_residuals(correspondences, K_t, R0, t0, w, with_jacobian=True)
-
-    def res_at(x: np.ndarray) -> np.ndarray:
-        R = R0 @ _ScipyRotation.from_rotvec(x[:3]).as_matrix()
-        e, _ = _stack_residuals(correspondences, K_t, R, t0 + x[3:], w, False)
-        return e
-
-    J_fd = np.empty_like(J)
-    for k in range(6):
-        dx = np.zeros(6)
-        dx[k] = step
-        J_fd[:, k] = (res_at(dx) - res_at(-dx)) / (2.0 * step)
-    denom = max(1.0, float(np.abs(J_fd).max()))
-    return float(np.abs(J - J_fd).max()) / denom

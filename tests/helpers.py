@@ -1,9 +1,11 @@
-"""Shared synthetic-data builders for the test suite.
+"""Shared synthetic-data builders and reference formulas for the test suite.
 
-Everything here constructs *algebraically exact* inputs from a known pose
+The builders construct *algebraically exact* inputs from a known pose
 (``noisy_correspondences`` then perturbs them with seeded noise), without
 going through the simulator, so solver/selection tests do not depend on the
-modules they are meant to check.
+modules they are meant to check.  The references at the end restate, one
+pair or one hypothesis at a time, formulas the package computes batched or
+stacked, so tests can compare the two.
 """
 
 from __future__ import annotations
@@ -15,14 +17,17 @@ from scipy.spatial.transform import Rotation
 
 from pelical import (
     CameraIntrinsics,
+    CandidateLine,
     Extrinsics,
     Line2D,
     LineObservation,
     assemble,
+    line_projection_matrix,
     plucker_from_points,
     transform_line,
 )
 from pelical.constraints import CaseKind, Correspondence
+from pelical.solver import _stack_residuals
 
 DEFAULT_K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -82,8 +87,6 @@ def make_correspondence(
             source_line=src,
             source_endpoints=ends,
             target_line_2d=line2d,
-            source_inlier_ratio=1.0,
-            target_inlier_ratio=1.0,
             target_line_3d=transform_line(src, truth),
             target_endpoints=t_ends,
             obs_id=obs_id,
@@ -93,8 +96,6 @@ def make_correspondence(
         source_line=src,
         source_endpoints=ends,
         target_line_2d=line2d,
-        source_inlier_ratio=1.0,
-        target_inlier_ratio=0.0,
         obs_id=obs_id,
     )
 
@@ -212,3 +213,78 @@ def reference_inlier_masks(
     perp = diff - along[..., None] * d[:, None, :]
     dist = np.linalg.norm(perp, axis=2)
     return dist < threshold, dist
+
+
+def equidistant_point(l1: CandidateLine, l2: CandidateLine) -> np.ndarray:
+    """Midpoint of the common perpendicular of two non-parallel candidate
+    lines: the reference for the batched midpoints in ``convergence_voting``."""
+    u1, u2 = l1.u, l2.u
+    if np.linalg.norm(np.cross(u1, u2)) < 1e-9:
+        raise ValueError("candidate lines are parallel")
+    w0 = l1.p0 - l2.p0
+    b = float(u1 @ u2)
+    d = float(u1 @ w0)
+    e = float(u2 @ w0)
+    denom = 1.0 - b * b
+    s = (b * e - d) / denom
+    t = (e - b * d) / denom
+    return 0.5 * ((l1.p0 + s * u1) + (l2.p0 + t * u2))
+
+
+def point_to_line_residual(c: Correspondence, T: Extrinsics) -> np.ndarray:
+    """3D residuals of a FULL3D pair's transformed source endpoints.
+
+    Returns a (2, 3) array; row ``j`` is ``(I - d d^T)(R X_j + t - Y_j)``
+    with ``Y_j`` the matching target endpoint.  The reference for the
+    FULL3D rows of ``solver._stack_residuals`` at unit weight.
+    """
+    d = c.target_line_3d.d
+    P = np.eye(3) - np.outer(d, d)
+    return np.stack(
+        [P @ (T.transform_point(X) - Y) for X, Y in zip(c.source_endpoints, c.target_endpoints)]
+    )
+
+
+def line_reprojection_residual(
+    c: Correspondence, T: Extrinsics, K_t: CameraIntrinsics
+) -> np.ndarray:
+    """Signed pixel distances of a pair's two observed 2D endpoints to the
+    reprojected source line.
+
+    The source line is mapped into the target frame, its moment projected
+    to an image line ``l_hat``, and each endpoint ``x`` contributes
+    ``x^T l_hat / sqrt(l1^2 + l2^2)``.  The reference for the PNL rows of
+    ``solver._stack_residuals``.
+    """
+    l_hat = line_projection_matrix(K_t) @ transform_line(c.source_line, T).m
+    scale = 1.0 / np.hypot(l_hat[0], l_hat[1])
+    return np.array(
+        [scale * (l_hat @ np.array([uv[0], uv[1], 1.0])) for uv in c.target_line_2d.endpoints]
+    )
+
+
+def jacobian_check(
+    correspondences: list[Correspondence],
+    K_t: CameraIntrinsics,
+    T: Extrinsics,
+    step: float = 1e-6,
+) -> float:
+    """Max relative deviation between the analytic Jacobian of
+    ``solver._stack_residuals`` and its central differences at ``T``."""
+    w = np.ones(len(correspondences))
+    R0 = np.array(T.rotation)
+    t0 = np.array(T.translation)
+    _, J = _stack_residuals(correspondences, K_t, R0, t0, w, with_jacobian=True)
+
+    def res_at(x: np.ndarray) -> np.ndarray:
+        R = R0 @ Rotation.from_rotvec(x[:3]).as_matrix()
+        e, _ = _stack_residuals(correspondences, K_t, R, t0 + x[3:], w, False)
+        return e
+
+    J_fd = np.empty_like(J)
+    for k in range(6):
+        dx = np.zeros(6)
+        dx[k] = step
+        J_fd[:, k] = (res_at(dx) - res_at(-dx)) / (2.0 * step)
+    denom = max(1.0, float(np.abs(J_fd).max()))
+    return float(np.abs(J - J_fd).max()) / denom

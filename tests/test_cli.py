@@ -1,21 +1,31 @@
 """End-to-end command line tests driving main() and the console entry point."""
 
 import argparse
+import contextlib
+import copy
+import functools
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pelical
 from pelical import (
+    CameraIntrinsics,
     Extrinsics,
     Line2D,
     LineObservation,
+    PipelineConfig,
     RigSpec,
     TerminationReason,
+    generate,
     pose_errors,
     rotation_about_y,
 )
@@ -23,6 +33,7 @@ from pelical.cli import _pipeline_config, main
 from pelical.fileio import (
     SWEEP_COLUMNS,
     extrinsics_to_dict,
+    observation_file_dict,
     read_calibration_file,
     read_observation_file,
     rig_spec_to_dict,
@@ -60,6 +71,51 @@ def observation_file(tmp_path) -> Path:
     write_spec(spec_path, easy_spec(n_lines=8))
     assert main(["simulate", "--spec", str(spec_path), "--output", str(obs_path)]) == 0
     return obs_path
+
+
+#: Replacement values for fuzzed documents: wrong types, wrong shapes,
+#: non-finite and huge numbers.  Huge integers stay far above any size an
+#: allocation could honour, so a missing bound fails at once.
+BAD_VALUES = st.sampled_from(
+    ["x", None, True, {}, [], [1.0, 2.0], float("nan"), float("inf"), -1e300, 1e300,
+     10**20, 10**400, -1, 0, 0.5]
+)
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three nodes replaced, deleted, wrapped in a list or
+    (lists only) truncated.  Each node is reached by a walk from the root that
+    stops at every level with even odds, so a top-level field is hit far more
+    often than any one sample coordinate."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
+            parent = node
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            node = parent[key]
+        if parent is None:
+            continue
+        op = draw(st.sampled_from(("value", "delete", "wrap", "truncate")))
+        if op == "delete":
+            del parent[key]
+        elif op == "wrap":
+            parent[key] = [node]
+        elif op == "truncate" and isinstance(node, list):
+            parent[key] = node[: draw(st.integers(0, max(0, len(node) - 1)))]
+        else:
+            parent[key] = draw(BAD_VALUES)
+    return doc
+
+
+@functools.lru_cache(maxsize=None)
+def base_documents() -> str:
+    """A valid observation file (12 simulated lines, which converge) and a
+    valid config object, as one JSON text."""
+    observations, _ = generate(easy_spec())
+    obs = observation_file_dict(DEFAULT_K, DEFAULT_K, observations)
+    return json.dumps({"observations": obs, "config": PipelineConfig().to_dict()})
 
 
 INFEASIBLE = dict(
@@ -251,6 +307,41 @@ class TestCalibrate:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: PELICAL_SEED: rng_seed must be non-negative\n"
 
+    def test_overflowing_focal_length_exits_2(self, tmp_path):
+        # fx = 1e300 turns the image-line residuals non-finite; the run must
+        # end unconverged, not in a traceback or a "converged" NaN cost
+        observations, _ = generate(easy_spec())
+        big_fx = CameraIntrinsics(fx=1e300, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
+        obs_path, calib_path = tmp_path / "obs.json", tmp_path / "calib.json"
+        write_observation_file(obs_path, big_fx, DEFAULT_K, observations)
+        with np.errstate(all="ignore"):
+            code = main(["calibrate", "--input", str(obs_path), "--output", str(calib_path)])
+        assert code == 2
+        assert read_calibration_file(calib_path)["termination"] == "max_pairs"
+
+    @settings(derandomize=True, database=None, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_config_and_observations_never_traceback(self, data):
+        base = json.loads(base_documents())
+        which = data.draw(st.sampled_from(("config", "observations", "both")))
+        docs = {
+            name: data.draw(mutated(doc)) if which in (name, "both") else doc
+            for name, doc in base.items()
+        }
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+            paths = {name: Path(tmp) / f"{name}.json" for name in docs}
+            for name, doc in docs.items():
+                paths[name].write_text(json.dumps(doc))
+            code = main(["calibrate", "--input", str(paths["observations"]), "--output",
+                         str(Path(tmp) / "c.json"), "--config", str(paths["config"])])
+        err = stderr.getvalue()
+        # A mutation may leave a valid document (a dropped config key keeps
+        # its default), so a run may still converge.
+        assert code in (0, 1, 2)
+        if code == 1:
+            assert err.startswith("error: ") and err.count("\n") == 1
+
 
 class TestSweep:
     def test_grid_shape_and_determinism(self, tmp_path):
@@ -407,6 +498,49 @@ class TestPoseErrors:
         )
         assert code == 1
         assert "scale" in capsys.readouterr().err
+
+
+def board_points(n: int = 10) -> list:
+    rng = np.random.default_rng(0)
+    return np.column_stack([rng.uniform(-0.5, 0.5, (n, 2)), np.full(n, 1.5)]).tolist()
+
+
+BOARD = {"target_points": board_points(), "source_points": board_points()}
+CORNERS = {"target_corners": board_points(2), "source_corners": board_points(2)}
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("evaluate-planes", {**BOARD, "target_points": board_points(9) + [[1, 2, "x"]]},
+         "target_points[9]"),
+        ("evaluate-planes", {**BOARD, "target_points": board_points(9) + [[1, 2]]},
+         "target_points[9]"),
+        ("evaluate-planes", {**BOARD, "target_points": [1, 2, 3]}, "target_points[0]"),
+        ("evaluate-planes", {**BOARD, "source_points": board_points(9) + [[1, 2, float("nan")]]},
+         "source_points[9]"),
+        ("evaluate-planes", {**BOARD, "source_points": board_points(2)}, "source_points"),
+        ("evaluate-planes", {**BOARD, **CORNERS, "squares_per_row": "x"}, "squares_per_row"),
+        ("evaluate-planes", {**BOARD, **CORNERS, "squares_per_row": 2.5}, "squares_per_row"),
+        ("evaluate-planes", {**BOARD, **CORNERS, "target_corners": board_points(3),
+                             "squares_per_row": 6}, "target_corners"),
+        ("pose-errors", {"groups": [{"name": "g", "vary": "rotation", "poses": []}]}, "groups[0]"),
+        ("pose-errors", {"groups": [{"name": "g", "poses": 5}]}, "groups[0]"),
+    ],
+    ids=["string-coordinate", "ragged-point", "flat-list", "nan-point", "two-point-plane",
+         "string-squares", "fractional-squares", "three-corners", "no-poses", "poses-not-a-list"],
+)
+def test_bad_plane_or_pose_input_exits_1(tmp_path, capsys, command, doc, field):
+    input_path, calib_path = tmp_path / "input.json", tmp_path / "calib.json"
+    input_path.write_text(json.dumps(doc))  # json.dumps keeps NaN as a literal
+    write_json(calib_path, {"rotation": np.eye(3).tolist(), "translation_m": [0.0, 0.0, 0.0],
+                            "termination": "converged"})
+    argv = [command, "--input", str(input_path), "--output", str(tmp_path / "out")]
+    if command == "evaluate-planes":
+        argv += ["--transform", str(calib_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and err.count("\n") == 1
 
 
 class TestConsoleScript:

@@ -10,10 +10,8 @@ from pelical import (
     assemble,
     cgr_to_rotation,
     full3d_rows,
-    line_reprojection_residual,
     monomial_vector,
     pnl_rows,
-    point_to_line_residual,
     rbar_coefficients,
     rotation_to_cgr,
 )
@@ -25,8 +23,17 @@ from pelical.constraints import (
     Correspondence,
     monomial_jacobian,
 )
+from pelical.solver import _stack_residuals
 
-from helpers import DEFAULT_K, consistent_system, make_correspondence, rand_truth
+from helpers import (
+    DEFAULT_K,
+    consistent_correspondences,
+    consistent_system,
+    line_reprojection_residual,
+    make_correspondence,
+    point_to_line_residual,
+    rand_truth,
+)
 
 
 def true_r_tau(truth: Extrinsics) -> tuple[np.ndarray, np.ndarray]:
@@ -105,8 +112,6 @@ class TestCorrespondenceValidation:
                 source_line=c.source_line,
                 source_endpoints=c.source_endpoints,
                 target_line_2d=c.target_line_2d,
-                source_inlier_ratio=1.0,
-                target_inlier_ratio=1.0,
             )
 
     def test_pnl_forbids_target_line(self, rng):
@@ -118,8 +123,6 @@ class TestCorrespondenceValidation:
                 source_line=c.source_line,
                 source_endpoints=c.source_endpoints,
                 target_line_2d=c.target_line_2d,
-                source_inlier_ratio=1.0,
-                target_inlier_ratio=0.0,
                 target_line_3d=c.target_line_3d,
             )
 
@@ -134,8 +137,6 @@ class TestCorrespondenceValidation:
                 source_line=c.source_line,
                 source_endpoints=bad,
                 target_line_2d=c.target_line_2d,
-                source_inlier_ratio=1.0,
-                target_inlier_ratio=0.0,
             )
 
 
@@ -170,8 +171,6 @@ class TestRowAssembly:
             source_line=c.source_line,
             source_endpoints=c.source_endpoints,
             target_line_2d=c.target_line_2d,
-            source_inlier_ratio=1.0,
-            target_inlier_ratio=1.0,
             target_line_3d=PluckerLine(c.target_line_3d.d, c.target_line_3d.m + delta),
             target_endpoints=c.target_endpoints + np.cross(d_t, delta),
         )
@@ -246,11 +245,20 @@ class TestRowAssembly:
         assert system.residual(s + 0.1, tau) > 1e-4
 
 
+def stacked_residuals(cs, T, K=DEFAULT_K, weights=None):
+    """The residual vector ``refine`` minimises, at pose ``T``."""
+    w = np.ones(len(cs)) if weights is None else weights
+    e, _ = _stack_residuals(cs, K, T.rotation, T.translation, w, with_jacobian=False)
+    return e
+
+
 class TestResiduals:
+    """``solver._stack_residuals``: 3 entries per FULL3D endpoint, 1 per PNL one."""
+
     def test_line_reprojection_zero_at_truth(self, rng):
         truth = rand_truth(rng)
         c = make_correspondence(rng, truth, CaseKind.PNL)
-        res = line_reprojection_residual(c, truth, DEFAULT_K)
+        res = stacked_residuals([c], truth)
         assert res.shape == (2,)
         assert np.max(np.abs(res)) < 1e-6
 
@@ -267,17 +275,15 @@ class TestResiduals:
             source_line=src,
             source_endpoints=np.array([[100.0, 0, 1], [100.0, 1, 1]]),
             target_line_2d=obs,
-            source_inlier_ratio=1.0,
-            target_inlier_ratio=0.0,
         )
-        res = line_reprojection_residual(c, Extrinsics.identity(), K)
+        res = stacked_residuals([c], Extrinsics.identity(), K)
         assert_allclose(np.abs(res), [1.0, 1.0], atol=1e-9)
 
     def test_point_to_line_zero_at_truth(self, rng):
         truth = rand_truth(rng)
         c = make_correspondence(rng, truth, CaseKind.FULL3D)
-        res = point_to_line_residual(c, truth)
-        assert res.shape == (2, 3)
+        res = stacked_residuals([c], truth)
+        assert res.shape == (6,)
         assert np.max(np.abs(res)) < 1e-9
 
     def test_point_to_line_kills_along_component(self, rng):
@@ -289,16 +295,12 @@ class TestResiduals:
             source_line=c.source_line,
             source_endpoints=c.source_endpoints,
             target_line_2d=c.target_line_2d,
-            source_inlier_ratio=1.0,
-            target_inlier_ratio=1.0,
             target_line_3d=c.target_line_3d,
             target_endpoints=c.target_endpoints + 0.7 * c.target_line_3d.d,
         )
         T_off = Extrinsics(truth.rotation, truth.translation + np.array([0.01, 0, 0]))
         assert_allclose(
-            point_to_line_residual(c, T_off),
-            point_to_line_residual(moved, T_off),
-            atol=1e-12,
+            stacked_residuals([c], T_off), stacked_residuals([moved], T_off), atol=1e-12
         )
 
     def test_point_to_line_projects_gap(self):
@@ -315,19 +317,28 @@ class TestResiduals:
             target_line_2d=__import__("pelical").Line2D.from_endpoints(
                 np.array([0.0, 0.0]), np.array([0.0, 1.0])
             ),
-            source_inlier_ratio=1.0,
-            target_inlier_ratio=1.0,
             target_line_3d=plucker_from_points(
                 np.array([-0.01, 0, 1.0]), np.array([-0.01, 0, 2.0])
             ),
             target_endpoints=np.array([[-0.01, 0, 1.0], [-0.01, 0, 2.0]]),
         )
-        res = point_to_line_residual(c, Extrinsics.identity())
+        res = stacked_residuals([c], Extrinsics.identity()).reshape(2, 3)
         assert_allclose(res, [[0.01, 0, 0], [0.01, 0, 0]], atol=1e-12)
         assert d @ res[0] == pytest.approx(0.0, abs=1e-12)
 
-    def test_wrong_kind_raises(self, rng):
-        truth = rand_truth(rng)
-        pnl = make_correspondence(rng, truth, CaseKind.PNL)
-        with pytest.raises(WrongKind):
-            point_to_line_residual(pnl, truth)
+    def test_matches_reference_formulas(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            truth = rand_truth(rng)
+            cs = consistent_correspondences(rng, truth, 3, 3)
+            cs = [cs[i] for i in rng.permutation(len(cs))]
+            T = rand_truth(rng)  # away from the optimum
+            w = rng.uniform(0.5, 2.0, size=len(cs))
+            expected = np.concatenate([
+                wi * point_to_line_residual(c, T).ravel()
+                if c.kind is CaseKind.FULL3D
+                else line_reprojection_residual(c, T, DEFAULT_K)
+                for c, wi in zip(cs, w)
+            ])
+            got = stacked_residuals(cs, T, weights=w)
+            assert_allclose(got, expected, rtol=1e-12, atol=1e-12)

@@ -13,7 +13,6 @@ from pelical import (
     PluckerLine,
     RankDeficient,
     cgr_to_rotation,
-    dual_plucker_matrix,
     line_projection_matrix,
     plucker_from_points,
     project_so3,
@@ -100,28 +99,6 @@ class TestTransformLine:
         expected = plucker_from_points(T.transform_point(p1), T.transform_point(p2))
         assert_allclose(moved.d, expected.d, atol=1e-12)
         assert_allclose(moved.m, expected.m, atol=1e-12)
-
-
-class TestDualPluckerMatrix:
-    def test_z_axis_block(self):
-        L = dual_plucker_matrix(PluckerLine(np.array([0.0, 0, 1]), np.zeros(3)))
-        assert_allclose(L[:3, :3], [[0, 1, 0], [-1, 0, 0], [0, 0, 0]], atol=1e-15)
-        assert_allclose(L[3, :], np.zeros(4), atol=1e-15)
-        assert_allclose(L[:, 3], np.zeros(4), atol=1e-15)
-
-    def test_antisymmetric(self, rng):
-        line = plucker_from_points(*rng.normal(size=(2, 3)))
-        L = dual_plucker_matrix(line)
-        assert_allclose(L, -L.T, atol=1e-15)
-
-    def test_annihilates_points_on_line(self):
-        rng = np.random.default_rng(2)
-        for _ in range(200):
-            p1, p2 = rng.normal(size=(2, 3)) * 2.0
-            line = plucker_from_points(p1, p2)
-            alpha = rng.normal()
-            X = np.append(p1 + alpha * line.d, 1.0)
-            assert_allclose(dual_plucker_matrix(line) @ X, np.zeros(4), atol=1e-9)
 
 
 class TestCGR:

@@ -21,6 +21,7 @@ from pelical import (
     ransac_fit_line,
     refine,
     rotation_angle,
+    rotation_rows,
     run,
     solve_quadratic_system,
     try_finalize,
@@ -212,6 +213,13 @@ class TestIngest:
         assert len(state.correspondences) == 4
 
 
+def assert_gate_holds_store_rows(state):
+    """The gate's stacked system is exactly the accepted pairs' rows, in order."""
+    rows = [rotation_rows(c, DEFAULT_K) for c in state.correspondences]
+    np.testing.assert_array_equal(state.gate.C, np.vstack([C for C, _ in rows]))
+    np.testing.assert_array_equal(state.gate.b, np.concatenate([b for _, b in rows]))
+
+
 class TestEviction:
     def test_noop_on_honest_store(self, rng):
         truth = rand_truth(rng)
@@ -232,13 +240,16 @@ class TestEviction:
             make_observation(rng, rand_truth(rng), CaseKind.FULL3D, obs_id=100 + i)
             for i in range(2)
         ]
-        stream = poison + good_stream(rng, truth, 8, 0)
+        stream = poison + good_stream(rng, truth, 8, 2)
         for obs in stream:
             ingest(obs, state, cfg)
+            assert_gate_holds_store_rows(state)
         assert any(c.obs_id in (100, 101) for c in state.correspondences)
+        assert any(c.kind is CaseKind.PNL for c in state.correspondences)
         evicted = _maybe_evict(state, cfg)
         assert set(evicted) == {100, 101}
         assert state.gate.distance < 1e-9
+        assert_gate_holds_store_rows(state)
 
 
 class TestRunConverged:
@@ -375,6 +386,11 @@ class TestConfig:
             ({"solver": {"max_lm_iterations": 0}}, ValueError, "solver: max_lm_iterations"),
             ({"solver": {"cost_tolerance": "1e-9"}}, TypeError, "solver: cost_tolerance"),
             ({"solver": []}, TypeError, "solver must be an object"),
+            ({"cost_threshold": float("nan")}, ValueError, "cost_threshold"),
+            ({"rotation_gate_slack": float("inf")}, ValueError, "rotation_gate_slack"),
+            ({"eviction_factor": 10**400}, ValueError, "eviction_factor"),
+            ({"ransac": {"iterations": 10**20}}, ValueError, "ransac: iterations"),
+            ({"solver": {"lm_initial_damping": 10**400}}, ValueError, "solver: lm_initial_damping"),
         ],
     )
     def test_from_dict_rejects_bad_fields(self, data, error, field):

@@ -9,20 +9,24 @@ from pelical import (
     Extrinsics,
     InsufficientLines,
     Line2D,
-    ParallelLines,
     ParallelPlanes,
     PluckerLine,
     candidate_from_full3d,
     candidate_from_pnl,
     convergence_voting,
-    equidistant_point,
     gate_rotation,
     rotation_rows,
 )
 from pelical.constraints import CaseKind, Correspondence
 from pelical.selection import RotationGateState
 
-from helpers import DEFAULT_K, make_correspondence, rand_rotation, rand_truth
+from helpers import (
+    DEFAULT_K,
+    equidistant_point,
+    make_correspondence,
+    rand_rotation,
+    rand_truth,
+)
 
 
 def feed(correspondences, slack=1e-10, growth=0.0):
@@ -90,7 +94,7 @@ class TestGateRotation:
         flags, state = feed(cs)
         assert flags == [True, True]
         assert state.row_count == 6
-        assert state.underdetermined
+        assert state.row_count < 9
 
     def test_noiseless_stream_all_accepted(self, rng):
         truth = rand_truth(rng)
@@ -129,8 +133,6 @@ class TestCandidateLines:
             source_line=src,
             source_endpoints=np.array([[0.0, 0, 0], [0, 0, 1]]),
             target_line_2d=Line2D.from_endpoints([320, 240], [320, 250]),
-            source_inlier_ratio=1.0,
-            target_inlier_ratio=1.0,
             target_line_3d=tgt,
             target_endpoints=np.array([[1.0, 0, 0], [1, 0, 1]]),
         )
@@ -186,46 +188,40 @@ class TestCandidateLines:
             source_line=c.source_line,
             source_endpoints=c.source_endpoints,
             target_line_2d=squashed,
-            source_inlier_ratio=1.0,
-            target_inlier_ratio=1.0,
         )
         with pytest.raises(ParallelPlanes):
             candidate_from_pnl(degenerate, truth.rotation, DEFAULT_K)
 
     def test_degenerate_direction_rejected(self):
         with pytest.raises(ValueError):
-            CandidateLine(p0=np.zeros(3), u=np.zeros(3), origin=(None, CaseKind.PNL))
+            CandidateLine(p0=np.zeros(3), u=np.zeros(3))
 
 
 class TestEquidistantPoint:
+    """Two-line votes: the only proposal is the common-perpendicular midpoint."""
+
     def test_intersecting_lines_meet_at_point(self, rng):
         p = np.array([1.0, 2.0, 3.0])
-        l1 = CandidateLine(p0=p, u=np.array([1.0, 0, 0]), origin=(None, CaseKind.FULL3D))
-        l2 = CandidateLine(p0=p, u=np.array([0.0, 1, 0]), origin=(None, CaseKind.FULL3D))
-        assert_allclose(equidistant_point(l1, l2), p, atol=1e-12)
+        l1 = CandidateLine(p0=p, u=np.array([1.0, 0, 0]))
+        l2 = CandidateLine(p0=p, u=np.array([0.0, 1, 0]))
+        res = convergence_voting([l1, l2], 1e-9, 2)
+        assert res.converged
+        assert_allclose(res.convergence_point, p, atol=1e-12)
 
     def test_skew_lines_midpoint(self):
-        l1 = CandidateLine(
-            p0=np.zeros(3), u=np.array([0.0, 0, 1]), origin=(None, CaseKind.FULL3D)
-        )
-        l2 = CandidateLine(
-            p0=np.array([1.0, 0, 0]),
-            u=np.array([0.0, 1, 0]),
-            origin=(None, CaseKind.FULL3D),
-        )
-        assert_allclose(equidistant_point(l1, l2), [0.5, 0.0, 0.0], atol=1e-12)
+        l1 = CandidateLine(p0=np.zeros(3), u=np.array([0.0, 0, 1]))
+        l2 = CandidateLine(p0=np.array([1.0, 0, 0]), u=np.array([0.0, 1, 0]))
+        res = convergence_voting([l1, l2], 0.6, 2)
+        assert res.inlier_indices == (0, 1)
+        assert_allclose(res.convergence_point, [0.5, 0.0, 0.0], atol=1e-12)
+        # each line sits half the gap away, outside a smaller radius
+        assert convergence_voting([l1, l2], 0.4, 2).inlier_indices == ()
 
     def test_parallel_lines_raise(self):
-        l1 = CandidateLine(
-            p0=np.zeros(3), u=np.array([0.0, 0, 1]), origin=(None, CaseKind.FULL3D)
-        )
-        l2 = CandidateLine(
-            p0=np.array([1.0, 0, 0]),
-            u=np.array([0.0, 0, 1]),
-            origin=(None, CaseKind.FULL3D),
-        )
-        with pytest.raises(ParallelLines):
-            equidistant_point(l1, l2)
+        l1 = CandidateLine(p0=np.zeros(3), u=np.array([0.0, 0, 1]))
+        l2 = CandidateLine(p0=np.array([1.0, 0, 0]), u=np.array([0.0, 0, 1]))
+        with pytest.raises(InsufficientLines):
+            convergence_voting([l1, l2], 0.01, 2)
 
 
 def lines_through(point, directions):
@@ -234,9 +230,7 @@ def lines_through(point, directions):
     for t, u in zip(np.linspace(-2.0, 2.0, len(directions)), directions):
         u = np.asarray(u, dtype=float)
         u = u / np.linalg.norm(u)
-        lines.append(
-            CandidateLine(p0=point + t * u, u=u, origin=(None, CaseKind.FULL3D))
-        )
+        lines.append(CandidateLine(p0=point + t * u, u=u))
     return lines
 
 
@@ -253,20 +247,8 @@ class TestConvergenceVoting:
         p = np.array([0.1, 0.4, -0.3])
         dirs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
         lines = lines_through(p, dirs)
-        lines.append(
-            CandidateLine(
-                p0=np.array([5.0, 5, 5]),
-                u=np.array([1.0, -1, 0]),
-                origin=(None, CaseKind.FULL3D),
-            )
-        )
-        lines.append(
-            CandidateLine(
-                p0=np.array([-4.0, 6, 1]),
-                u=np.array([0.0, 1, 1]),
-                origin=(None, CaseKind.FULL3D),
-            )
-        )
+        lines.append(CandidateLine(p0=np.array([5.0, 5, 5]), u=np.array([1.0, -1, 0])))
+        lines.append(CandidateLine(p0=np.array([-4.0, 6, 1]), u=np.array([0.0, 1, 1])))
         res = convergence_voting(lines, 1e-6, 5)
         assert res.converged
         assert res.inlier_indices == (0, 1, 2, 3, 4, 5)
@@ -315,18 +297,12 @@ class TestConvergenceVoting:
         assert min(gaps) < 1e-12
 
     def test_too_few_lines_raise(self):
-        l = CandidateLine(
-            p0=np.zeros(3), u=np.array([1.0, 0, 0]), origin=(None, CaseKind.FULL3D)
-        )
+        l = CandidateLine(p0=np.zeros(3), u=np.array([1.0, 0, 0]))
         with pytest.raises(InsufficientLines):
             convergence_voting([l], 0.01, 2)
 
     def test_all_parallel_lines_raise(self):
-        mk = lambda y: CandidateLine(
-            p0=np.array([0.0, y, 0]),
-            u=np.array([1.0, 0, 0]),
-            origin=(None, CaseKind.FULL3D),
-        )
+        mk = lambda y: CandidateLine(p0=np.array([0.0, y, 0]), u=np.array([1.0, 0, 0]))
         with pytest.raises(InsufficientLines):
             convergence_voting([mk(0.0), mk(1.0), mk(2.0)], 0.01, 2)
 

@@ -12,7 +12,6 @@ from pelical import (
     brute_force_roots,
     cgr_to_rotation,
     eliminate_translation,
-    jacobian_check,
     refine,
     rotation_angle,
     rotation_to_cgr,
@@ -27,6 +26,7 @@ from helpers import (
     DEFAULT_K,
     consistent_correspondences,
     consistent_system,
+    jacobian_check,
     make_correspondence,
     noisy_correspondences,
     rand_truth,
@@ -74,8 +74,6 @@ class TestEliminateTranslation:
             source_line=base.source_line,
             source_endpoints=base.source_endpoints,
             target_line_2d=base.target_line_2d,
-            source_inlier_ratio=1.0,
-            target_inlier_ratio=1.0,
             target_line_3d=base.target_line_3d,
             target_endpoints=base.target_endpoints,
         )
@@ -254,6 +252,21 @@ class TestRefine:
         assert np.linalg.norm(out.extrinsics.translation - truth.translation) < 1e-6
         assert out.lm_converged
 
+    def test_overflowing_damping_keeps_the_start(self, rng):
+        # each trial step is negligible until the damping overflows, so no
+        # step is taken and refine returns the start instead of raising
+        truth = rand_truth(rng)
+        cs = consistent_correspondences(rng, truth, 4, 2)
+        start = PoseSolution(
+            extrinsics=Extrinsics(truth.rotation, truth.translation + 0.05),
+            s=CGRParams(rotation_to_cgr(truth.rotation).s),
+            algebraic_residual=np.nan,
+        )
+        with np.errstate(all="ignore"):
+            out = refine(start, cs, DEFAULT_K, SolverConfig(lm_initial_damping=1e300))
+        assert np.array_equal(out.extrinsics.rotation, start.extrinsics.rotation)
+        assert np.array_equal(out.extrinsics.translation, start.extrinsics.translation)
+
     def test_never_increases_cost_on_noisy_data(self):
         rng = np.random.default_rng(13)
         for trial in range(20):
@@ -274,8 +287,6 @@ class TestRefine:
                             source_line=c.source_line,
                             source_endpoints=c.source_endpoints,
                             target_line_2d=c.target_line_2d,
-                            source_inlier_ratio=1.0,
-                            target_inlier_ratio=1.0,
                             target_line_3d=line,
                             target_endpoints=tep,
                         )
