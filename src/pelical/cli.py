@@ -11,10 +11,10 @@ Seeding precedence: built-in defaults < command line flags < --config file
 from __future__ import annotations
 
 import argparse
+import csv
 import os
 import sys
 from dataclasses import replace
-from pathlib import Path
 
 import numpy as np
 
@@ -213,13 +213,13 @@ def _cmd_pose_errors(args) -> int:
             )
         except (EmptyInput, ValueError) as exc:
             raise SchemaError(f"{where}: {exc}") from exc
-    lines = ["group,vary,step_index,error"]
-    for row in rows:
-        lines.append(
-            f"{row['group']},{row['vary']},{row['step_index']},"
-            f"{format(float(row['error']), '.17g')}"
+    with open(args.output, "w", newline="") as out:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["group", "vary", "step_index", "error"])
+        writer.writerows(
+            [row["group"], row["vary"], row["step_index"], format(float(row["error"]), ".17g")]
+            for row in rows
         )
-    Path(args.output).write_text("\n".join(lines) + "\n")
     return 0
 
 

@@ -12,9 +12,9 @@ under the configured threshold ends the run as Converged.
 One recovery mechanism goes beyond the plain gate: pairs accepted while the
 gate was still underdetermined are never re-examined by the gate itself, so
 a single early mismatch can poison the rotation estimate forever.  When a
-vote fails, the pipeline therefore tentatively drops the stored pair with
-the largest direction residual; the drop is kept only when it collapses the
-SO(3) distance, which is exactly the signature of a mismatched pair.
+vote fails, the pipeline therefore tentatively peels the stored pairs with
+the largest direction residuals; the removal is kept only when it collapses
+the SO(3) distance, which is exactly the signature of mismatched pairs.
 """
 
 from __future__ import annotations
@@ -51,6 +51,9 @@ from .solver import PoseSolution, SolverConfig, _real, refine, solve_quadratic_s
 
 #: Accepted pairs required before the first finalize attempt.
 MIN_PAIRS_FOR_FINALIZE = 4
+#: An eviction is kept only if it shrinks the SO(3) distance below this
+#: fraction of its starting value.
+EVICTION_FACTOR = 0.5
 
 
 @dataclass(frozen=True)
@@ -87,9 +90,6 @@ class PipelineConfig:
     cost_threshold: float = 2.0
     max_pairs: int = 200
     rng_seed: int = 0
-    rotation_gate_slack: float = 1e-10
-    rotation_gate_growth: float = 1.0
-    eviction_factor: float = 0.5
     solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self) -> None:
@@ -103,8 +103,7 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be at least 1")
         if _real(self, "rng_seed", integer=True) < 0:
             raise ValueError("rng_seed must be non-negative")
-        for name in ("cost_threshold", "rotation_gate_slack", "rotation_gate_growth", "eviction_factor"):
-            _real(self, name)
+        _real(self, "cost_threshold")
 
     def vote_threshold(self, n_lines: int) -> int:
         return max(self.vote_min_count, math.ceil(self.vote_fraction * n_lines))
@@ -119,9 +118,6 @@ class PipelineConfig:
             "cost_threshold": self.cost_threshold,
             "max_pairs": self.max_pairs,
             "rng_seed": self.rng_seed,
-            "rotation_gate_slack": self.rotation_gate_slack,
-            "rotation_gate_growth": self.rotation_gate_growth,
-            "eviction_factor": self.eviction_factor,
             "solver": self.solver.to_dict(),
         }
 
@@ -338,18 +334,16 @@ def ingest(
     )
 
     rows = rotation_rows(corr, state.target_K)
-    accepted, new_gate = gate_rotation(
-        state.gate, rows, cfg.rotation_gate_slack, cfg.rotation_gate_growth
-    )
+    accepted, new_gate = gate_rotation(state.gate, rows)
     if not accepted:
-        return RoundOutcome(RoundStatus.GATE_REJECTED, "SO(3) distance did not improve",
+        return RoundOutcome(RoundStatus.GATE_REJECTED, "SO(3) distance grew past its budget",
                             distance=state.gate.distance)
     state.gate = new_gate
     state.correspondences.append(corr)
     return RoundOutcome(RoundStatus.ACCEPTED, distance=new_gate.distance)
 
 
-def _maybe_evict(state: PipelineState, cfg: PipelineConfig) -> list[int | None]:
+def _maybe_evict(state: PipelineState) -> list[int | None]:
     """Drop the stored pairs most at odds with the rotation estimate.
 
     Pairs admitted while the gate was still underdetermined can hold the
@@ -357,16 +351,17 @@ def _maybe_evict(state: PipelineState, cfg: PipelineConfig) -> list[int | None]:
     are in, the gate never re-examines them.  This greedily peels the pair
     with the largest linear-system residual, re-solving after each removal,
     and commits the shortest removal prefix that shrinks the SO(3) distance
-    below ``eviction_factor`` times its starting value.  Peeling several
+    below ``EVICTION_FACTOR`` times its starting value.  Peeling several
     pairs per call matters: with two or more bad pairs, removing just one
-    barely moves the distance and a single-step test would deadlock.  If no
-    prefix reaches the target the store is left untouched, so a merely
-    noisy (but honest) store never bleeds pairs.  Returns the evicted ids.
+    barely moves the distance and a single-step test would deadlock.
+    Peeling stops before the rows would fall under nine or the pairs under
+    ``MIN_PAIRS_FOR_FINALIZE``, and when the rotation becomes undetermined.
+    If no prefix reaches the target the store is left untouched, so a
+    merely noisy (but honest) store never bleeds pairs.  Returns the
+    evicted ids.
     """
     orig = state.gate
-    if orig.rotation is None or not math.isfinite(orig.distance):
-        return []
-    if orig.distance <= 0.0:
+    if orig.rotation is None or not 0.0 < orig.distance < math.inf:
         return []
     # Each pair's rows, as views of the gate's stacked system.
     sizes = np.array([ROTATION_ROW_COUNT[c.kind] for c in state.correspondences])
@@ -374,30 +369,25 @@ def _maybe_evict(state: PipelineState, cfg: PipelineConfig) -> list[int | None]:
         (orig.C[end - n : end], orig.b[end - n : end]) for n, end in zip(sizes, np.cumsum(sizes))
     ]
     kept = np.ones(len(sizes), dtype=bool)
-    keep = list(range(len(sizes)))
     cur = orig
     removed: list[int] = []
-    max_steps = max(1, math.ceil(0.5 * len(keep)))
-    for _ in range(max_steps):
-        if cur.rotation is None:
-            break
+    while cur.rotation is not None:
         vec = cur.rotation.reshape(-1)
+        keep = np.flatnonzero(kept)
         residuals = [
             float(np.linalg.norm(blocks[i][0] @ vec - blocks[i][1])) for i in keep
         ]
-        worst_pos = int(np.argmax(residuals))
-        worst = keep[worst_pos]
+        worst = keep[int(np.argmax(residuals))]
         if cur.row_count - sizes[worst] < 9 or len(keep) - 1 < MIN_PAIRS_FOR_FINALIZE:
             break
-        keep.pop(worst_pos)
         removed.append(worst)
         kept[worst] = False
         rows = np.repeat(kept, sizes)
         cur = _solve_state(orig.C[rows], orig.b[rows])
-        if cur.distance < cfg.eviction_factor * orig.distance:
+        if cur.distance < EVICTION_FACTOR * orig.distance:
             evicted = [state.correspondences[i].obs_id for i in removed]
             state.gate = cur
-            state.correspondences = [state.correspondences[i] for i in keep]
+            state.correspondences = [c for c, k in zip(state.correspondences, kept) if k]
             return evicted
     return []
 
@@ -419,8 +409,9 @@ def try_finalize(
 ) -> CalibrationReport | None:
     """Vote on translation observability and, if converged, solve the pose.
 
-    Returns a Converged report or None (not ready).  Failed votes may evict
-    one stored pair (see :func:`_maybe_evict`).
+    Returns a Converged report or None (not ready).  A failed vote, or a
+    converged one whose refined cost stays above ``cost_threshold``, may
+    evict several stored pairs (see :func:`_maybe_evict`).
     """
     entry: dict = {"pairs": len(state.correspondences), "d_so3": state.gate.distance}
     state.trace.append(entry)
@@ -454,7 +445,7 @@ def try_finalize(
     entry["vote_threshold"] = threshold
     entry["vote_converged"] = vote.converged
     if not vote.converged:
-        evicted = _maybe_evict(state, cfg)
+        evicted = _maybe_evict(state)
         if evicted:
             entry["evicted"] = evicted
         return None
@@ -462,7 +453,7 @@ def try_finalize(
     inlier_cs = [members[i] for i in vote.inlier_indices]
     try:
         system = assemble(inlier_cs, state.target_K)
-        solution = solve_quadratic_system(system, cfg.solver)
+        solution = solve_quadratic_system(system)
         weights = _full3d_weights(inlier_cs, state.target_K)
         refined = refine(solution, inlier_cs, state.target_K, cfg.solver, weights)
     except (DegenerateTranslation, NoRealSolution, CalibrationError) as exc:
@@ -475,7 +466,7 @@ def try_finalize(
         # A vote can converge around a pose that still fits poorly -- e.g.
         # when a mismatched pair slipped into the store early.  Give the
         # eviction pass a chance here too; it is a no-op for honest stores.
-        evicted = _maybe_evict(state, cfg)
+        evicted = _maybe_evict(state)
         if evicted:
             entry["evicted"] = evicted
         return None

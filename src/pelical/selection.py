@@ -31,6 +31,10 @@ from .geometry import (
 
 #: Rows needed before the rotation least-squares problem is determined.
 _FULL_ROWS = 9
+#: Absolute and relative budgets on the SO(3) distance the gate admits
+#: (see :func:`gate_rotation`).
+GATE_SLACK = 1e-10
+GATE_GROWTH = 1.0
 
 
 @dataclass(frozen=True)
@@ -96,24 +100,22 @@ def _solve_state(C: np.ndarray, b: np.ndarray) -> RotationGateState:
 
 
 def gate_rotation(
-    state: RotationGateState,
-    new_rows: tuple[np.ndarray, np.ndarray],
-    slack: float = 1e-10,
-    growth: float = 0.0,
+    state: RotationGateState, new_rows: tuple[np.ndarray, np.ndarray]
 ) -> tuple[bool, RotationGateState]:
-    """Tentatively add a pair's rows; keep them only if SO(3) distance improves.
+    """Tentatively add a pair's rows; keep them unless the SO(3) distance
+    grows past its budget.
 
     While the accumulated system has fewer than nine rows it cannot reject
     anything (the least-squares fit is underdetermined), so early pairs are
     accepted unconditionally.  Once active, the gate accepts a pair when the
-    new distance stays below ``distance * (1 + growth) + slack``.  The
-    absolute ``slack`` keeps noise-free streams alive (there the distance
+    new distance stays below ``distance * (1 + GATE_GROWTH) + GATE_SLACK``.
+    The absolute slack keeps noise-free streams alive (there the distance
     sits at float round-off and a strict comparison would randomly starve
-    the pipeline); the relative ``growth`` budget does the same on noisy
+    the pipeline); the relative growth budget does the same on noisy
     streams, where each honest pair adds its own fit error and the distance
     fluctuates around the noise floor instead of decreasing monotonically.
     A mismatched pair typically multiplies the distance tens of times over,
-    so a growth budget of ~1 still rejects it cleanly.
+    so a growth budget of 1 still rejects it cleanly.
     """
     C_row, b_row = new_rows
     C_new = np.vstack([state.C, C_row])
@@ -121,7 +123,7 @@ def gate_rotation(
     candidate = _solve_state(C_new, b_new)
     if state.row_count < _FULL_ROWS:
         return True, candidate
-    if candidate.distance < state.distance * (1.0 + growth) + slack:
+    if candidate.distance < state.distance * (1.0 + GATE_GROWTH) + GATE_SLACK:
         return True, candidate
     return False, state
 

@@ -59,18 +59,21 @@ def _real(config, name: str, integer: bool = False):
     return value
 
 
+#: Half-width and step of the lattice :func:`brute_force_roots` searches.
+ORACLE_GRID_HALFWIDTH = 2.0
+ORACLE_GRID_STEP = 0.05
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     max_lm_iterations: int = 100
     lm_initial_damping: float = 1e-3
     cost_tolerance: float = 1e-10
-    oracle_grid_halfwidth: float = 2.0
-    oracle_grid_step: float = 0.05
 
     def __post_init__(self) -> None:
         if _real(self, "max_lm_iterations", integer=True) < 1:
             raise ValueError("max_lm_iterations must be positive")
-        for name in ("lm_initial_damping", "cost_tolerance", "oracle_grid_halfwidth", "oracle_grid_step"):
+        for name in ("lm_initial_damping", "cost_tolerance"):
             if not _real(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -79,8 +82,6 @@ class SolverConfig:
             "max_lm_iterations": self.max_lm_iterations,
             "lm_initial_damping": self.lm_initial_damping,
             "cost_tolerance": self.cost_tolerance,
-            "oracle_grid_halfwidth": self.oracle_grid_halfwidth,
-            "oracle_grid_step": self.oracle_grid_step,
         }
 
 
@@ -175,13 +176,14 @@ def _select(
     polished: list[np.ndarray],
     sigma_min: float,
     scale: float,
-) -> tuple[list, tuple]:
+) -> list[tuple]:
     """Score the distinct polished roots and check the winner.
 
-    Returns the candidates sorted by ``(residual, |s|)`` and the winner:
-    the smallest ``||A r + B tau||_2``, with ties (within 1e-12) broken by
-    the smaller ``|s|``.  Raises NoRealSolution when there is no candidate
-    or the winner fails the sanity floor.
+    Returns the ``(residual, |s|, s, tau)`` candidates sorted by
+    ``(residual, |s|)``; the first is the winner: the smallest
+    ``||A r + B tau||_2``, with exact ties broken by the smaller ``|s|``.
+    Raises NoRealSolution when there is no candidate or the winner fails
+    the sanity floor.
     """
     candidates = _dedupe(polished)
     if not candidates:
@@ -193,33 +195,30 @@ def _select(
         tau = tau_map @ r
         scored.append((system.residual(s, tau), float(np.linalg.norm(s)), s, tau))
     scored.sort(key=lambda item: (item[0], item[1]))
-    best_res = scored[0][0]
-    in_tie = [item for item in scored if item[0] <= best_res + 1e-12]
-    in_tie.sort(key=lambda item: item[1])
-    winner = in_tie[0]
+    best_res, _, s_best, _ = scored[0]
 
     # Sanity floor: sigma_min bounds the best achievable residual of any
     # unit vector, so a root orders of magnitude above it means the
     # polynomial search failed rather than the data being noisy.
-    r_norm = float(np.linalg.norm(monomial_vector(winner[2])))
+    r_norm = float(np.linalg.norm(monomial_vector(s_best)))
     floor = sigma_min * r_norm
     allowance = 1e3 * floor + 1e-9 * scale * r_norm
     if best_res > max(allowance, 1e-12):
         raise NoRealSolution(
             f"best residual {best_res:.3e} exceeds sanity bound {allowance:.3e}"
         )
-    return scored, winner
+    return scored
 
 
-def solve_quadratic_system(system: QuadraticSystem, cfg: SolverConfig) -> PoseSolution:
+def solve_quadratic_system(system: QuadraticSystem) -> PoseSolution:
     """Recover ``(R, t)`` from the merged system.
 
     Root candidates come from the trailing right-singular vectors of the
     reduced system: in the noise-free case the null vector is exactly the
     monomial vector of the true root, so ``s`` reads off its linear
     entries.  Every candidate is Gauss-Newton polished; the root with the
-    smallest ``||A r + B tau||_2`` wins, with ties (within 1e-12) broken by
-    the smaller ``|s|``, and must pass a sanity floor set by the smallest
+    smallest ``||A r + B tau||_2`` wins, with exact ties broken by the
+    smaller ``|s|``, and must pass a sanity floor set by the smallest
     singular value.  Only when no null-vector start is usable or their
     winner fails the floor is a fixed 27-point multi-start lattice polished
     as well, and the winner picked and checked again over all candidates.
@@ -236,7 +235,7 @@ def solve_quadratic_system(system: QuadraticSystem, cfg: SolverConfig) -> PoseSo
         if abs(v[9]) > 1e-6 * np.linalg.norm(v)
     ]
     try:
-        scored, winner = _select(system, tau_map, polished, sing[-1], scale)
+        scored = _select(system, tau_map, polished, sing[-1], scale)
     except NoRealSolution:
         # Fallback: the null-vector roots are unusable (near-degenerate
         # geometry); sweep a coarse deterministic lattice as well.
@@ -244,10 +243,9 @@ def solve_quadratic_system(system: QuadraticSystem, cfg: SolverConfig) -> PoseSo
             _polish_root(G_reduced, np.array(s0))
             for s0 in itertools.product((-1.0, 0.0, 1.0), repeat=3)
         ]
-        scored, winner = _select(system, tau_map, polished, sing[-1], scale)
+        scored = _select(system, tau_map, polished, sing[-1], scale)
 
-    best_res = scored[0][0]
-    _, _, s_best, tau_best = winner
+    best_res, _, s_best, tau_best = scored[0]
     ss = float(s_best @ s_best)
     t = tau_best / (1.0 + ss)
     pose = Extrinsics(cgr_to_rotation(s_best), t)
@@ -259,22 +257,18 @@ def solve_quadratic_system(system: QuadraticSystem, cfg: SolverConfig) -> PoseSo
     )
 
 
-def brute_force_roots(
-    system: QuadraticSystem, cfg: SolverConfig
-) -> list[tuple[np.ndarray, float]]:
+def brute_force_roots(system: QuadraticSystem) -> list[tuple[np.ndarray, float]]:
     """Exhaustive oracle for :func:`solve_quadratic_system`.
 
     Evaluates ``||G r(s)||`` on a dense lattice over
-    ``[-halfwidth, halfwidth]^3``, polishes every local lattice minimum with
-    an off-the-shelf trust-region least-squares routine, and returns the
-    distinct minima sorted by full-system residual.  Slow by design; shares
-    no search path with the production solver.
+    ``[-ORACLE_GRID_HALFWIDTH, ORACLE_GRID_HALFWIDTH]^3``, polishes every
+    local lattice minimum with an off-the-shelf trust-region least-squares
+    routine, and returns the distinct minima sorted by full-system residual.
+    Slow by design; shares no search path with the production solver.
     """
     G, tau_map = eliminate_translation(system)
     axis = np.arange(
-        -cfg.oracle_grid_halfwidth,
-        cfg.oracle_grid_halfwidth + 0.5 * cfg.oracle_grid_step,
-        cfg.oracle_grid_step,
+        -ORACLE_GRID_HALFWIDTH, ORACLE_GRID_HALFWIDTH + 0.5 * ORACLE_GRID_STEP, ORACLE_GRID_STEP
     )
     n = len(axis)
     S1, S2, S3 = np.meshgrid(axis, axis, axis, indexing="ij")

@@ -20,7 +20,6 @@ from pelical import (
     PipelineConfig,
     PlaneMergeInput,
     RigSpec,
-    SolverConfig,
     TerminationReason,
     brute_force_roots,
     candidate_from_full3d,
@@ -209,15 +208,14 @@ class TestAcceptance:
         )
 
     def test_05_solver_oracle_equivalence(self, capsys):
-        cfg = SolverConfig()
         t0 = time.perf_counter()
         worst_gap = 0.0
         for seed in range(50):
             rng = np.random.default_rng(200 + seed)
             truth = rand_truth(rng)
             system, _ = consistent_system(rng, truth)
-            sol = solve_quadratic_system(system, cfg)
-            roots = brute_force_roots(system, cfg)
+            sol = solve_quadratic_system(system)
+            roots = brute_force_roots(system)
             gap = float(np.max(np.abs(sol.s.s - roots[0][0])))
             worst_gap = max(worst_gap, gap)
         elapsed = time.perf_counter() - t0

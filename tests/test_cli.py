@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import copy
+import csv
 import functools
 import io
 import json
@@ -287,6 +288,26 @@ class TestCalibrate:
         assert code == 1
         assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            ({"rotation_gate_slack": 1e-10}, "rotation_gate_slack"),
+            ({"rotation_gate_growth": 1.0}, "rotation_gate_growth"),
+            ({"eviction_factor": 0.5}, "eviction_factor"),
+            ({"solver": {"oracle_grid_halfwidth": 2.0}}, "oracle_grid_halfwidth"),
+            ({"solver": {"oracle_grid_step": 0.05}}, "oracle_grid_step"),
+        ],
+    )
+    def test_removed_config_key_exits_1(self, tmp_path, capsys, config, key):
+        obs_path, cfg_path = observation_file(tmp_path), tmp_path / "cfg.json"
+        write_json(cfg_path, config)
+        code = main(["calibrate", "--input", str(obs_path), "--output",
+                     str(tmp_path / "c.json"), "--config", str(cfg_path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cfg_path}: ") and err.count("\n") == 1
+        assert f"'{key}'" in err
+
     def test_solver_block_in_config_reaches_the_solver(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         write_json(cfg_path, {"solver": {"max_lm_iterations": 5}})
@@ -482,6 +503,20 @@ class TestPoseErrors:
         assert len(lines) == 1 + 4
         for line in lines[1:]:
             assert float(line.split(",")[-1]) < 1e-9
+
+    def test_group_name_is_csv_quoted(self, tmp_path):
+        name = "left,cam\nx"
+        poses = [
+            extrinsics_to_dict(Extrinsics(rotation_about_y(a), np.zeros(3))) for a in (0.0, 20.0)
+        ]
+        input_path, out_path = tmp_path / "poses.json", tmp_path / "errors.csv"
+        write_json(input_path, {"groups": [{"name": name, "vary": "rotation", "poses": poses}]})
+        code = main(["pose-errors", "--input", str(input_path), "--output", str(out_path)])
+        assert code == 0
+        with open(out_path, newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == ["group", "vary", "step_index", "error"]
+        assert [row[:3] for row in table[1:]] == [[name, "rotation", "0"]]
 
     def test_unknown_vary_exits_1(self, tmp_path, capsys):
         doc = {"groups": [{"name": "g", "vary": "scale", "poses": []}]}

@@ -1,4 +1,5 @@
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,18 +25,17 @@ from helpers import (
     DEFAULT_K,
     equidistant_point,
     make_correspondence,
+    noisy_correspondences,
     rand_rotation,
     rand_truth,
 )
 
 
-def feed(correspondences, slack=1e-10, growth=0.0):
+def feed(correspondences):
     state = RotationGateState.empty()
     flags = []
     for c in correspondences:
-        ok, state = gate_rotation(
-            state, rotation_rows(c, DEFAULT_K), slack=slack, growth=growth
-        )
+        ok, state = gate_rotation(state, rotation_rows(c, DEFAULT_K))
         flags.append(ok)
     return flags, state
 
@@ -115,11 +115,13 @@ class TestGateRotation:
         assert after is state
 
     def test_growth_budget_still_rejects_gross_outliers(self, rng):
+        # on a noisy store the budget doubles a distance far above round-off
         truth = rand_truth(rng)
         cs = [make_correspondence(rng, truth, CaseKind.FULL3D) for _ in range(5)]
-        _, state = feed(cs)
+        _, state = feed(noisy_correspondences(rng, cs))
+        assert state.distance > 1e-6
         bad = make_correspondence(rng, rand_truth(rng), CaseKind.FULL3D)
-        ok, _ = gate_rotation(state, rotation_rows(bad, DEFAULT_K), growth=1.0)
+        ok, _ = gate_rotation(state, rotation_rows(bad, DEFAULT_K))
         assert not ok
 
 
@@ -168,6 +170,18 @@ class TestCandidateLines:
                 continue
             assert line.distance_to_point(truth.translation) < 1e-9
         assert skipped < 10
+
+    def test_pnl_endpoints_listed_in_reverse(self):
+        # the image segment may list its endpoints in the opposite order of
+        # the source segment; only the swapped endpoint match recovers it
+        rng = np.random.default_rng(23)
+        for _ in range(100):
+            truth = rand_truth(rng)
+            c = make_correspondence(rng, truth, CaseKind.PNL)
+            ep = c.target_line_2d.endpoints
+            flipped = replace(c, target_line_2d=Line2D.from_endpoints(ep[1], ep[0]))
+            line = candidate_from_pnl(flipped, truth.rotation, DEFAULT_K)
+            assert line.distance_to_point(truth.translation) < 1e-9
 
     def test_kind_mismatch_raises(self, rng):
         truth = rand_truth(rng)

@@ -89,14 +89,14 @@ class TestSolve:
             cgr_to_rotation(CGRParams(s_true)), np.array([0.45, 0.0, 0.0])
         )
         system, _ = consistent_system(rng, truth)
-        sol = solve_quadratic_system(system, SolverConfig())
+        sol = solve_quadratic_system(system)
         assert_allclose(sol.s.s, s_true, atol=1e-6)
         assert_allclose(sol.extrinsics.translation, truth.translation, atol=1e-6)
         assert sol.algebraic_residual < 1e-6
 
     def test_identity_truth(self, rng):
         system, _ = consistent_system(rng, Extrinsics.identity())
-        sol = solve_quadratic_system(system, SolverConfig())
+        sol = solve_quadratic_system(system)
         assert_allclose(sol.s.s, np.zeros(3), atol=1e-8)
         assert_allclose(sol.extrinsics.translation, np.zeros(3), atol=1e-8)
 
@@ -107,7 +107,7 @@ class TestSolve:
             truth = rand_truth(rng)
             cs = consistent_correspondences(rng, truth, 4, 2)
             system = assemble(cs, DEFAULT_K)
-            sol = solve_quadratic_system(system, cfg)
+            sol = solve_quadratic_system(system)
             refined = refine(sol, cs, DEFAULT_K, cfg)
             rot_err = rotation_angle(refined.extrinsics.rotation.T @ truth.rotation)
             assert np.degrees(rot_err) < 1e-5
@@ -119,22 +119,22 @@ class TestSolve:
     def test_order_invariance(self, rng):
         truth = rand_truth(rng)
         cs = consistent_correspondences(rng, truth, 4, 2)
-        a = solve_quadratic_system(assemble(cs, DEFAULT_K), SolverConfig())
-        b = solve_quadratic_system(assemble(cs[::-1], DEFAULT_K), SolverConfig())
+        a = solve_quadratic_system(assemble(cs, DEFAULT_K))
+        b = solve_quadratic_system(assemble(cs[::-1], DEFAULT_K))
         assert_allclose(a.extrinsics.rotation, b.extrinsics.rotation, atol=1e-9)
         assert_allclose(a.extrinsics.translation, b.extrinsics.translation, atol=1e-9)
 
     def test_candidates_include_selected(self, rng):
         truth = rand_truth(rng)
         system, _ = consistent_system(rng, truth)
-        sol = solve_quadratic_system(system, SolverConfig())
+        sol = solve_quadratic_system(system)
         gaps = [np.linalg.norm(s - sol.s.s) for s, _ in sol.all_candidates]
         assert min(gaps) < 1e-12
 
 
 def full_lattice_search(system):
     """The solver's pick with the 27-start lattice always swept as well:
-    the candidates it ranks and the winner, or NoRealSolution."""
+    the candidates it ranks, winner first, or NoRealSolution."""
     G, tau_map = eliminate_translation(system)
     G_reduced = np.linalg.qr(G, mode="r")
     _, sing, Vt = np.linalg.svd(G_reduced)
@@ -162,21 +162,20 @@ def polish_calls(monkeypatch):
 class TestLatticeFallback:
     def test_noisy_solve_polishes_only_null_vector_starts(self, polish_calls):
         rng = np.random.default_rng(15)
-        cfg = SolverConfig()
         for _ in range(4):
             truth = rand_truth(rng, max_deg=60.0)
             cs = noisy_correspondences(rng, consistent_correspondences(rng, truth, 4, 2))
             system = assemble(cs, DEFAULT_K)
             polish_calls[0] = 0
-            sol = solve_quadratic_system(system, cfg)
+            sol = solve_quadratic_system(system)
             assert polish_calls[0] <= 3
             # The noise is real: the residual is far above round-off.
             G, _ = eliminate_translation(system)
             assert sol.algebraic_residual > 1e-8 * np.linalg.norm(G)
-            _, (res, _, s_ref, _) = full_lattice_search(system)
+            res, _, s_ref, _ = full_lattice_search(system)[0]
             assert np.array_equal(sol.s.s, s_ref)
             assert sol.algebraic_residual == res
-            roots = brute_force_roots(system, cfg)
+            roots = brute_force_roots(system)
             assert roots[0][1] <= sol.algebraic_residual + 1e-9
             assert min(np.linalg.norm(s - sol.s.s) for s, _ in roots) < 1e-4
 
@@ -191,7 +190,7 @@ class TestLatticeFallback:
         sing = np.linalg.svd(G, compute_uv=False)
         assert sing[-1] < 1e-9 * sing[0]
         with pytest.raises(NoRealSolution) as got:
-            solve_quadratic_system(system, SolverConfig())
+            solve_quadratic_system(system)
         assert polish_calls[0] > 27
         with pytest.raises(NoRealSolution) as want:
             full_lattice_search(system)
@@ -202,12 +201,11 @@ class TestLatticeFallback:
 class TestOracle:
     def test_matches_solver_on_random_systems(self):
         rng = np.random.default_rng(12)
-        cfg = SolverConfig()
         for _ in range(5):
             truth = rand_truth(rng, max_deg=60.0)
             system, _ = consistent_system(rng, truth)
-            sol = solve_quadratic_system(system, cfg)
-            roots = brute_force_roots(system, cfg)
+            sol = solve_quadratic_system(system)
+            roots = brute_force_roots(system)
             assert roots[0][1] <= sol.algebraic_residual + 1e-9
             gap = min(np.linalg.norm(s - sol.s.s) for s, _ in roots)
             assert gap < 1e-4
@@ -215,7 +213,7 @@ class TestOracle:
     def test_oracle_residuals_sorted(self, rng):
         truth = rand_truth(rng, max_deg=50.0)
         system, _ = consistent_system(rng, truth)
-        roots = brute_force_roots(system, SolverConfig())
+        roots = brute_force_roots(system)
         res = [r for _, r in roots]
         assert res == sorted(res)
 
@@ -294,7 +292,7 @@ class TestRefine:
                 else:
                     noisy.append(c)
             system = assemble(noisy, DEFAULT_K)
-            sol = solve_quadratic_system(system, SolverConfig())
+            sol = solve_quadratic_system(system)
             out = refine(sol, noisy, DEFAULT_K, SolverConfig())
             if sol.refined_cost is not None:
                 assert out.refined_cost <= sol.refined_cost + 1e-15
@@ -330,7 +328,7 @@ class TestRefine:
         truth = rand_truth(rng)
         cs = consistent_correspondences(rng, truth, 4, 2)
         system = assemble(cs, DEFAULT_K)
-        sol = solve_quadratic_system(system, SolverConfig())
+        sol = solve_quadratic_system(system)
         out = refine(sol, cs, DEFAULT_K, SolverConfig())
         R = out.extrinsics.rotation
         assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-9
