@@ -86,11 +86,17 @@ def _pipeline_config(args) -> PipelineConfig:
     return cfg
 
 
-def _cmd_simulate(args) -> int:
+def _rig_spec(args):
+    """The rig spec of ``--spec``, seeded from PELICAL_SEED when it is set."""
     spec = fileio.read_rig_spec(args.spec)
     env = _env_seed()
     if env is not None:
-        spec = replace(spec, rng_seed=env)
+        spec = _checked(_ENV_SEED, lambda: replace(spec, rng_seed=env))
+    return spec
+
+
+def _cmd_simulate(args) -> int:
+    spec = _rig_spec(args)
     try:
         observations, records = generate(spec)
     except InfeasibleSpec as exc:
@@ -113,10 +119,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    base = fileio.read_rig_spec(args.spec)
-    env = _env_seed()
-    if env is not None:
-        base = replace(base, rng_seed=env)
+    base = _rig_spec(args)
     cfg = _pipeline_config(args)
     rows, _ = sweep(
         base,

@@ -69,13 +69,21 @@ def load_json(path: str | Path):
         ) from exc
 
 
+#: Largest magnitude a reader accepts for a point coordinate or translation
+#: (m), an image endpoint or intrinsic (px), a rotation entry, or a rig spec's
+#: noise and ranges: far beyond any real rig, and far enough below float64's
+#: range that the products computed from them cannot overflow.
+MAX_MAGNITUDE = 1e6
+
+
 def _need(data: dict, key: str, where: str):
     if not isinstance(data, dict) or key not in data:
         raise SchemaError(f"{where}: missing field '{key}'")
     return data[key]
 
 
-def _number(value, where: str) -> float:
+def _number(value, where: str, limit: float = math.inf) -> float:
+    """``value`` as a finite float of magnitude at most ``limit``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{where}: expected a number")
     try:
@@ -84,34 +92,43 @@ def _number(value, where: str) -> float:
         number = math.inf
     if not math.isfinite(number):
         raise SchemaError(f"{where}: expected a finite number")
+    if abs(number) > limit:
+        raise SchemaError(f"{where}: magnitude exceeds {limit:g}")
     return number
 
 
-def _vector(value, n: int, where: str) -> np.ndarray:
+def _vector(value, n: int, where: str, limit: float = math.inf) -> np.ndarray:
     if not isinstance(value, list) or len(value) != n:
         raise SchemaError(f"{where}: expected a list of {n} numbers")
-    return np.array([_number(v, where) for v in value])
+    return np.array([_number(v, where, limit) for v in value])
 
 
 def _points(value, where: str) -> np.ndarray:
-    """An ``(n, 3)`` array from a list of lists of 3 finite numbers.
+    """An ``(n, 3)`` array from a list of lists of 3 numbers, each of
+    magnitude at most ``MAX_MAGNITUDE``.
 
-    Shapes, value types and finiteness are checked in bulk; only when that
+    Shapes, value types and magnitudes are checked in bulk; only when that
     fails are the points walked one at a time, to name the offending one.
     """
     shaped = all(isinstance(p, list) and len(p) == 3 for p in value)
     if shaped and set(map(type, chain.from_iterable(value))) <= {float, int}:
         with contextlib.suppress(OverflowError):
             points = np.array(value, dtype=float)
-            if np.isfinite(points).all():
+            if (np.abs(points) <= MAX_MAGNITUDE).all():  # False for NaN
                 return points
-    return np.stack([_vector(p, 3, f"{where}[{j}]") for j, p in enumerate(value)])
+    return np.stack(
+        [_vector(p, 3, f"{where}[{j}]", MAX_MAGNITUDE) for j, p in enumerate(value)]
+    )
 
 
-def _matrix(value, rows: int, cols: int, where: str) -> np.ndarray:
+def _matrix(
+    value, rows: int, cols: int, where: str, limit: float = math.inf
+) -> np.ndarray:
     if not isinstance(value, list) or len(value) != rows:
         raise SchemaError(f"{where}: expected {rows} rows")
-    return np.stack([_vector(r, cols, f"{where}[{i}]") for i, r in enumerate(value)])
+    return np.stack(
+        [_vector(r, cols, f"{where}[{i}]", limit) for i, r in enumerate(value)]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -130,15 +147,12 @@ def intrinsics_to_dict(K: CameraIntrinsics) -> dict:
 
 
 def intrinsics_from_dict(data, where: str) -> CameraIntrinsics:
+    fx, fy, cx, cy, width, height = (
+        _number(_need(data, key, where), f"{where}.{key}", MAX_MAGNITUDE)
+        for key in ("fx", "fy", "cx", "cy", "width", "height")
+    )
     try:
-        return CameraIntrinsics(
-            fx=_number(_need(data, "fx", where), f"{where}.fx"),
-            fy=_number(_need(data, "fy", where), f"{where}.fy"),
-            cx=_number(_need(data, "cx", where), f"{where}.cx"),
-            cy=_number(_need(data, "cy", where), f"{where}.cy"),
-            width=int(_number(_need(data, "width", where), f"{where}.width")),
-            height=int(_number(_need(data, "height", where), f"{where}.height")),
-        )
+        return CameraIntrinsics(fx, fy, cx, cy, int(width), int(height))
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -151,8 +165,10 @@ def extrinsics_to_dict(T: Extrinsics) -> dict:
 
 
 def extrinsics_from_dict(data, where: str) -> Extrinsics:
-    R = _matrix(_need(data, "rotation", where), 3, 3, f"{where}.rotation")
-    t = _vector(_need(data, "translation_m", where), 3, f"{where}.translation_m")
+    R = _matrix(_need(data, "rotation", where), 3, 3, f"{where}.rotation", MAX_MAGNITUDE)
+    t = _vector(
+        _need(data, "translation_m", where), 3, f"{where}.translation_m", MAX_MAGNITUDE
+    )
     try:
         return Extrinsics(R, t)
     except ValueError as exc:
@@ -169,7 +185,9 @@ def _line2d_to_dict(line: Line2D) -> dict:
 
 def _line2d_from_dict(data, where: str) -> Line2D:
     coeffs = _vector(_need(data, "coeffs", where), 3, f"{where}.coeffs")
-    endpoints = _matrix(_need(data, "endpoints", where), 2, 2, f"{where}.endpoints")
+    endpoints = _matrix(
+        _need(data, "endpoints", where), 2, 2, f"{where}.endpoints", MAX_MAGNITUDE
+    )
     try:
         return Line2D(coeffs, endpoints)
     except ValueError as exc:
@@ -323,14 +341,10 @@ def rig_spec_from_dict(data) -> RigSpec:
     source_K = intrinsics_from_dict(
         _need(data, "source_intrinsics", where), "source_intrinsics"
     )
-    kwargs = {}
-    for key in (
-        "n_lines",
-        "samples_per_line",
-        "rng_seed",
-    ):
-        if key in data:
-            kwargs[key] = int(_number(data[key], key))
+    # The integer fields go through as read; RigSpec checks their type.
+    kwargs = {
+        key: data[key] for key in ("n_lines", "samples_per_line", "rng_seed") if key in data
+    }
     for key in (
         "pixel_noise_sigma",
         "depth_noise_sigma",
@@ -338,10 +352,10 @@ def rig_spec_from_dict(data) -> RigSpec:
         "pnl_fraction",
     ):
         if key in data:
-            kwargs[key] = _number(data[key], key)
+            kwargs[key] = _number(data[key], key, MAX_MAGNITUDE)
     for key in ("line_length_m", "scene_depth_m"):
         if key in data:
-            kwargs[key] = tuple(_vector(data[key], 2, key).tolist())
+            kwargs[key] = tuple(_vector(data[key], 2, key, MAX_MAGNITUDE).tolist())
     if "depth_noise_model" in data:
         kwargs["depth_noise_model"] = str(data["depth_noise_model"])
     try:
@@ -351,7 +365,7 @@ def rig_spec_from_dict(data) -> RigSpec:
             source_intrinsics=source_K,
             **kwargs,
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 

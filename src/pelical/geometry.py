@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation as _ScipyRotation
 
 from .errors import DegenerateLine, NearSingularRotation, RankDeficient
 
@@ -221,21 +220,19 @@ def cgr_to_rotation(s: CGRParams | np.ndarray) -> np.ndarray:
 
 
 def rotation_to_cgr(R: np.ndarray) -> CGRParams:
-    """Invert :func:`cgr_to_rotation`.
+    """Invert :func:`cgr_to_rotation`: ``s = vee(R - R^T) / (1 + trace R)``.
 
     Raises NearSingularRotation when the rotation angle is within 1e-3 rad
     of 180 degrees, where ``tan(theta/2)`` blows up.
     """
     R = np.asarray(R, dtype=float)
-    q = _ScipyRotation.from_matrix(R).as_quat()  # (x, y, z, w)
-    if q[3] < 0.0:
-        q = -q
-    angle = 2.0 * math.atan2(float(np.linalg.norm(q[:3])), float(q[3]))
+    angle = rotation_angle(R)
     if angle >= math.pi - 1e-3:
         raise NearSingularRotation(
             f"rotation angle {math.degrees(angle):.4f} deg is too close to 180"
         )
-    return CGRParams(q[:3] / q[3])
+    vee = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    return CGRParams(vee / (1.0 + float(np.trace(R))))
 
 
 def rotation_angle(R: np.ndarray) -> float:

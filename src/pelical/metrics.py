@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial.transform import Rotation as _ScipyRotation
 
 from .errors import EmptyInput, IllConditionedPlane
 from .geometry import Extrinsics
@@ -115,7 +114,14 @@ def square_size_error_mm(
 
 
 def _euler_xyz_deg(R: np.ndarray) -> np.ndarray:
-    return _ScipyRotation.from_matrix(R).as_euler("XYZ", degrees=True)
+    """Intrinsic XYZ Euler angles (deg) of ``R = Rx(a) Ry(b) Rz(c)``."""
+    return np.degrees(
+        [
+            math.atan2(-R[1, 2], R[2, 2]),
+            math.asin(min(1.0, max(-1.0, R[0, 2]))),
+            math.atan2(-R[0, 1], R[0, 0]),
+        ]
+    )
 
 
 def rotation_step_errors(

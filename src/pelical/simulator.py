@@ -26,10 +26,14 @@ from .geometry import (
     rotation_angle,
 )
 from .pipeline import CalibrationReport, LineObservation, PipelineConfig, run
+from .solver import _real
 
 _MIN_SEGMENT_PX = 10.0
 _MIN_DEPTH = 0.05
 _MAX_REJECTS = 10_000
+#: Most lines per stream and samples per line: a stream holds
+#: (n_lines x samples_per_line) points per camera.
+_MAX_COUNT = 10_000
 
 
 @dataclass(frozen=True)
@@ -51,10 +55,11 @@ class RigSpec:
     depth_noise_model: str = "isotropic"
 
     def __post_init__(self) -> None:
-        if self.n_lines < 1:
-            raise ValueError("n_lines must be positive")
-        if self.samples_per_line < 2:
-            raise ValueError("samples_per_line must be at least 2")
+        for name, low in (("n_lines", 1), ("samples_per_line", 2)):
+            if not low <= _real(self, name, integer=True) <= _MAX_COUNT:
+                raise ValueError(f"{name} must lie in [{low}, {_MAX_COUNT}]")
+        if _real(self, "rng_seed", integer=True) < 0:
+            raise ValueError("rng_seed must be non-negative")
         for name in ("line_length_m", "scene_depth_m"):
             lo, hi = getattr(self, name)
             if not (0 < lo <= hi):

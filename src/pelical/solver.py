@@ -3,10 +3,9 @@
 ``solve_quadratic_system`` eliminates the scaled translation, extracts CGR
 root candidates from the null space of the reduced system, polishes them
 with damped Gauss-Newton, and picks the candidate with the smallest
-algebraic residual.  ``brute_force_roots`` is an intentionally independent
-grid-search oracle over the same objective, used to certify the solver.
-``refine`` then locally minimizes the geometric cost (3D point-to-line plus
-2D line reprojection) with Levenberg-Marquardt on SO(3) x R^3.
+algebraic residual.  ``refine`` then locally minimizes the geometric cost
+(3D point-to-line plus 2D line reprojection) with Levenberg-Marquardt on
+SO(3) x R^3.
 """
 
 from __future__ import annotations
@@ -17,9 +16,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
-import scipy.optimize
-from scipy.spatial.transform import Rotation as _ScipyRotation
 
 from .constraints import (
     CaseKind,
@@ -57,11 +53,6 @@ def _real(config, name: str, integer: bool = False):
     if not finite:
         raise ValueError(f"{name} must be finite")
     return value
-
-
-#: Half-width and step of the lattice :func:`brute_force_roots` searches.
-ORACLE_GRID_HALFWIDTH = 2.0
-ORACLE_GRID_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -257,69 +248,6 @@ def solve_quadratic_system(system: QuadraticSystem) -> PoseSolution:
     )
 
 
-def brute_force_roots(system: QuadraticSystem) -> list[tuple[np.ndarray, float]]:
-    """Exhaustive oracle for :func:`solve_quadratic_system`.
-
-    Evaluates ``||G r(s)||`` on a dense lattice over
-    ``[-ORACLE_GRID_HALFWIDTH, ORACLE_GRID_HALFWIDTH]^3``, polishes every
-    local lattice minimum with an off-the-shelf trust-region least-squares
-    routine, and returns the distinct minima sorted by full-system residual.
-    Slow by design; shares no search path with the production solver.
-    """
-    G, tau_map = eliminate_translation(system)
-    axis = np.arange(
-        -ORACLE_GRID_HALFWIDTH, ORACLE_GRID_HALFWIDTH + 0.5 * ORACLE_GRID_STEP, ORACLE_GRID_STEP
-    )
-    n = len(axis)
-    S1, S2, S3 = np.meshgrid(axis, axis, axis, indexing="ij")
-    s1, s2, s3 = S1.ravel(), S2.ravel(), S3.ravel()
-    R_all = np.stack(
-        [
-            s1 * s1,
-            s2 * s2,
-            s3 * s3,
-            s1 * s2,
-            s1 * s3,
-            s2 * s3,
-            s1,
-            s2,
-            s3,
-            np.ones_like(s1),
-        ],
-        axis=1,
-    )
-    F = np.linalg.norm(R_all @ G.T, axis=1).reshape(n, n, n)
-    local_min = F <= scipy.ndimage.minimum_filter(F, size=3, mode="nearest")
-    idx = np.argwhere(local_min)
-    # Cap the polish work on pathological landscapes.
-    if len(idx) > 400:
-        order = np.argsort(F[local_min])[:400]
-        idx = idx[order]
-
-    def fun(s: np.ndarray) -> np.ndarray:
-        return G @ monomial_vector(s)
-
-    def jac(s: np.ndarray) -> np.ndarray:
-        return G @ monomial_jacobian(s)
-
-    found: list[np.ndarray] = []
-    for i, j, k in idx:
-        s0 = np.array([axis[i], axis[j], axis[k]])
-        res = scipy.optimize.least_squares(fun, s0, jac=jac, method="lm", xtol=1e-15)
-        found.append(res.x)
-
-    distinct: list[np.ndarray] = []
-    for s in found:
-        if not any(np.linalg.norm(s - k) < 1e-5 for k in distinct):
-            distinct.append(s)
-    out = []
-    for s in distinct:
-        tau = tau_map @ monomial_vector(s)
-        out.append((s, system.residual(s, tau)))
-    out.sort(key=lambda item: (item[1], float(np.linalg.norm(item[0]))))
-    return out
-
-
 def _stack_residuals(
     correspondences: list[Correspondence],
     K_t: CameraIntrinsics,
@@ -420,7 +348,9 @@ def refine(
                 continue
             if not np.isfinite(delta).all():
                 break  # the damping overflowed or the residuals are not finite
-            R_new = R @ _ScipyRotation.from_rotvec(delta[:3]).as_matrix()
+            # The Cayley step Cay(delta / 2) equals Exp(delta) to first order,
+            # so the Jacobian taken at delta = 0 holds for it too.
+            R_new = R @ cgr_to_rotation(0.5 * delta[:3])
             R_new, _, _ = project_so3(R_new)
             t_new = t + delta[3:]
             e_new, _ = _stack_residuals(

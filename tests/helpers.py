@@ -5,7 +5,8 @@ The builders construct *algebraically exact* inputs from a known pose
 going through the simulator, so solver/selection tests do not depend on the
 modules they are meant to check.  The references at the end restate, one
 pair or one hypothesis at a time, formulas the package computes batched or
-stacked, so tests can compare the two.
+stacked, so tests can compare the two; ``brute_force_roots`` is a
+grid-search oracle that certifies the closed-form solver.
 """
 
 from __future__ import annotations
@@ -13,6 +14,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 import numpy as np
+import scipy.ndimage
+import scipy.optimize
 from scipy.spatial.transform import Rotation
 
 from pelical import (
@@ -26,8 +29,14 @@ from pelical import (
     plucker_from_points,
     transform_line,
 )
-from pelical.constraints import CaseKind, Correspondence
-from pelical.solver import _stack_residuals
+from pelical.constraints import (
+    CaseKind,
+    Correspondence,
+    QuadraticSystem,
+    monomial_jacobian,
+    monomial_vector,
+)
+from pelical.solver import _stack_residuals, eliminate_translation
 
 DEFAULT_K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -288,3 +297,71 @@ def jacobian_check(
         J_fd[:, k] = (res_at(dx) - res_at(-dx)) / (2.0 * step)
     denom = max(1.0, float(np.abs(J_fd).max()))
     return float(np.abs(J - J_fd).max()) / denom
+
+
+#: Half-width and step of the lattice :func:`brute_force_roots` searches.
+ORACLE_GRID_HALFWIDTH = 2.0
+ORACLE_GRID_STEP = 0.05
+
+
+def brute_force_roots(system: QuadraticSystem) -> list[tuple[np.ndarray, float]]:
+    """Exhaustive oracle for ``solver.solve_quadratic_system``.
+
+    Evaluates ``||G r(s)||`` on a dense lattice over
+    ``[-ORACLE_GRID_HALFWIDTH, ORACLE_GRID_HALFWIDTH]^3``, polishes every
+    local lattice minimum with an off-the-shelf trust-region least-squares
+    routine, and returns the distinct minima sorted by full-system residual.
+    Slow by design; shares no search path with the production solver.
+    """
+    G, tau_map = eliminate_translation(system)
+    axis = np.arange(
+        -ORACLE_GRID_HALFWIDTH, ORACLE_GRID_HALFWIDTH + 0.5 * ORACLE_GRID_STEP, ORACLE_GRID_STEP
+    )
+    n = len(axis)
+    S1, S2, S3 = np.meshgrid(axis, axis, axis, indexing="ij")
+    s1, s2, s3 = S1.ravel(), S2.ravel(), S3.ravel()
+    R_all = np.stack(
+        [
+            s1 * s1,
+            s2 * s2,
+            s3 * s3,
+            s1 * s2,
+            s1 * s3,
+            s2 * s3,
+            s1,
+            s2,
+            s3,
+            np.ones_like(s1),
+        ],
+        axis=1,
+    )
+    F = np.linalg.norm(R_all @ G.T, axis=1).reshape(n, n, n)
+    local_min = F <= scipy.ndimage.minimum_filter(F, size=3, mode="nearest")
+    idx = np.argwhere(local_min)
+    # Cap the polish work on pathological landscapes.
+    if len(idx) > 400:
+        order = np.argsort(F[local_min])[:400]
+        idx = idx[order]
+
+    def fun(s: np.ndarray) -> np.ndarray:
+        return G @ monomial_vector(s)
+
+    def jac(s: np.ndarray) -> np.ndarray:
+        return G @ monomial_jacobian(s)
+
+    found: list[np.ndarray] = []
+    for i, j, k in idx:
+        s0 = np.array([axis[i], axis[j], axis[k]])
+        res = scipy.optimize.least_squares(fun, s0, jac=jac, method="lm", xtol=1e-15)
+        found.append(res.x)
+
+    distinct: list[np.ndarray] = []
+    for s in found:
+        if not any(np.linalg.norm(s - k) < 1e-5 for k in distinct):
+            distinct.append(s)
+    out = []
+    for s in distinct:
+        tau = tau_map @ monomial_vector(s)
+        out.append((s, system.residual(s, tau)))
+    out.sort(key=lambda item: (item[1], float(np.linalg.norm(item[0]))))
+    return out

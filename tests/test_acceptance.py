@@ -21,7 +21,6 @@ from pelical import (
     PlaneMergeInput,
     RigSpec,
     TerminationReason,
-    brute_force_roots,
     candidate_from_full3d,
     candidate_from_pnl,
     cgr_to_rotation,
@@ -46,6 +45,7 @@ from pelical.simulator import GroundTruthRecord
 
 from helpers import (
     DEFAULT_K,
+    brute_force_roots,
     consistent_correspondences,
     consistent_system,
     jacobian_check,

@@ -10,6 +10,7 @@ import json
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,6 @@ from hypothesis import strategies as st
 
 import pelical
 from pelical import (
-    CameraIntrinsics,
     Extrinsics,
     Line2D,
     LineObservation,
@@ -106,7 +106,7 @@ def mutated(draw, doc):
         elif op == "truncate" and isinstance(node, list):
             parent[key] = node[: draw(st.integers(0, max(0, len(node) - 1)))]
         else:
-            parent[key] = draw(BAD_VALUES)
+            parent[key] = copy.deepcopy(draw(BAD_VALUES))  # later mutations may edit it
     return doc
 
 
@@ -117,6 +117,32 @@ def base_documents() -> str:
     observations, _ = generate(easy_spec())
     obs = observation_file_dict(DEFAULT_K, DEFAULT_K, observations)
     return json.dumps({"observations": obs, "config": PipelineConfig().to_dict()})
+
+
+def run_fuzzed(docs: dict, argv) -> tuple[int, str, list[str]]:
+    """Write each document to ``<name>.json`` in a fresh directory and run
+    ``main(argv(paths, directory))``.  Returns the exit code, stderr and the
+    RuntimeWarnings raised, which the CLI would print to stderr."""
+    stderr = io.StringIO()
+    with (
+        tempfile.TemporaryDirectory() as tmp,
+        contextlib.redirect_stderr(stderr),
+        warnings.catch_warnings(record=True) as caught,
+    ):
+        warnings.simplefilter("always")
+        paths = {name: Path(tmp) / f"{name}.json" for name in docs}
+        for name, doc in docs.items():
+            paths[name].write_text(json.dumps(doc))
+        code = main(argv(paths, Path(tmp)))
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, stderr.getvalue(), runtime
+
+
+def assert_clean_exit(code: int, err: str) -> None:
+    """Exit 0, 1 or 2, and exit 1 only with a one-line ``error:``."""
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 INFEASIBLE = dict(
@@ -183,6 +209,45 @@ class TestSimulate:
         )
         assert code == 1
         assert "PELICAL_SEED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("rng_seed", -1, "rng_seed must be non-negative"),
+            ("samples_per_line", 1e12, "samples_per_line must be an integer, got 1000000000000.0"),
+            ("samples_per_line", 10**12, "samples_per_line must lie in [2, 10000]"),
+            ("n_lines", 2.5, "n_lines must be an integer, got 2.5"),
+            ("rng_seed", 1.5, "rng_seed must be an integer, got 1.5"),
+        ],
+        ids=["negative-seed", "huge-float-samples", "huge-samples", "fractional-lines",
+             "fractional-seed"],
+    )
+    def test_bad_spec_field_exits_1(self, tmp_path, capsys, field, value, message):
+        spec_path = tmp_path / "rig.json"
+        spec_path.write_text(json.dumps({**rig_spec_to_dict(easy_spec()), field: value}))
+        code = main(["simulate", "--spec", str(spec_path), "--output", str(tmp_path / "o.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: rig spec: {message}\n"
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_negative_env_seed_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        spec_path, out = tmp_path / "rig.json", str(tmp_path / "out")
+        write_spec(spec_path, easy_spec())
+        monkeypatch.setenv("PELICAL_SEED", "-1")
+        argv = [command, "--spec", str(spec_path), "--output", out]
+        if command == "sweep":
+            argv += ["--rotations", "20", "--baselines", "0.3"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: PELICAL_SEED: rng_seed must be non-negative\n"
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_spec_never_tracebacks(self, data):
+        doc = data.draw(mutated(rig_spec_to_dict(easy_spec(n_lines=6))))
+        code, err, runtime = run_fuzzed({"spec": doc}, lambda paths, tmp: [
+            "simulate", "--spec", str(paths["spec"]), "--output", str(tmp / "o.json")])
+        assert_clean_exit(code, err)
+        assert runtime == []
 
     def test_missing_spec_file_exits_1(self, tmp_path, capsys):
         code = main(
@@ -328,17 +393,30 @@ class TestCalibrate:
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: PELICAL_SEED: rng_seed must be non-negative\n"
 
-    def test_overflowing_focal_length_exits_2(self, tmp_path):
-        # fx = 1e300 turns the image-line residuals non-finite; the run must
-        # end unconverged, not in a traceback or a "converged" NaN cost
-        observations, _ = generate(easy_spec())
-        big_fx = CameraIntrinsics(fx=1e300, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
-        obs_path, calib_path = tmp_path / "obs.json", tmp_path / "calib.json"
-        write_observation_file(obs_path, big_fx, DEFAULT_K, observations)
-        with np.errstate(all="ignore"):
-            code = main(["calibrate", "--input", str(obs_path), "--output", str(calib_path)])
-        assert code == 2
-        assert read_calibration_file(calib_path)["termination"] == "max_pairs"
+    @pytest.mark.parametrize(
+        "path, value, where",
+        [
+            (("target_intrinsics", "fx"), 1e300, "target_intrinsics.fx"),
+            (("observations", 0, "source_samples", 0), [1e300, 0.0, 0.0],
+             "observations[0].source_samples[0]"),
+            (("observations", 3, "target_2d", "endpoints", 1), [-2e6, 0.0],
+             "observations[3].target_2d.endpoints[1]"),
+        ],
+        ids=["fx", "sample", "endpoint"],
+    )
+    def test_absurd_magnitude_exits_1(self, tmp_path, capsys, path, value, where):
+        # finite values this large overflow the solver's products, so the
+        # reader must reject them and name the field
+        doc = json.loads(base_documents())["observations"]
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        obs_path = tmp_path / "obs.json"
+        obs_path.write_text(json.dumps(doc))
+        assert main(["calibrate", "--input", str(obs_path), "--output",
+                     str(tmp_path / "c.json")]) == 1
+        assert capsys.readouterr().err == f"error: {where}: magnitude exceeds 1e+06\n"
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(data=st.data())
@@ -349,19 +427,13 @@ class TestCalibrate:
             name: data.draw(mutated(doc)) if which in (name, "both") else doc
             for name, doc in base.items()
         }
-        stderr = io.StringIO()
-        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
-            paths = {name: Path(tmp) / f"{name}.json" for name in docs}
-            for name, doc in docs.items():
-                paths[name].write_text(json.dumps(doc))
-            code = main(["calibrate", "--input", str(paths["observations"]), "--output",
-                         str(Path(tmp) / "c.json"), "--config", str(paths["config"])])
-        err = stderr.getvalue()
+        code, err, runtime = run_fuzzed(docs, lambda paths, tmp: [
+            "calibrate", "--input", str(paths["observations"]), "--output",
+            str(tmp / "c.json"), "--config", str(paths["config"])])
         # A mutation may leave a valid document (a dropped config key keeps
         # its default), so a run may still converge.
-        assert code in (0, 1, 2)
-        if code == 1:
-            assert err.startswith("error: ") and err.count("\n") == 1
+        assert_clean_exit(code, err)
+        assert runtime == []
 
 
 class TestSweep:
@@ -561,9 +633,15 @@ CORNERS = {"target_corners": board_points(2), "source_corners": board_points(2)}
                              "squares_per_row": 6}, "target_corners"),
         ("pose-errors", {"groups": [{"name": "g", "vary": "rotation", "poses": []}]}, "groups[0]"),
         ("pose-errors", {"groups": [{"name": "g", "poses": 5}]}, "groups[0]"),
+        ("evaluate-planes", {**BOARD, "source_points": board_points(9) + [[1e300, 2, 3]]},
+         "source_points[9]: magnitude exceeds 1e+06"),
+        ("pose-errors", {"groups": [{"name": "g", "poses": [
+            {"rotation": np.eye(3).tolist(), "translation_m": [0.0, 1e300, 0.0]}] * 2}]},
+         "groups[0].poses[0].translation_m: magnitude exceeds 1e+06"),
     ],
     ids=["string-coordinate", "ragged-point", "flat-list", "nan-point", "two-point-plane",
-         "string-squares", "fractional-squares", "three-corners", "no-poses", "poses-not-a-list"],
+         "string-squares", "fractional-squares", "three-corners", "no-poses", "poses-not-a-list",
+         "huge-point", "huge-translation"],
 )
 def test_bad_plane_or_pose_input_exits_1(tmp_path, capsys, command, doc, field):
     input_path, calib_path = tmp_path / "input.json", tmp_path / "calib.json"
@@ -579,6 +657,20 @@ def test_bad_plane_or_pose_input_exits_1(tmp_path, capsys, command, doc, field):
 
 
 class TestConsoleScript:
+    def test_import_loads_no_scipy(self):
+        # the package depends on numpy only; scipy is a test dependency
+        package_root = Path(pelical.__file__).resolve().parents[1]
+        code = ("import sys, pelical, pelical.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_module_entry_point(self, tmp_path, monkeypatch):
         spec_path, obs_path = tmp_path / "rig.json", tmp_path / "obs.json"
         write_spec(spec_path, easy_spec())

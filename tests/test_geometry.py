@@ -136,6 +136,21 @@ class TestCGR:
         Rx = Rotation.from_euler("x", 90, degrees=True).as_matrix()
         assert_allclose(rotation_to_cgr(Rx).s, [1, 0, 0], atol=1e-12)
 
+    def test_matches_quaternion_reference(self):
+        # angles from below 1e-6 rad up to 179.8 deg, about random axes
+        rng = np.random.default_rng(12)
+        angles = np.concatenate(
+            [10.0 ** rng.uniform(-9, -6, 100), rng.uniform(0.0, np.deg2rad(179.8), 899),
+             [np.deg2rad(179.8)]]
+        )
+        axes = rng.normal(size=(len(angles), 3))
+        axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+        for R in Rotation.from_rotvec(angles[:, None] * axes).as_matrix():
+            q = Rotation.from_matrix(R).as_quat()  # (x, y, z, w), w >= 0
+            reference = q[:3] / q[3]
+            s = rotation_to_cgr(R).s
+            assert np.linalg.norm(s - reference) <= 1e-9 * np.linalg.norm(reference)
+
     def test_near_singular_rejected(self):
         R = Rotation.from_euler("x", 179.999, degrees=True).as_matrix()
         with pytest.raises(NearSingularRotation):

@@ -18,6 +18,7 @@ from pelical import (
     square_size_error_mm,
     translation_step_errors,
 )
+from pelical.metrics import _euler_xyz_deg
 
 
 def board_points(rng, normal, offset, n=60, extent=0.5, noise=0.0):
@@ -158,6 +159,18 @@ class TestStepErrors:
     def test_step_size_mismatch_is_measured(self):
         errs = rotation_step_errors(self.yaw_series(4, step_deg=25.0), step_deg=20.0)
         assert_allclose(errs, [5.0, 5.0, 5.0], atol=1e-9)
+
+    def test_euler_angles_match_reference(self):
+        # every pitch on a 0.5 deg grid over [-85, 85], random yaw and roll
+        rng = np.random.default_rng(7)
+        pitch = np.linspace(-85.0, 85.0, 341)
+        angles = np.column_stack(
+            [rng.uniform(-180, 180, len(pitch)), pitch, rng.uniform(-180, 180, len(pitch))]
+        )
+        for R in Rotation.from_euler("XYZ", angles, degrees=True).as_matrix():
+            reference = Rotation.from_matrix(R).as_euler("XYZ", degrees=True)
+            wrapped = (_euler_xyz_deg(R) - reference + 180.0) % 360.0 - 180.0
+            assert np.abs(wrapped).max() <= 1e-9
 
     def test_near_singular_pitch_warns(self):
         poses = [

@@ -9,7 +9,6 @@ from pelical import (
     DegenerateTranslation,
     Extrinsics,
     assemble,
-    brute_force_roots,
     cgr_to_rotation,
     eliminate_translation,
     refine,
@@ -24,6 +23,7 @@ from pelical.solver import PoseSolution, SolverConfig
 
 from helpers import (
     DEFAULT_K,
+    brute_force_roots,
     consistent_correspondences,
     consistent_system,
     jacobian_check,
