@@ -97,6 +97,14 @@ def _number(value, where: str, limit: float = math.inf) -> float:
     return number
 
 
+def _integer(value, where: str, limit: float = math.inf) -> int:
+    """``value`` as an int: a whole number of magnitude at most ``limit``."""
+    number = _number(value, where, limit)
+    if not number.is_integer():
+        raise SchemaError(f"{where}: expected an integer")
+    return value if isinstance(value, int) else int(number)
+
+
 def _vector(value, n: int, where: str, limit: float = math.inf) -> np.ndarray:
     if not isinstance(value, list) or len(value) != n:
         raise SchemaError(f"{where}: expected a list of {n} numbers")
@@ -147,12 +155,16 @@ def intrinsics_to_dict(K: CameraIntrinsics) -> dict:
 
 
 def intrinsics_from_dict(data, where: str) -> CameraIntrinsics:
-    fx, fy, cx, cy, width, height = (
+    fx, fy, cx, cy = (
         _number(_need(data, key, where), f"{where}.{key}", MAX_MAGNITUDE)
-        for key in ("fx", "fy", "cx", "cy", "width", "height")
+        for key in ("fx", "fy", "cx", "cy")
+    )
+    width, height = (
+        _integer(_need(data, key, where), f"{where}.{key}", MAX_MAGNITUDE)
+        for key in ("width", "height")
     )
     try:
-        return CameraIntrinsics(fx, fy, cx, cy, int(width), int(height))
+        return CameraIntrinsics(fx, fy, cx, cy, width, height)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -256,7 +268,7 @@ def read_observation_file(
             tgt = _points(tgt_raw, f"{where}.target_samples")
         observations.append(
             LineObservation(
-                obs_id=int(_number(_need(entry, "id", where), f"{where}.id")),
+                obs_id=_integer(_need(entry, "id", where), f"{where}.id"),
                 source_samples=src,
                 target_samples=tgt,
                 source_2d=_line2d_from_dict(

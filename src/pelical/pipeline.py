@@ -35,10 +35,9 @@ from .errors import (
     ParallelPlanes,
     TooFewSamples,
 )
-from .geometry import CameraIntrinsics, Extrinsics, Line2D, PluckerLine
+from .geometry import CameraIntrinsics, Extrinsics, Line2D, PluckerLine, cross3, row_norms
 from .selection import (
     ROTATION_ROW_COUNT,
-    CandidateLine,
     RotationGateState,
     _solve_state,
     candidate_from_full3d,
@@ -240,7 +239,7 @@ def ransac_fit_line(
     endpoints = np.stack(
         [centroid + proj.min() * direction, centroid + proj.max() * direction]
     )
-    line = PluckerLine(direction, np.cross(centroid, direction))
+    line = PluckerLine(direction, cross3(centroid, direction))
     return line, float(inlier_mask.sum()) / n, endpoints
 
 
@@ -363,22 +362,16 @@ def _maybe_evict(state: PipelineState) -> list[int | None]:
     orig = state.gate
     if orig.rotation is None or not 0.0 < orig.distance < math.inf:
         return []
-    # Each pair's rows, as views of the gate's stacked system.
     sizes = np.array([ROTATION_ROW_COUNT[c.kind] for c in state.correspondences])
-    blocks = [
-        (orig.C[end - n : end], orig.b[end - n : end]) for n, end in zip(sizes, np.cumsum(sizes))
-    ]
+    stacks = _row_stacks(orig.C, orig.b, sizes)
     kept = np.ones(len(sizes), dtype=bool)
     cur = orig
     removed: list[int] = []
     while cur.rotation is not None:
-        vec = cur.rotation.reshape(-1)
-        keep = np.flatnonzero(kept)
-        residuals = [
-            float(np.linalg.norm(blocks[i][0] @ vec - blocks[i][1])) for i in keep
-        ]
-        worst = keep[int(np.argmax(residuals))]
-        if cur.row_count - sizes[worst] < 9 or len(keep) - 1 < MIN_PAIRS_FOR_FINALIZE:
+        residuals = _pair_residuals(stacks, cur.rotation.reshape(-1))
+        residuals[~kept] = -np.inf
+        worst = int(np.argmax(residuals))
+        if cur.row_count - sizes[worst] < 9 or kept.sum() - 1 < MIN_PAIRS_FOR_FINALIZE:
             break
         removed.append(worst)
         kept[worst] = False
@@ -390,6 +383,58 @@ def _maybe_evict(state: PipelineState) -> list[int | None]:
             state.correspondences = [c for c, k in zip(state.correspondences, kept) if k]
             return evicted
     return []
+
+
+def _row_stacks(
+    C: np.ndarray, b: np.ndarray, sizes: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The gate's stacked rows grouped by pair row count (``sizes[i]`` rows
+    for pair ``i``): for each count ``n`` present, the mask of those pairs
+    and their rows as ``(k, n, 9)`` and ``(k, n)`` stacks, in store order."""
+    rows = np.repeat(sizes, sizes)
+    return [
+        (sizes == n, C[rows == n].reshape(-1, n, 9), b[rows == n].reshape(-1, n))
+        for n in ROTATION_ROW_COUNT.values()
+        if n in sizes
+    ]
+
+
+def _pair_residuals(
+    stacks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], vec: np.ndarray
+) -> np.ndarray:
+    """``|C_i vec - b_i|`` of each stored pair's rows, in store order.
+
+    One stacked ``(k, n, 9) @ vec`` product per row count, which rounds
+    exactly like the per-pair products; a single 2-D ``C @ vec`` does not.
+    """
+    out = np.empty(len(stacks[0][0]))
+    for pairs, C, b in stacks:
+        out[pairs] = row_norms(C @ vec - b)
+    return out
+
+
+def _candidate_lines(
+    cs: list[Correspondence], R: np.ndarray, K_t: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray, list[Correspondence]]:
+    """Candidate translation lines of the stored pairs under ``R``.
+
+    The FULL3D lines come from one batched call, the PNL lines one pair at
+    a time; PNL pairs with degenerate endpoint planes are dropped.  Returns
+    ``(p0, u, members)``: ``(n, 3)`` arrays in store order and the pairs
+    they belong to.
+    """
+    full = np.array([c.kind is CaseKind.FULL3D for c in cs], dtype=bool)
+    p0 = np.empty((len(cs), 3))
+    u = np.empty((len(cs), 3))
+    p0[full], u[full] = candidate_from_full3d([c for c, f in zip(cs, full) if f], R)
+    keep = full.copy()
+    for i in np.flatnonzero(~full):
+        try:
+            p0[i], u[i] = candidate_from_pnl(cs[i], R, K_t)
+            keep[i] = True
+        except ParallelPlanes:
+            continue
+    return p0[keep], u[keep], [c for c, k in zip(cs, keep) if k]
 
 
 def _full3d_weights(
@@ -420,24 +465,14 @@ def try_finalize(
         entry["note"] = "rotation undetermined"
         return None
 
-    lines: list[CandidateLine] = []
-    members: list[Correspondence] = []
-    for c in state.correspondences:
-        try:
-            if c.kind is CaseKind.FULL3D:
-                lines.append(candidate_from_full3d(c, R))
-            else:
-                lines.append(candidate_from_pnl(c, R, state.target_K))
-            members.append(c)
-        except ParallelPlanes:
-            continue
-    if len(lines) < 2:
+    p0, u, members = _candidate_lines(state.correspondences, R, state.target_K)
+    if len(members) < 2:
         entry["note"] = "too few candidate lines"
         return None
 
-    threshold = cfg.vote_threshold(len(lines))
+    threshold = cfg.vote_threshold(len(members))
     try:
-        vote = convergence_voting(lines, cfg.epsilon_d_m, threshold)
+        vote = convergence_voting(p0, u, cfg.epsilon_d_m, threshold)
     except InsufficientLines as exc:
         entry["note"] = f"voting failed: {exc}"
         return None

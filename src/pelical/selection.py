@@ -15,6 +15,7 @@ for the true camera offset.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +24,10 @@ from .constraints import CaseKind, Correspondence
 from .errors import InsufficientLines, ParallelPlanes, RankDeficient
 from .geometry import (
     CameraIntrinsics,
+    cross3,
     line_projection_matrix,
     project_so3,
+    row_norms,
     skew,
     so3_distance,
 )
@@ -35,6 +38,9 @@ _FULL_ROWS = 9
 #: (see :func:`gate_rotation`).
 GATE_SLACK = 1e-10
 GATE_GROWTH = 1.0
+#: Size bound on the (proposals x lines x 3) float64 distance tensor that
+#: :func:`convergence_voting` evaluates at once.
+VOTE_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -128,43 +134,30 @@ def gate_rotation(
     return False, state
 
 
-@dataclass(frozen=True)
-class CandidateLine:
-    """A 3D line known to contain the true translation."""
-
-    p0: np.ndarray
-    u: np.ndarray
-
-    def __post_init__(self) -> None:
-        u = np.asarray(self.u, dtype=float).reshape(3)
-        n = np.linalg.norm(u)
-        if n < 1e-12:
-            raise ValueError("candidate line direction is degenerate")
-        object.__setattr__(self, "u", u / n)
-        object.__setattr__(self, "p0", np.asarray(self.p0, dtype=float).reshape(3))
-
-    def distance_to_point(self, p: np.ndarray) -> float:
-        diff = np.asarray(p, dtype=float) - self.p0
-        return float(np.linalg.norm(diff - (diff @ self.u) * self.u))
-
-
-def candidate_from_full3d(c: Correspondence, R: np.ndarray) -> CandidateLine:
-    """Translation locus of a FULL3D pair given the rotation.
+def candidate_from_full3d(
+    pairs: Sequence[Correspondence], R: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Translation loci of FULL3D pairs given the rotation.
 
     The moment transport equation leaves ``t`` free only along the rotated
-    source direction; the particular solution is
-    ``p0 = (R m_s - m_t) x (R d_s)``.
+    source direction ``u = R d_s``; the particular solution is
+    ``p0 = (R m_s - m_t) x (R d_s)``.  Returns ``(p0, u)``, each ``(k, 3)``
+    with unit ``u``.  The pairs are stacked and every product is a stacked
+    matmul, so each row has the bits of the one-pair formula.
     """
-    if c.kind is not CaseKind.FULL3D:
-        raise ParallelPlanes("candidate_from_full3d needs a FULL3D pair")
-    Rd = R @ c.source_line.d
-    p0 = np.cross(R @ c.source_line.m - c.target_line_3d.m, Rd)
-    return CandidateLine(p0=p0, u=Rd)
+    if any(c.kind is not CaseKind.FULL3D for c in pairs):
+        raise ParallelPlanes("candidate_from_full3d needs FULL3D pairs")
+    d_s = np.array([c.source_line.d for c in pairs]).reshape(-1, 3, 1)
+    m_s = np.array([c.source_line.m for c in pairs]).reshape(-1, 3, 1)
+    m_t = np.array([c.target_line_3d.m for c in pairs]).reshape(-1, 3)
+    Rd = (R @ d_s)[..., 0]
+    p0 = np.cross((R @ m_s)[..., 0] - m_t, Rd)
+    return p0, Rd / row_norms(Rd)[:, None]
 
 
 def candidate_from_pnl(
     c: Correspondence, R: np.ndarray, K_t: CameraIntrinsics
-) -> CandidateLine:
+) -> tuple[np.ndarray, np.ndarray]:
     """Translation locus of a PNL pair given the rotation.
 
     Given the rotation, the observed image line pins ``t`` through two kinds
@@ -180,8 +173,8 @@ def candidate_from_pnl(
     stacked system is solved by least squares.  Segment orientation is not
     shared across cameras, so both endpoint orderings are tried; orderings
     implying a segment behind the camera are discarded and the best
-    remaining fit wins.  The candidate line runs through that anchor along
-    ``R d_s``.
+    remaining fit wins.  The candidate line runs through that anchor
+    ``p0`` along the unit ``u = R d_s``; returns ``(p0, u)``.
 
     Raises ParallelPlanes when the 2D endpoints coincide or the stacked
     constraints are rank deficient.
@@ -208,7 +201,7 @@ def candidate_from_pnl(
 
     for uv in ep:
         x_h = np.array([uv[0], uv[1], 1.0])
-        push(base_rows, base_vals, np.cross(Rd, P.T @ x_h), -float(x_h @ (P @ Rm)))
+        push(base_rows, base_vals, cross3(Rd, P.T @ x_h), -float(x_h @ (P @ Rm)))
 
     best: tuple[float, np.ndarray] | None = None
     for order in ((0, 1), (1, 0)):
@@ -239,7 +232,7 @@ def candidate_from_pnl(
             best = (misfit, sol)
     if best is None:
         raise ParallelPlanes("endpoint planes are degenerate")
-    return CandidateLine(p0=best[1], u=Rd)
+    return best[1], Rd / np.linalg.norm(Rd)
 
 
 @dataclass(frozen=True)
@@ -251,27 +244,18 @@ class VotingResult:
     convergence_point: np.ndarray | None
 
 
-def convergence_voting(
-    lines: list[CandidateLine],
-    epsilon_d: float,
-    vote_threshold: int,
-) -> VotingResult:
-    """Find the point supported by the most candidate lines.
+def _line_distances(pts: np.ndarray, p0: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``(k, n)`` distances of points ``pts`` to the lines ``(p0, u)``."""
+    diff = pts[:, None, :] - p0[None, :, :]  # (k, n, 3)
+    along = np.einsum("knj,nj->kn", diff, u)
+    perp = diff - along[..., None] * u[None, :, :]
+    return np.linalg.norm(perp, axis=2)
 
-    Every non-parallel pair of lines proposes the midpoint of its common
-    perpendicular; the proposal whose ``epsilon_d``-neighborhood captures
-    the most lines wins (ties by the smaller summed inlier distance).  The
-    vote converges when the winning set reaches ``vote_threshold``.
-    """
-    n = len(lines)
-    if n < 2:
-        raise InsufficientLines("voting needs at least two candidate lines")
-    p0 = np.stack([l.p0 for l in lines])  # (n, 3)
-    u = np.stack([l.u for l in lines])  # (n, 3)
 
-    # all-pairs common-perpendicular midpoints, batched; parallel pairs are
-    # dropped
-    ii, jj = np.triu_indices(n, k=1)
+def _proposals(p0: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Common-perpendicular midpoints of every non-parallel pair of the lines
+    ``(p0, u)``, batched, in ``triu_indices`` order."""
+    ii, jj = np.triu_indices(len(p0), k=1)
     u1, u2 = u[ii], u[jj]
     ok = np.linalg.norm(np.cross(u1, u2), axis=1) >= 1e-9
     if not np.any(ok):
@@ -286,17 +270,44 @@ def convergence_voting(
     t = (e - b * d) / denom
     q1 = p0[ii[ok]] + s[:, None] * u1
     q2 = p0[jj[ok]] + t[:, None] * u2
-    pts = 0.5 * (q1 + q2)  # (k, 3)
-    diff = pts[:, None, :] - p0[None, :, :]  # (k, n, 3)
-    along = np.einsum("knj,nj->kn", diff, u)
-    perp = diff - along[..., None] * u[None, :, :]
-    dist = np.linalg.norm(perp, axis=2)  # (k, n)
-    member = dist < epsilon_d
-    counts = member.sum(axis=1)
-    sums = np.where(member, dist, 0.0).sum(axis=1)
-    order = np.lexsort((sums, -counts))
-    best = order[0]
-    inliers = tuple(int(i) for i in np.flatnonzero(member[best]))
+    return 0.5 * (q1 + q2)
+
+
+def convergence_voting(
+    p0: np.ndarray,
+    u: np.ndarray,
+    epsilon_d: float,
+    vote_threshold: int,
+) -> VotingResult:
+    """Find the point supported by the most candidate lines.
+
+    Line ``i`` runs through ``p0[i]`` along the unit ``u[i]`` (both
+    ``(n, 3)``).  Every non-parallel pair of lines proposes the midpoint of
+    its common perpendicular; the proposal whose ``epsilon_d``-neighborhood
+    captures the most lines wins (ties by the smaller summed inlier
+    distance).  The vote converges when the winning set reaches
+    ``vote_threshold``.  Proposals are scored a chunk at a time, so no
+    distance tensor exceeds ``VOTE_CHUNK_BYTES``; the proposals themselves
+    take O(n^2) memory.
+    """
+    n = len(p0)
+    if n < 2:
+        raise InsufficientLines("voting needs at least two candidate lines")
+
+    pts = _proposals(p0, u)
+    # each distance depends on its own proposal and line only, so chunking
+    # changes no bit of counts, sums or their lexsort order
+    chunk = max(1, VOTE_CHUNK_BYTES // (n * 3 * 8))
+    counts = np.empty(len(pts), dtype=np.intp)
+    sums = np.empty(len(pts))
+    for lo in range(0, len(pts), chunk):
+        dist = _line_distances(pts[lo : lo + chunk], p0, u)
+        member = dist < epsilon_d
+        counts[lo : lo + chunk] = member.sum(axis=1)
+        sums[lo : lo + chunk] = np.where(member, dist, 0.0).sum(axis=1)
+    best = np.lexsort((sums, -counts))[0]
+    member = _line_distances(pts[best : best + 1], p0, u)[0] < epsilon_d
+    inliers = tuple(int(i) for i in np.flatnonzero(member))
     return VotingResult(
         converged=len(inliers) >= vote_threshold,
         inlier_indices=inliers,

@@ -31,9 +31,10 @@ from .solver import _real
 _MIN_SEGMENT_PX = 10.0
 _MIN_DEPTH = 0.05
 _MAX_REJECTS = 10_000
-#: Most lines per stream and samples per line: a stream holds
-#: (n_lines x samples_per_line) points per camera.
+#: Most lines per stream and samples per line, and most points per camera:
+#: a stream holds (n_lines x samples_per_line) of them.
 _MAX_COUNT = 10_000
+_MAX_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -58,6 +59,8 @@ class RigSpec:
         for name, low in (("n_lines", 1), ("samples_per_line", 2)):
             if not low <= _real(self, name, integer=True) <= _MAX_COUNT:
                 raise ValueError(f"{name} must lie in [{low}, {_MAX_COUNT}]")
+        if self.n_lines * self.samples_per_line > _MAX_POINTS:
+            raise ValueError(f"n_lines x samples_per_line must be at most {_MAX_POINTS}")
         if _real(self, "rng_seed", integer=True) < 0:
             raise ValueError("rng_seed must be non-negative")
         for name in ("line_length_m", "scene_depth_m"):

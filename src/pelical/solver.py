@@ -30,6 +30,7 @@ from .geometry import (
     CGRParams,
     Extrinsics,
     cgr_to_rotation,
+    cross3,
     line_projection_matrix,
     project_so3,
     rotation_to_cgr,
@@ -283,7 +284,7 @@ def _stack_residuals(
                 P_line = line_projection_matrix(K_t)
             d_s, m_s = c.source_line.d, c.source_line.m
             Rd = R @ d_s
-            m_hat = R @ m_s + np.cross(t, Rd)
+            m_hat = R @ m_s + cross3(t, Rd)
             l_hat = P_line @ m_hat
             nrm2 = l_hat[0] * l_hat[0] + l_hat[1] * l_hat[1]
             nrm = np.sqrt(nrm2)

@@ -20,11 +20,12 @@ from scipy.spatial.transform import Rotation
 
 from pelical import (
     CameraIntrinsics,
-    CandidateLine,
     Extrinsics,
     Line2D,
     LineObservation,
+    ParallelPlanes,
     assemble,
+    candidate_from_pnl,
     line_projection_matrix,
     plucker_from_points,
     transform_line,
@@ -36,6 +37,7 @@ from pelical.constraints import (
     monomial_jacobian,
     monomial_vector,
 )
+from pelical.selection import ROTATION_ROW_COUNT, VotingResult, _line_distances, _proposals
 from pelical.solver import _stack_residuals, eliminate_translation
 
 DEFAULT_K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -224,20 +226,88 @@ def reference_inlier_masks(
     return dist < threshold, dist
 
 
-def equidistant_point(l1: CandidateLine, l2: CandidateLine) -> np.ndarray:
-    """Midpoint of the common perpendicular of two non-parallel candidate
-    lines: the reference for the batched midpoints in ``convergence_voting``."""
-    u1, u2 = l1.u, l2.u
+def point_line_distance(p0: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
+    """Distance of point ``p`` to the line through ``p0`` along unit ``u``."""
+    diff = np.asarray(p, dtype=float) - p0
+    return float(np.linalg.norm(diff - (diff @ u) * u))
+
+
+def equidistant_point(p0: np.ndarray, u: np.ndarray, i: int, j: int) -> np.ndarray:
+    """Midpoint of the common perpendicular of non-parallel candidate lines
+    ``i`` and ``j`` (rows of the ``(n, 3)`` arrays ``p0``/``u``): the
+    reference for the batched midpoints in ``convergence_voting``."""
+    u1, u2 = u[i], u[j]
     if np.linalg.norm(np.cross(u1, u2)) < 1e-9:
         raise ValueError("candidate lines are parallel")
-    w0 = l1.p0 - l2.p0
+    w0 = p0[i] - p0[j]
     b = float(u1 @ u2)
     d = float(u1 @ w0)
     e = float(u2 @ w0)
     denom = 1.0 - b * b
     s = (b * e - d) / denom
     t = (e - b * d) / denom
-    return 0.5 * ((l1.p0 + s * u1) + (l2.p0 + t * u2))
+    return 0.5 * ((p0[i] + s * u1) + (p0[j] + t * u2))
+
+
+def reference_candidate_line(
+    c: Correspondence, R: np.ndarray, K_t: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray]:
+    """One pair's candidate line ``(p0, u)``: the reference for the rows of
+    ``pipeline._candidate_lines``.  FULL3D pairs use the one-pair form of
+    ``p0 = (R m_s - m_t) x (R d_s)``, ``u = R d_s / |R d_s|``; PNL pairs go
+    through ``candidate_from_pnl`` (raising ParallelPlanes when degenerate).
+    """
+    if c.kind is not CaseKind.FULL3D:
+        return candidate_from_pnl(c, R, K_t)
+    Rd = R @ c.source_line.d
+    p0 = np.cross(R @ c.source_line.m - c.target_line_3d.m, Rd)
+    return p0, Rd / np.linalg.norm(Rd)
+
+
+def reference_candidate_lines(
+    cs: list[Correspondence], R: np.ndarray, K_t: CameraIntrinsics
+) -> tuple[np.ndarray, np.ndarray, list[Correspondence]]:
+    """Candidate lines one pair at a time, dropping degenerate PNL pairs."""
+    p0, u, members = [], [], []
+    for c in cs:
+        try:
+            line = reference_candidate_line(c, R, K_t)
+        except ParallelPlanes:
+            continue
+        p0.append(line[0])
+        u.append(line[1])
+        members.append(c)
+    return np.array(p0).reshape(-1, 3), np.array(u).reshape(-1, 3), members
+
+
+def reference_pair_residuals(
+    C: np.ndarray, b: np.ndarray, cs: list[Correspondence], vec: np.ndarray
+) -> np.ndarray:
+    """``|C_i vec - b_i|`` one pair's block at a time: the reference for
+    ``pipeline._pair_residuals``.  Block ``i`` holds pair ``i``'s
+    ``rotation_rows``, in store order."""
+    out, end = [], 0
+    for c in cs:
+        n = ROTATION_ROW_COUNT[c.kind]
+        out.append(float(np.linalg.norm(C[end : end + n] @ vec - b[end : end + n])))
+        end += n
+    return np.array(out)
+
+
+def reference_convergence_voting(
+    p0: np.ndarray, u: np.ndarray, epsilon_d: float, vote_threshold: int
+) -> VotingResult:
+    """``convergence_voting`` scoring every proposal against every line at
+    once, in one ``(proposals, n, 3)`` tensor: the reference for its chunked
+    scoring.  Memory grows as n^3 (about 1.3 GB at 300 lines)."""
+    pts = _proposals(p0, u)
+    dist = _line_distances(pts, p0, u)
+    member = dist < epsilon_d
+    counts = member.sum(axis=1)
+    sums = np.where(member, dist, 0.0).sum(axis=1)
+    best = np.lexsort((sums, -counts))[0]
+    inliers = tuple(int(i) for i in np.flatnonzero(member[best]))
+    return VotingResult(len(inliers) >= vote_threshold, inliers, pts[best])
 
 
 def point_to_line_residual(c: Correspondence, T: Extrinsics) -> np.ndarray:

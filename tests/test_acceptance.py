@@ -16,7 +16,6 @@ from scipy.spatial.transform import Rotation
 from pelical import (
     Extrinsics,
     InsufficientLines,
-    ParallelPlanes,
     PipelineConfig,
     PlaneMergeInput,
     RigSpec,
@@ -40,7 +39,7 @@ from pelical import (
 )
 from pelical.constraints import CaseKind
 from pelical.fileio import sweep_rows_to_csv, write_calibration_file
-from pelical.pipeline import PipelineState
+from pelical.pipeline import PipelineState, _candidate_lines
 from pelical.simulator import GroundTruthRecord
 
 from helpers import (
@@ -50,6 +49,7 @@ from helpers import (
     consistent_system,
     jacobian_check,
     make_correspondence,
+    point_line_distance,
     rand_rotation,
     rand_segment,
     rand_truth,
@@ -183,18 +183,10 @@ class TestAcceptance:
             axis /= np.linalg.norm(axis)
             poison = Rotation.from_rotvec(np.deg2rad(5.0) * axis).as_matrix()
             R_bad = poison @ spec.truth.rotation
-            lines = []
-            for c in state.correspondences:
-                try:
-                    if c.kind is CaseKind.FULL3D:
-                        lines.append(candidate_from_full3d(c, R_bad))
-                    else:
-                        lines.append(candidate_from_pnl(c, R_bad, DEFAULT_K))
-                except ParallelPlanes:
-                    pass
-            threshold = max(4, math.ceil(0.6 * len(lines)))
+            p0, u, _ = _candidate_lines(state.correspondences, R_bad, DEFAULT_K)
+            threshold = max(4, math.ceil(0.6 * len(p0)))
             try:
-                vote = convergence_voting(lines, 0.02, threshold)
+                vote = convergence_voting(p0, u, 0.02, threshold)
                 diverged = not vote.converged
             except InsufficientLines:
                 diverged = True
@@ -268,11 +260,11 @@ class TestAcceptance:
             kind = CaseKind.FULL3D if i % 2 == 0 else CaseKind.PNL
             c = make_correspondence(rng, truth, kind)
             if kind is CaseKind.FULL3D:
-                cand = candidate_from_full3d(c, truth.rotation)
+                p0, u = (a[0] for a in candidate_from_full3d([c], truth.rotation))
             else:
-                cand = candidate_from_pnl(c, truth.rotation, DEFAULT_K)
+                p0, u = candidate_from_pnl(c, truth.rotation, DEFAULT_K)
             worst_containment = max(
-                worst_containment, cand.distance_to_point(truth.translation)
+                worst_containment, point_line_distance(p0, u, truth.translation)
             )
 
         worst_jacobian = 0.0

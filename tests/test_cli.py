@@ -119,6 +119,19 @@ def base_documents() -> str:
     return json.dumps({"observations": obs, "config": PipelineConfig().to_dict()})
 
 
+def calibrate_edited(tmp_path, path, value) -> int:
+    """Exit code of ``calibrate`` on the observation file of
+    :func:`base_documents` with the field at ``path`` set to ``value``."""
+    doc = json.loads(base_documents())["observations"]
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    obs_path = tmp_path / "obs.json"
+    obs_path.write_text(json.dumps(doc))
+    return main(["calibrate", "--input", str(obs_path), "--output", str(tmp_path / "c.json")])
+
+
 def run_fuzzed(docs: dict, argv) -> tuple[int, str, list[str]]:
     """Write each document to ``<name>.json`` in a fresh directory and run
     ``main(argv(paths, directory))``.  Returns the exit code, stderr and the
@@ -218,9 +231,11 @@ class TestSimulate:
             ("samples_per_line", 10**12, "samples_per_line must lie in [2, 10000]"),
             ("n_lines", 2.5, "n_lines must be an integer, got 2.5"),
             ("rng_seed", 1.5, "rng_seed must be an integer, got 1.5"),
+            # 10000 lines of 40 samples each: 400000 points per camera
+            ("n_lines", 10_000, "n_lines x samples_per_line must be at most 100000"),
         ],
         ids=["negative-seed", "huge-float-samples", "huge-samples", "fractional-lines",
-             "fractional-seed"],
+             "fractional-seed", "huge-stream"],
     )
     def test_bad_spec_field_exits_1(self, tmp_path, capsys, field, value, message):
         spec_path = tmp_path / "rig.json"
@@ -407,16 +422,25 @@ class TestCalibrate:
     def test_absurd_magnitude_exits_1(self, tmp_path, capsys, path, value, where):
         # finite values this large overflow the solver's products, so the
         # reader must reject them and name the field
-        doc = json.loads(base_documents())["observations"]
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        obs_path = tmp_path / "obs.json"
-        obs_path.write_text(json.dumps(doc))
-        assert main(["calibrate", "--input", str(obs_path), "--output",
-                     str(tmp_path / "c.json")]) == 1
+        assert calibrate_edited(tmp_path, path, value) == 1
         assert capsys.readouterr().err == f"error: {where}: magnitude exceeds 1e+06\n"
+
+    @pytest.mark.parametrize(
+        "path, value, where",
+        [
+            (("target_intrinsics", "width"), 640.9, "target_intrinsics.width"),
+            (("source_intrinsics", "height"), 480.5, "source_intrinsics.height"),
+            (("observations", 0, "id"), 1.5, "observations[0].id"),
+        ],
+        ids=["width", "height", "id"],
+    )
+    def test_fractional_integer_exits_1(self, tmp_path, capsys, path, value, where):
+        # these were once truncated by int(), and the run exited 0
+        assert calibrate_edited(tmp_path, path, value) == 1
+        assert capsys.readouterr().err == f"error: {where}: expected an integer\n"
+
+    def test_whole_float_integer_is_read(self, tmp_path):
+        assert calibrate_edited(tmp_path, ("target_intrinsics", "width"), 640.0) == 0
 
     @settings(derandomize=True, database=None, max_examples=60, deadline=None)
     @given(data=st.data())

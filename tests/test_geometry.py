@@ -20,9 +20,23 @@ from pelical import (
     rotation_to_cgr,
     transform_line,
 )
-from pelical.geometry import skew, so3_distance
+from pelical.geometry import cross3, row_norms, skew, so3_distance
 
 from helpers import rand_rotation, rand_truth
+
+
+class TestSmallVectorForms:
+    """The written-out and stacked forms round exactly like numpy's."""
+
+    def test_cross3_matches_np_cross(self, rng):
+        for _ in range(2000):
+            a, b = rng.normal(size=(2, 3)) * rng.uniform(1e-3, 1e3, size=(2, 1))
+            assert np.array_equal(cross3(a, b), np.cross(a, b))
+
+    def test_row_norms_match_per_row_norm(self, rng):
+        for n in (1, 3, 9):
+            x = rng.normal(size=(500, n)) * rng.uniform(1e-3, 1e3, size=(500, 1))
+            assert np.array_equal(row_norms(x), [np.linalg.norm(r) for r in x])
 
 
 class TestPluckerConstruction:

@@ -1,0 +1,48 @@
+"""The benchmark in ``perfbench/`` times pelical by wrapping functions at the
+module attributes the code calls through, and reads counts from the wrapped
+calls' arguments.  The test command collects ``tests/`` only, so these
+checks keep those hooks working from here."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from pelical import PipelineConfig, cli, fileio, pipeline, run
+from pelical.constraints import CaseKind
+
+from helpers import DEFAULT_K, make_observation, rand_truth
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+MODULES = {"cli": cli, "fileio": fileio, "pipeline": pipeline}
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look themselves up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_attributes_resolve():
+    for mod, attr, _ in load_tracer().TRACED:
+        assert callable(getattr(MODULES[mod], attr, None)), f"pelical.{mod}.{attr}"
+
+
+def test_voting_observer_reads_the_line_count(rng):
+    # the observer takes len() of convergence_voting's first argument as the
+    # number of candidate lines; in a FULL3D-only stream every stored pair
+    # gives one line, so that is the trace's pair count of each vote; the
+    # vote radius sits below the noise, so every accepted pair votes
+    tracer = load_tracer()
+    truth = rand_truth(rng)
+    stream = [
+        make_observation(rng, truth, CaseKind.FULL3D, obs_id=i, noise_3d=0.003)
+        for i in range(8)
+    ]
+    with tracer.Tracer(MODULES) as traced:
+        report = run(stream, PipelineConfig(epsilon_d_m=1e-9), DEFAULT_K)
+    votes = [entry["pairs"] for entry in report.trace if "vote_size" in entry]
+    assert len(votes) >= 2
+    assert traced.layer_totals()["selection.convergence_voting"][0] == len(votes)
+    assert traced.counts["voting_lines_max"] == max(votes)

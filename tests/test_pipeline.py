@@ -10,6 +10,7 @@ from numpy.testing import assert_allclose
 from pelical import (
     DegenerateLine,
     Extrinsics,
+    Line2D,
     LineObservation,
     PipelineConfig,
     RansacConfig,
@@ -35,12 +36,24 @@ from pelical.pipeline import (
     MIN_PAIRS_FOR_FINALIZE,
     PipelineState,
     RoundStatus,
+    _candidate_lines,
     _full3d_weights,
     _inlier_masks,
     _maybe_evict,
+    _pair_residuals,
+    _row_stacks,
 )
+from pelical.selection import ROTATION_ROW_COUNT
 
-from helpers import DEFAULT_K, make_observation, rand_truth, reference_inlier_masks
+from helpers import (
+    DEFAULT_K,
+    make_observation,
+    rand_rotation,
+    rand_truth,
+    reference_candidate_lines,
+    reference_inlier_masks,
+    reference_pair_residuals,
+)
 
 
 def segment_samples(rng, n=100, noise=0.0, outliers=0):
@@ -372,6 +385,81 @@ class TestRobustnessEnvelope:
         assert report.termination is TerminationReason.CONVERGED
         rot_deg, trans_mm = pose_errors(report.extrinsics, ENVELOPE_TRUTH)
         assert rot_deg <= 0.5 and trans_mm <= 15.0
+
+
+def seeded_store(seed, outlier_fraction, pnl_fraction):
+    """The store after ingesting a whole 60-line envelope stream, with no
+    finalize attempt (so nothing is evicted)."""
+    spec = RigSpec(
+        truth=ENVELOPE_TRUTH,
+        target_intrinsics=DEFAULT_K,
+        source_intrinsics=DEFAULT_K,
+        n_lines=60,
+        pixel_noise_sigma=0.5,
+        depth_noise_sigma=0.003,
+        outlier_fraction=outlier_fraction,
+        pnl_fraction=pnl_fraction,
+        rng_seed=seed,
+    )
+    cfg = PipelineConfig()
+    state = PipelineState.fresh(cfg, DEFAULT_K)
+    for obs in generate(spec)[0]:
+        ingest(obs, state, cfg)
+    return state
+
+
+STORES = [(1001, 0.2, 0.25), (1002, 0.5, 0.5), (1003, 0.6, 0.1), (1004, 0.0, 0.75)]
+
+
+class TestBatchedFinalize:
+    """The stacked candidate lines and eviction residuals have the bits of
+    the one-pair formulas."""
+
+    @pytest.mark.parametrize("seed, outlier_fraction, pnl_fraction", STORES)
+    def test_candidate_lines_match_per_pair_reference(
+        self, seed, outlier_fraction, pnl_fraction
+    ):
+        state = seeded_store(seed, outlier_fraction, pnl_fraction)
+        cs = list(state.correspondences)
+        assert {c.kind for c in cs} == {CaseKind.FULL3D, CaseKind.PNL}
+        # a PNL pair with coincident image endpoints is dropped in place
+        pnl = next(c for c in cs if c.kind is CaseKind.PNL)
+        ep = pnl.target_line_2d.endpoints
+        squashed = Line2D(pnl.target_line_2d.coeffs, np.stack([ep[0], ep[0]]))
+        bad = replace(pnl, target_line_2d=squashed)
+        cs.insert(len(cs) // 2, bad)
+        rng = np.random.default_rng(seed)
+        for R in (state.gate.rotation, rand_rotation(rng)):
+            p0, u, members = _candidate_lines(cs, R, DEFAULT_K)
+            ref_p0, ref_u, ref_members = reference_candidate_lines(cs, R, DEFAULT_K)
+            assert np.array_equal(p0, ref_p0)
+            assert np.array_equal(u, ref_u)
+            assert members == ref_members
+            assert all(c is not bad for c in members)
+
+    @pytest.mark.parametrize("seed, outlier_fraction, pnl_fraction", STORES)
+    def test_pair_residuals_match_per_pair_reference(
+        self, seed, outlier_fraction, pnl_fraction
+    ):
+        state = seeded_store(seed, outlier_fraction, pnl_fraction)
+        cs = state.correspondences
+        sizes = np.array([ROTATION_ROW_COUNT[c.kind] for c in cs])
+        rng = np.random.default_rng(seed)
+        for R in (state.gate.rotation, rand_rotation(rng)):
+            vec = R.reshape(-1)
+            got = _pair_residuals(_row_stacks(state.gate.C, state.gate.b, sizes), vec)
+            ref = reference_pair_residuals(state.gate.C, state.gate.b, cs, vec)
+            assert np.array_equal(got, ref)
+
+    def test_store_without_full3d_pairs(self, rng):
+        truth = rand_truth(rng)
+        cfg = PipelineConfig()
+        state = PipelineState.fresh(cfg, DEFAULT_K)
+        for obs in good_stream(rng, truth, 0, 6):
+            ingest(obs, state, cfg)
+        p0, u, members = _candidate_lines(state.correspondences, truth.rotation, DEFAULT_K)
+        assert p0.shape == u.shape == (len(members), 3)
+        assert all(c.kind is CaseKind.PNL for c in members)
 
 
 class TestRunDegenerate:

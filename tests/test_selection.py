@@ -1,4 +1,5 @@
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from numpy.testing import assert_allclose
 
 from pelical import (
-    CandidateLine,
     Extrinsics,
     InsufficientLines,
     Line2D,
@@ -19,15 +19,17 @@ from pelical import (
     rotation_rows,
 )
 from pelical.constraints import CaseKind, Correspondence
-from pelical.selection import RotationGateState
+from pelical.selection import VOTE_CHUNK_BYTES, RotationGateState
 
 from helpers import (
     DEFAULT_K,
     equidistant_point,
     make_correspondence,
     noisy_correspondences,
+    point_line_distance,
     rand_rotation,
     rand_truth,
+    reference_convergence_voting,
 )
 
 
@@ -138,24 +140,25 @@ class TestCandidateLines:
             target_line_3d=tgt,
             target_endpoints=np.array([[1.0, 0, 0], [1, 0, 1]]),
         )
-        line = candidate_from_full3d(c, np.eye(3))
-        assert_allclose(line.p0, [1.0, 0.0, 0.0], atol=1e-12)
-        assert_allclose(np.abs(line.u), [0.0, 0.0, 1.0], atol=1e-12)
-        assert line.distance_to_point(np.array([1.0, 0.0, 0.0])) < 1e-12
+        p0, u = candidate_from_full3d([c], np.eye(3))
+        assert p0.shape == u.shape == (1, 3)
+        assert_allclose(p0[0], [1.0, 0.0, 0.0], atol=1e-12)
+        assert_allclose(np.abs(u[0]), [0.0, 0.0, 1.0], atol=1e-12)
+        assert point_line_distance(p0[0], u[0], np.array([1.0, 0.0, 0.0])) < 1e-12
 
     def test_zero_translation_passes_through_origin(self, rng):
         truth = Extrinsics(rand_rotation(rng), np.zeros(3))
         c = make_correspondence(rng, truth, CaseKind.FULL3D)
-        line = candidate_from_full3d(c, truth.rotation)
-        assert line.distance_to_point(np.zeros(3)) < 1e-9
+        p0, u = candidate_from_full3d([c], truth.rotation)
+        assert point_line_distance(p0[0], u[0], np.zeros(3)) < 1e-9
 
     def test_full3d_contains_truth_sweep(self):
         rng = np.random.default_rng(21)
         for _ in range(1000):
             truth = rand_truth(rng)
             c = make_correspondence(rng, truth, CaseKind.FULL3D)
-            line = candidate_from_full3d(c, truth.rotation)
-            assert line.distance_to_point(truth.translation) < 1e-9
+            p0, u = candidate_from_full3d([c], truth.rotation)
+            assert point_line_distance(p0[0], u[0], truth.translation) < 1e-9
 
     def test_pnl_contains_truth_sweep(self):
         rng = np.random.default_rng(22)
@@ -164,11 +167,11 @@ class TestCandidateLines:
             truth = rand_truth(rng)
             c = make_correspondence(rng, truth, CaseKind.PNL)
             try:
-                line = candidate_from_pnl(c, truth.rotation, DEFAULT_K)
+                p0, u = candidate_from_pnl(c, truth.rotation, DEFAULT_K)
             except ParallelPlanes:
                 skipped += 1  # near-degenerate endpoint geometry, must be rare
                 continue
-            assert line.distance_to_point(truth.translation) < 1e-9
+            assert point_line_distance(p0, u, truth.translation) < 1e-9
         assert skipped < 10
 
     def test_pnl_endpoints_listed_in_reverse(self):
@@ -180,15 +183,15 @@ class TestCandidateLines:
             c = make_correspondence(rng, truth, CaseKind.PNL)
             ep = c.target_line_2d.endpoints
             flipped = replace(c, target_line_2d=Line2D.from_endpoints(ep[1], ep[0]))
-            line = candidate_from_pnl(flipped, truth.rotation, DEFAULT_K)
-            assert line.distance_to_point(truth.translation) < 1e-9
+            p0, u = candidate_from_pnl(flipped, truth.rotation, DEFAULT_K)
+            assert point_line_distance(p0, u, truth.translation) < 1e-9
 
     def test_kind_mismatch_raises(self, rng):
         truth = rand_truth(rng)
         full = make_correspondence(rng, truth, CaseKind.FULL3D)
         pnl = make_correspondence(rng, truth, CaseKind.PNL)
         with pytest.raises(ParallelPlanes):
-            candidate_from_full3d(pnl, truth.rotation)
+            candidate_from_full3d([full, pnl], truth.rotation)
         with pytest.raises(ParallelPlanes):
             candidate_from_pnl(full, truth.rotation, DEFAULT_K)
 
@@ -206,53 +209,45 @@ class TestCandidateLines:
         with pytest.raises(ParallelPlanes):
             candidate_from_pnl(degenerate, truth.rotation, DEFAULT_K)
 
-    def test_degenerate_direction_rejected(self):
-        with pytest.raises(ValueError):
-            CandidateLine(p0=np.zeros(3), u=np.zeros(3))
-
 
 class TestEquidistantPoint:
     """Two-line votes: the only proposal is the common-perpendicular midpoint."""
 
     def test_intersecting_lines_meet_at_point(self, rng):
         p = np.array([1.0, 2.0, 3.0])
-        l1 = CandidateLine(p0=p, u=np.array([1.0, 0, 0]))
-        l2 = CandidateLine(p0=p, u=np.array([0.0, 1, 0]))
-        res = convergence_voting([l1, l2], 1e-9, 2)
+        res = convergence_voting(np.stack([p, p]), np.eye(3)[:2], 1e-9, 2)
         assert res.converged
         assert_allclose(res.convergence_point, p, atol=1e-12)
 
     def test_skew_lines_midpoint(self):
-        l1 = CandidateLine(p0=np.zeros(3), u=np.array([0.0, 0, 1]))
-        l2 = CandidateLine(p0=np.array([1.0, 0, 0]), u=np.array([0.0, 1, 0]))
-        res = convergence_voting([l1, l2], 0.6, 2)
+        p0 = np.array([[0.0, 0, 0], [1.0, 0, 0]])
+        u = np.array([[0.0, 0, 1], [0.0, 1, 0]])
+        res = convergence_voting(p0, u, 0.6, 2)
         assert res.inlier_indices == (0, 1)
         assert_allclose(res.convergence_point, [0.5, 0.0, 0.0], atol=1e-12)
         # each line sits half the gap away, outside a smaller radius
-        assert convergence_voting([l1, l2], 0.4, 2).inlier_indices == ()
+        assert convergence_voting(p0, u, 0.4, 2).inlier_indices == ()
 
     def test_parallel_lines_raise(self):
-        l1 = CandidateLine(p0=np.zeros(3), u=np.array([0.0, 0, 1]))
-        l2 = CandidateLine(p0=np.array([1.0, 0, 0]), u=np.array([0.0, 0, 1]))
+        p0 = np.array([[0.0, 0, 0], [1.0, 0, 0]])
+        u = np.array([[0.0, 0, 1], [0.0, 0, 1]])
         with pytest.raises(InsufficientLines):
-            convergence_voting([l1, l2], 0.01, 2)
+            convergence_voting(p0, u, 0.01, 2)
 
 
 def lines_through(point, directions):
-    """Candidate lines through ``point`` with base points spread along them."""
-    lines = []
-    for t, u in zip(np.linspace(-2.0, 2.0, len(directions)), directions):
-        u = np.asarray(u, dtype=float)
-        u = u / np.linalg.norm(u)
-        lines.append(CandidateLine(p0=point + t * u, u=u))
-    return lines
+    """Candidate lines ``(p0, u)`` through ``point`` with base points spread
+    along them."""
+    u = np.asarray(directions, dtype=float)
+    u = u / np.linalg.norm(u, axis=1, keepdims=True)
+    return point + np.linspace(-2.0, 2.0, len(u))[:, None] * u, u
 
 
 class TestConvergenceVoting:
     def test_four_concurrent_lines_converge(self):
         p = np.array([0.3, -0.2, 0.5])
         dirs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]
-        res = convergence_voting(lines_through(p, dirs), 1e-6, 4)
+        res = convergence_voting(*lines_through(p, dirs), 1e-6, 4)
         assert res.converged
         assert res.inlier_indices == (0, 1, 2, 3)
         assert_allclose(res.convergence_point, p, atol=1e-9)
@@ -260,10 +255,10 @@ class TestConvergenceVoting:
     def test_outliers_excluded_from_winning_set(self):
         p = np.array([0.1, 0.4, -0.3])
         dirs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (1, 0, 1), (0, 1, 1)]
-        lines = lines_through(p, dirs)
-        lines.append(CandidateLine(p0=np.array([5.0, 5, 5]), u=np.array([1.0, -1, 0])))
-        lines.append(CandidateLine(p0=np.array([-4.0, 6, 1]), u=np.array([0.0, 1, 1])))
-        res = convergence_voting(lines, 1e-6, 5)
+        p0, u = lines_through(p, dirs)
+        p0 = np.vstack([p0, [[5.0, 5, 5], [-4.0, 6, 1]]])
+        u = np.vstack([u, np.array([[1.0, -1, 0], [0.0, 1, 1]]) / np.sqrt(2.0)])
+        res = convergence_voting(p0, u, 1e-6, 5)
         assert res.converged
         assert res.inlier_indices == (0, 1, 2, 3, 4, 5)
 
@@ -277,21 +272,17 @@ class TestConvergenceVoting:
             Rotation.from_rotvec(np.deg2rad(5.0) * np.array([0, 1, 0])).as_matrix()
             @ truth.rotation
         )
-        good = convergence_voting(
-            [candidate_from_full3d(c, truth.rotation) for c in cs], 0.02, 6
-        )
-        bad = convergence_voting(
-            [candidate_from_full3d(c, wrong) for c in cs], 0.02, 6
-        )
+        good = convergence_voting(*candidate_from_full3d(cs, truth.rotation), 0.02, 6)
+        bad = convergence_voting(*candidate_from_full3d(cs, wrong), 0.02, 6)
         assert good.converged
         assert not bad.converged
 
     def test_order_invariant_winner(self):
         p = np.array([0.2, 0.1, 0.9])
         dirs = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 0), (0, 1, 2)]
-        lines = lines_through(p, dirs)
-        a = convergence_voting(lines, 1e-6, 4)
-        b = convergence_voting(lines[::-1], 1e-6, 4)
+        p0, u = lines_through(p, dirs)
+        a = convergence_voting(p0, u, 1e-6, 4)
+        b = convergence_voting(p0[::-1], u[::-1], 1e-6, 4)
         assert a.converged and b.converged
         assert_allclose(a.convergence_point, b.convergence_point, atol=1e-9)
 
@@ -300,10 +291,10 @@ class TestConvergenceVoting:
         # point must agree with the pairwise reference computation
         rng = np.random.default_rng(25)
         p = np.array([0.5, -0.1, 0.3])
-        lines = lines_through(p, [rng.normal(size=3) for _ in range(5)])
-        res = convergence_voting(lines, 1e-6, 4)
+        p0, u = lines_through(p, [rng.normal(size=3) for _ in range(5)])
+        res = convergence_voting(p0, u, 1e-6, 4)
         scalar_pts = [
-            equidistant_point(lines[i], lines[j])
+            equidistant_point(p0, u, i, j)
             for i in range(5)
             for j in range(i + 1, 5)
         ]
@@ -311,21 +302,56 @@ class TestConvergenceVoting:
         assert min(gaps) < 1e-12
 
     def test_too_few_lines_raise(self):
-        l = CandidateLine(p0=np.zeros(3), u=np.array([1.0, 0, 0]))
         with pytest.raises(InsufficientLines):
-            convergence_voting([l], 0.01, 2)
+            convergence_voting(np.zeros((1, 3)), np.array([[1.0, 0, 0]]), 0.01, 2)
 
     def test_all_parallel_lines_raise(self):
-        mk = lambda y: CandidateLine(p0=np.array([0.0, y, 0]), u=np.array([1.0, 0, 0]))
+        p0 = np.array([[0.0, y, 0] for y in (0.0, 1.0, 2.0)])
+        u = np.tile([1.0, 0, 0], (3, 1))
         with pytest.raises(InsufficientLines):
-            convergence_voting([mk(0.0), mk(1.0), mk(2.0)], 0.01, 2)
+            convergence_voting(p0, u, 0.01, 2)
 
     def test_sixty_four_lines_fast(self):
         rng = np.random.default_rng(24)
         p = np.array([0.5, 0.1, 0.2])
-        lines = lines_through(p, [rng.normal(size=3) for _ in range(64)])
+        p0, u = lines_through(p, [rng.normal(size=3) for _ in range(64)])
         start = time.perf_counter()
-        res = convergence_voting(lines, 1e-6, 40)
+        res = convergence_voting(p0, u, 1e-6, 40)
         elapsed = time.perf_counter() - start
         assert res.converged
         assert elapsed < 0.05
+
+    @staticmethod
+    def random_lines(n, seed):
+        """``n`` lines: random ones, then ``n // 3`` through one point,
+        whose proposals come last, in the last chunk."""
+        rng = np.random.default_rng(seed)
+        p0, u = lines_through(np.array([0.2, -0.1, 0.4]), rng.normal(size=(n // 3, 3)))
+        rest = rng.normal(size=(n - len(p0), 3))
+        return (
+            np.vstack([rng.normal(size=(len(rest), 3)), p0]),
+            np.vstack([rest / np.linalg.norm(rest, axis=1, keepdims=True), u]),
+        )
+
+    def test_chunked_scoring_matches_unchunked_reference(self):
+        # 150 lines: 11175 proposals, scored in five chunks
+        p0, u = self.random_lines(150, 26)
+        assert 150 * 149 // 2 * 150 * 3 * 8 > 4 * VOTE_CHUNK_BYTES
+        for eps in (1e-6, 0.05, 0.5):
+            got = convergence_voting(p0, u, eps, 40)
+            ref = reference_convergence_voting(p0, u, eps, 40)
+            assert got.inlier_indices == ref.inlier_indices
+            assert got.converged == ref.converged
+            assert np.array_equal(got.convergence_point, ref.convergence_point)
+
+    def test_memory_bounded_at_300_lines(self):
+        # unchunked, one vote over 300 lines peaked at about 1.3 GB
+        p0, u = self.random_lines(300, 27)
+        tracemalloc.start()
+        try:
+            res = convergence_voting(p0, u, 1e-6, 50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.inlier_indices == tuple(range(200, 300))
+        assert peak < 64e6
