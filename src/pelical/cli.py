@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from dataclasses import replace
@@ -226,7 +227,11 @@ def _cmd_pose_errors(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser.  It is built on the first call and shared by
+    later ones, so repeated in-process ``main`` calls skip the argparse
+    set-up; callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="pelical",
         description="Line-based extrinsic calibration for RGB-D camera pairs.",
@@ -284,8 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except SchemaError as exc:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +58,22 @@ def write_json(path: str | Path, obj) -> None:
 
 def load_json(path: str | Path):
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError as exc:
         raise SchemaError(
-            f"{path}: invalid JSON at byte offset {exc.pos}: {exc.msg}"
+            f"{path}: invalid UTF-8 at byte offset {exc.start}: {exc.reason}"
         ) from exc
+    except json.JSONDecodeError as exc:
+        offset = len(exc.doc[: exc.pos].encode())  # exc.pos counts characters
+        raise SchemaError(
+            f"{path}: invalid JSON at byte offset {offset}: {exc.msg}"
+        ) from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
 #: Largest magnitude a reader accepts for a point coordinate or translation
@@ -111,6 +118,13 @@ def _vector(value, n: int, where: str, limit: float = math.inf) -> np.ndarray:
     return np.array([_number(v, where, limit) for v in value])
 
 
+def _leaves(nodes: list, n: int) -> list | None:
+    """The items of ``nodes`` in order when each node is a list of ``n``."""
+    if set(map(type, nodes)) <= {list} and set(map(len, nodes)) <= {n}:
+        return list(chain.from_iterable(nodes))
+    return None
+
+
 def _points(value, where: str) -> np.ndarray:
     """An ``(n, 3)`` array from a list of lists of 3 numbers, each of
     magnitude at most ``MAX_MAGNITUDE``.
@@ -118,10 +132,10 @@ def _points(value, where: str) -> np.ndarray:
     Shapes, value types and magnitudes are checked in bulk; only when that
     fails are the points walked one at a time, to name the offending one.
     """
-    shaped = all(isinstance(p, list) and len(p) == 3 for p in value)
-    if shaped and set(map(type, chain.from_iterable(value))) <= {float, int}:
+    flat = _leaves(value, 3)
+    if flat is not None and set(map(type, flat)) <= {float, int}:
         with contextlib.suppress(OverflowError):
-            points = np.array(value, dtype=float)
+            points = np.fromiter(flat, float, len(flat)).reshape(-1, 3)
             if (np.abs(points) <= MAX_MAGNITUDE).all():  # False for NaN
                 return points
     return np.stack(
@@ -240,6 +254,82 @@ def write_observation_file(
     write_json(path, observation_file_dict(target_K, source_K, observations))
 
 
+def _observation_from_dict(entry, where: str) -> LineObservation:
+    """One entry of an observation file, checked field by field."""
+    samples = _need(entry, "source_samples", where)
+    if not isinstance(samples, list) or len(samples) < 2:
+        raise SchemaError(f"{where}.source_samples: expected >= 2 points")
+    src = _points(samples, f"{where}.source_samples")
+    tgt_raw = _need(entry, "target_samples", where)
+    tgt = None
+    if tgt_raw is not None:
+        if not isinstance(tgt_raw, list) or len(tgt_raw) < 2:
+            raise SchemaError(f"{where}.target_samples: expected >= 2 points or null")
+        tgt = _points(tgt_raw, f"{where}.target_samples")
+    return LineObservation(
+        obs_id=_integer(_need(entry, "id", where), f"{where}.id"),
+        source_samples=src,
+        target_samples=tgt,
+        source_2d=_line2d_from_dict(
+            _need(entry, "source_2d", where), f"{where}.source_2d"
+        ),
+        target_2d=_line2d_from_dict(
+            _need(entry, "target_2d", where), f"{where}.target_2d"
+        ),
+    )
+
+
+def _observations_in_bulk(raw: list) -> list[LineObservation] | None:
+    """The entries of ``raw`` as :func:`_observation_from_dict` reads them,
+    checked and converted for the whole list at once; None when any check
+    fails, so that the walk can name the first bad field.
+
+    It accepts exactly the documents the walk accepts and returns equal
+    values: each kind of leaf gets one type test, and every sample and
+    endpoint is converted and bounded in one array.
+    """
+    try:
+        ids = [_integer(e["id"], "id") for e in raw]
+        src = [e["source_samples"] for e in raw]
+        tgt = [e["target_samples"] for e in raw]
+        lines = [e[key] for e in raw for key in ("source_2d", "target_2d")]
+        coeffs = _leaves([line["coeffs"] for line in lines], 3)
+        ends = _leaves([line["endpoints"] for line in lines], 2)
+    except (KeyError, TypeError, SchemaError):
+        return None
+    lists = src + [t for t in tgt if t is not None]
+    if not set(map(type, lists)) <= {list} or min(map(len, lists), default=2) < 2:
+        return None
+    points = _leaves(list(chain.from_iterable(lists)), 3)
+    ends = None if ends is None else _leaves(ends, 2)
+    if points is None or coeffs is None or ends is None:
+        return None
+    if not set(map(type, chain(points, ends, coeffs))) <= {float, int}:
+        return None
+    try:
+        bounded = np.fromiter(chain(points, ends), float, len(points) + len(ends))
+        coeffs = np.fromiter(coeffs, float, len(coeffs)).reshape(-1, 3)
+    except OverflowError:
+        return None
+    # The bound also rejects NaN, for which every comparison is False.
+    if not ((np.abs(bounded) <= MAX_MAGNITUDE).all() and np.isfinite(coeffs).all()):
+        return None
+    xyz = bounded[: len(points)].reshape(-1, 3)
+    ends = bounded[len(points) :].reshape(-1, 2, 2)
+    try:
+        lines = [Line2D(c, e) for c, e in zip(coeffs, ends)]
+    except ValueError:
+        return None
+    offsets = list(accumulate(map(len, lists), initial=0))
+    arrays = iter([xyz[a:b] for a, b in zip(offsets, offsets[1:])])
+    src = [next(arrays) for _ in src]
+    tgt = [None if t is None else next(arrays) for t in tgt]
+    return [
+        LineObservation(obs_id, s, t, lines[2 * i], lines[2 * i + 1])
+        for i, (obs_id, s, t) in enumerate(zip(ids, src, tgt))
+    ]
+
+
 def read_observation_file(
     path: str | Path,
 ) -> tuple[CameraIntrinsics, CameraIntrinsics, list[LineObservation]]:
@@ -253,32 +343,12 @@ def read_observation_file(
     raw = _need(data, "observations", "root")
     if not isinstance(raw, list):
         raise SchemaError("observations: expected a list")
-    observations = []
-    for i, entry in enumerate(raw):
-        where = f"observations[{i}]"
-        samples = _need(entry, "source_samples", where)
-        if not isinstance(samples, list) or len(samples) < 2:
-            raise SchemaError(f"{where}.source_samples: expected >= 2 points")
-        src = _points(samples, f"{where}.source_samples")
-        tgt_raw = _need(entry, "target_samples", where)
-        tgt = None
-        if tgt_raw is not None:
-            if not isinstance(tgt_raw, list) or len(tgt_raw) < 2:
-                raise SchemaError(f"{where}.target_samples: expected >= 2 points or null")
-            tgt = _points(tgt_raw, f"{where}.target_samples")
-        observations.append(
-            LineObservation(
-                obs_id=_integer(_need(entry, "id", where), f"{where}.id"),
-                source_samples=src,
-                target_samples=tgt,
-                source_2d=_line2d_from_dict(
-                    _need(entry, "source_2d", where), f"{where}.source_2d"
-                ),
-                target_2d=_line2d_from_dict(
-                    _need(entry, "target_2d", where), f"{where}.target_2d"
-                ),
-            )
-        )
+    observations = _observations_in_bulk(raw)
+    if observations is None:
+        observations = [
+            _observation_from_dict(entry, f"observations[{i}]")
+            for i, entry in enumerate(raw)
+        ]
     return target_K, source_K, observations
 
 
@@ -310,6 +380,8 @@ def write_calibration_file(path: str | Path, report: CalibrationReport) -> None:
 
 def read_calibration_file(path: str | Path) -> dict:
     data = load_json(path)
+    if not isinstance(data, dict):
+        raise SchemaError(f"{path}: expected a JSON object")
     out = dict(data)
     R = _matrix(_need(data, "rotation", "root"), 3, 3, "rotation")
     t = _vector(_need(data, "translation_m", "root"), 3, "translation_m")

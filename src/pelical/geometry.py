@@ -126,18 +126,20 @@ class Line2D:
     endpoints: np.ndarray
 
     def __post_init__(self) -> None:
-        l = np.asarray(self.coeffs, dtype=float).reshape(3)
-        ep = np.asarray(self.endpoints, dtype=float).reshape(2, 2)
-        n = math.hypot(l[0], l[1])
+        l = _readonly(self.coeffs).reshape(3)
+        ep = _readonly(self.endpoints).reshape(2, 2)
+        # The checks run on Python floats: numpy is slow on single 3-vectors.
+        a, b, c = l.tolist()
+        n = math.hypot(a, b)
         if n < 1e-12:
             raise ValueError("line coefficients are degenerate")
         if abs(n - 1.0) > 1e-9:
             raise ValueError("line coefficients must be normalized")
-        for uv in ep:
-            if abs(l @ np.array([uv[0], uv[1], 1.0])) >= 0.5:
+        for u, v in ep.tolist():
+            if abs(a * u + b * v + c) >= 0.5:
                 raise ValueError("endpoints must lie on the line (within 0.5 px)")
-        object.__setattr__(self, "coeffs", _readonly(l))
-        object.__setattr__(self, "endpoints", _readonly(ep))
+        object.__setattr__(self, "coeffs", l)
+        object.__setattr__(self, "endpoints", ep)
 
     @classmethod
     def from_endpoints(cls, p1: np.ndarray, p2: np.ndarray) -> "Line2D":

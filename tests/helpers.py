@@ -6,16 +6,19 @@ going through the simulator, so solver/selection tests do not depend on the
 modules they are meant to check.  The references at the end restate, one
 pair or one hypothesis at a time, formulas the package computes batched or
 stacked, so tests can compare the two; ``brute_force_roots`` is a
-grid-search oracle that certifies the closed-form solver.
+grid-search oracle that certifies the closed-form solver.  ``mutated`` is
+the hypothesis strategy that breaks valid documents for the reader fuzzes.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import replace
 
 import numpy as np
 import scipy.ndimage
 import scipy.optimize
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 from pelical import (
@@ -435,3 +438,47 @@ def brute_force_roots(system: QuadraticSystem) -> list[tuple[np.ndarray, float]]
         out.append((s, system.residual(s, tau)))
     out.sort(key=lambda item: (item[1], float(np.linalg.norm(item[0]))))
     return out
+
+
+# ---------------------------------------------------------------------------
+# fuzzing
+
+#: Replacement values for fuzzed documents: wrong types, wrong shapes,
+#: non-finite and huge numbers.  Huge integers stay far above any size an
+#: allocation could honour, so a missing bound fails at once.
+BAD_VALUES = st.sampled_from(
+    ["x", None, True, {}, [], [1.0, 2.0], float("nan"), float("inf"), -1e300, 1e300,
+     10**20, 10**400, -1, 0, 0.5]
+)
+
+
+@st.composite
+def mutated(draw, doc):
+    """``doc`` with one to three nodes replaced, deleted, wrapped in a list or
+    (lists only) truncated.  Each node is reached by a walk from the root that
+    stops at each level below the first with odds of one in four, so most
+    mutations reach a leaf, such as one sample coordinate, rather than a
+    whole field."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while (
+            isinstance(node, (dict, list))
+            and node
+            and (parent is None or draw(st.integers(0, 3)) > 0)
+        ):
+            parent = node
+            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+            node = parent[key]
+        if parent is None:
+            continue
+        op = draw(st.sampled_from(("value", "delete", "wrap", "truncate")))
+        if op == "delete":
+            del parent[key]
+        elif op == "wrap":
+            parent[key] = [node]
+        elif op == "truncate" and isinstance(node, list):
+            parent[key] = node[: draw(st.integers(0, max(0, len(node) - 1)))]
+        else:
+            parent[key] = copy.deepcopy(draw(BAD_VALUES))  # later mutations may edit it
+    return doc

@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import copy
 import csv
 import functools
 import io
@@ -42,7 +41,7 @@ from pelical.fileio import (
     write_observation_file,
 )
 
-from helpers import DEFAULT_K
+from helpers import DEFAULT_K, mutated
 
 
 @pytest.fixture(autouse=True)
@@ -72,42 +71,6 @@ def observation_file(tmp_path) -> Path:
     write_spec(spec_path, easy_spec(n_lines=8))
     assert main(["simulate", "--spec", str(spec_path), "--output", str(obs_path)]) == 0
     return obs_path
-
-
-#: Replacement values for fuzzed documents: wrong types, wrong shapes,
-#: non-finite and huge numbers.  Huge integers stay far above any size an
-#: allocation could honour, so a missing bound fails at once.
-BAD_VALUES = st.sampled_from(
-    ["x", None, True, {}, [], [1.0, 2.0], float("nan"), float("inf"), -1e300, 1e300,
-     10**20, 10**400, -1, 0, 0.5]
-)
-
-
-@st.composite
-def mutated(draw, doc):
-    """``doc`` with one to three nodes replaced, deleted, wrapped in a list or
-    (lists only) truncated.  Each node is reached by a walk from the root that
-    stops at every level with even odds, so a top-level field is hit far more
-    often than any one sample coordinate."""
-    doc = copy.deepcopy(doc)
-    for _ in range(draw(st.integers(1, 3))):
-        parent, key, node = None, None, doc
-        while isinstance(node, (dict, list)) and node and (parent is None or draw(st.booleans())):
-            parent = node
-            key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
-            node = parent[key]
-        if parent is None:
-            continue
-        op = draw(st.sampled_from(("value", "delete", "wrap", "truncate")))
-        if op == "delete":
-            del parent[key]
-        elif op == "wrap":
-            parent[key] = [node]
-        elif op == "truncate" and isinstance(node, list):
-            parent[key] = node[: draw(st.integers(0, max(0, len(node) - 1)))]
-        else:
-            parent[key] = copy.deepcopy(draw(BAD_VALUES))  # later mutations may edit it
-    return doc
 
 
 @functools.lru_cache(maxsize=None)
@@ -304,6 +267,23 @@ class TestCalibrate:
         )
         assert code == 1
         assert "byte offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b"\xff\xfe", "invalid UTF-8 at byte offset 0: invalid start byte"),
+            (b"[" * 200_000 + b"]" * 200_000, "invalid JSON: nested too deeply"),
+        ],
+        ids=["not-utf8", "deep-nesting"],
+    )
+    def test_unparsable_input_exits_1(self, tmp_path, capsys, content, message):
+        obs_path = tmp_path / "obs.json"
+        obs_path.write_bytes(content)
+        code = main(
+            ["calibrate", "--input", str(obs_path), "--output", str(tmp_path / "c.json")]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {obs_path}: {message}\n"
 
     def test_structureless_stream_exits_2_aborted(self, tmp_path, rng):
         # clouds with no dominant line direction never pass the inlier-ratio
@@ -571,6 +551,17 @@ class TestEvaluatePlanes:
         assert code == 1
         assert "source_points" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("root", [[1, 2], "abc"], ids=["list", "string"])
+    def test_non_object_transform_exits_1(self, tmp_path, capsys, root):
+        input_path, calib_path = tmp_path / "planes.json", tmp_path / "calib.json"
+        write_json(input_path, {"target_points": [[0, 0, 1]] * 3,
+                                "source_points": [[0, 0, 1]] * 3})
+        write_json(calib_path, root)
+        code = main(["evaluate-planes", "--input", str(input_path), "--transform",
+                     str(calib_path), "--output", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {calib_path}: expected a JSON object\n"
+
 
 class TestPoseErrors:
     def test_step_error_table(self, tmp_path):
@@ -682,10 +673,13 @@ def test_bad_plane_or_pose_input_exits_1(tmp_path, capsys, command, doc, field):
 
 class TestConsoleScript:
     def test_import_loads_no_scipy(self):
-        # the package depends on numpy only; scipy is a test dependency
+        # The package depends on numpy only: scipy is a test dependency, and
+        # a faster JSON parser or any other new import must not slip in.
+        # Modules that site loads at start-up (.pth hooks) are not pelical's.
         package_root = Path(pelical.__file__).resolve().parents[1]
-        code = ("import sys, pelical, pelical.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        code = ("import sys; before = set(sys.modules); import pelical, pelical.cli; "
+                "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+                " - set(sys.stdlib_module_names) - {'pelical'}))")
         proc = subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
@@ -693,7 +687,7 @@ class TestConsoleScript:
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "[]\n"
+        assert proc.stdout == "['numpy']\n"
 
     def test_module_entry_point(self, tmp_path, monkeypatch):
         spec_path, obs_path = tmp_path / "rig.json", tmp_path / "obs.json"

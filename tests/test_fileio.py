@@ -1,10 +1,15 @@
 """File format tests: canonical JSON writers, schema validation, sweep CSV."""
 
+import functools
 import json
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pelical import (
     Extrinsics,
@@ -19,9 +24,12 @@ from pelical import (
 from pelical.constraints import CaseKind
 from pelical.fileio import (
     SWEEP_COLUMNS,
+    _observation_from_dict,
+    _observations_in_bulk,
     calibration_file_dict,
     dumps_canonical,
     load_json,
+    observation_file_dict,
     read_calibration_file,
     read_observation_file,
     read_rig_spec,
@@ -36,7 +44,7 @@ from pelical.fileio import (
 )
 from pelical.pipeline import CalibrationReport
 
-from helpers import DEFAULT_K, make_observation, rand_truth
+from helpers import DEFAULT_K, make_observation, mutated, rand_truth
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +114,28 @@ class TestLoadJson:
     def test_missing_file(self, tmp_path):
         with pytest.raises(SchemaError, match="cannot read"):
             load_json(tmp_path / "nope.json")
+
+    def test_offset_counts_bytes(self, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_bytes('{"a": "\u00e9\u00e9",'.encode())  # 13 bytes, 11 characters
+        with pytest.raises(SchemaError, match="byte offset 13"):
+            load_json(path)
+
+    def test_non_utf8_reports_byte_offset(self, tmp_path):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b'{"a": 1}\xff\xfe')
+        with pytest.raises(
+            SchemaError, match=f"^{re.escape(str(path))}: invalid UTF-8 at byte offset 8: "
+        ):
+            load_json(path)
+
+    def test_deep_nesting_names_the_file(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 200_000 + "]" * 200_000)
+        with pytest.raises(
+            SchemaError, match=f"^{re.escape(str(path))}: invalid JSON: nested too deeply$"
+        ):
+            load_json(path)
 
 
 class TestObservationFile:
@@ -221,6 +251,143 @@ class TestObservationFile:
             read_observation_file(path)
 
 
+@functools.lru_cache(maxsize=None)
+def observation_text() -> str:
+    """A valid observation file of three FULL3D lines and one PnL line."""
+    rng = np.random.default_rng(5)
+    truth = rand_truth(rng)
+    kinds = [CaseKind.FULL3D] * 3 + [CaseKind.PNL]
+    obs = [make_observation(rng, truth, k, obs_id=i, n_samples=6) for i, k in enumerate(kinds)]
+    return dumps_canonical(observation_file_dict(DEFAULT_K, DEFAULT_K, obs))
+
+
+def walk(raw: list) -> list:
+    """The observations as the field-by-field walk reads them."""
+    return [_observation_from_dict(e, f"observations[{i}]") for i, e in enumerate(raw)]
+
+
+def outcome(read):
+    """``read()`` and None, or None and the message of its SchemaError."""
+    try:
+        return read(), None
+    except SchemaError as exc:
+        return None, str(exc)
+
+
+def assert_same_observations(got: list, want: list) -> None:
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g.obs_id) is type(w.obs_id) and g.obs_id == w.obs_id
+        pairs = [(g.source_samples, w.source_samples), (g.target_samples, w.target_samples)]
+        for a, b in (("source_2d", "coeffs"), ("source_2d", "endpoints"),
+                     ("target_2d", "coeffs"), ("target_2d", "endpoints")):
+            pairs.append((getattr(getattr(g, a), b), getattr(getattr(w, a), b)))
+        for x, y in pairs:
+            if y is None:
+                assert x is None
+            else:
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def read_three_ways(observations: list) -> tuple:
+    """The observation file of :func:`observation_text` with the list
+    ``observations``, read by ``read_observation_file``, by the walk and by
+    the bulk path, each from the same loaded document."""
+    doc = {**json.loads(observation_text()), "observations": observations}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obs.json"
+        path.write_text(json.dumps(doc))  # keeps NaN and huge integers
+        raw = load_json(path)["observations"]
+        read = outcome(lambda: read_observation_file(path)[2])
+    return read, outcome(lambda: walk(raw)), _observations_in_bulk(raw)
+
+
+def off_line(observations: list) -> list:
+    """The first source endpoint of observation 3 moved 10 px off its line."""
+    line = observations[3]["source_2d"]
+    (a, b, _), (u, v) = line["coeffs"], line["endpoints"][0]
+    return [u + 10.0 * a, v + 10.0 * b]
+
+
+class TestBulkRead:
+    """The whole-file bulk check accepts what the walk accepts, returns the
+    same values, and leaves every error to the walk."""
+
+    def test_valid_file_takes_the_bulk_path(self):
+        (read, _), (walked, error), bulk = read_three_ways(
+            json.loads(observation_text())["observations"]
+        )
+        assert error is None and bulk is not None
+        assert_same_observations(bulk, walked)
+        assert_same_observations(read, walked)
+
+    @pytest.mark.parametrize(
+        "path, value, where, message",
+        [
+            ((1, "source_samples", 2, 0), True, "observations[1].source_samples[2]",
+             "expected a number"),
+            ((1, "source_samples", 2, 0), "1.0", "observations[1].source_samples[2]",
+             "expected a number"),
+            ((1, "source_samples", 2, 0), None, "observations[1].source_samples[2]",
+             "expected a number"),
+            ((1, "source_samples", 2, 1), float("nan"), "observations[1].source_samples[2]",
+             "expected a finite number"),
+            ((0, "target_samples", 4, 2), 10**400, "observations[0].target_samples[4]",
+             "expected a finite number"),
+            ((0, "target_samples", 4, 2), 1e300, "observations[0].target_samples[4]",
+             "magnitude exceeds 1e+06"),
+            ((1, "source_samples", 2), [1.0, 2.0], "observations[1].source_samples[2]",
+             "expected a list of 3 numbers"),
+            ((1, "source_samples", 2, 0), [1.0], "observations[1].source_samples[2]",
+             "expected a number"),
+            ((2, "id"), 1.5, "observations[2].id", "expected an integer"),
+            ((2, "id"), True, "observations[2].id", "expected a number"),
+            ((0, "target_2d", "coeffs", 1), float("nan"), "observations[0].target_2d.coeffs",
+             "expected a finite number"),
+            ((0, "target_2d", "coeffs"), [1.0, 1.0, 0.0], "observations[0].target_2d",
+             "line coefficients must be normalized"),
+            ((3, "source_2d", "endpoints", 0), off_line, "observations[3].source_2d",
+             "endpoints must lie on the line (within 0.5 px)"),
+            ((3, "target_2d", "endpoints", 1, 0), 2e6, "observations[3].target_2d.endpoints[1]",
+             "magnitude exceeds 1e+06"),
+        ],
+        ids=["true", "string", "null", "nan", "huge-int", "1e300", "two-element-point",
+             "nested-list", "fractional-id", "boolean-id", "nan-coefficient",
+             "unnormalized", "off-line-endpoint", "huge-endpoint"],
+    )
+    def test_bad_leaf_falls_back_to_the_walk(self, path, value, where, message):
+        observations = json.loads(observation_text())["observations"]
+        node = observations
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value(observations) if callable(value) else value
+        (_, read_error), (_, walk_error), bulk = read_three_ways(observations)
+        assert bulk is None
+        assert read_error == walk_error == f"{where}: {message}"
+
+    @pytest.mark.parametrize("value", [3.0, 1e300, 10**20], ids=["float", "1e300", "10**20"])
+    def test_whole_float_or_large_id_takes_the_bulk_path(self, value):
+        # the walk accepts any whole number as an id, so the bulk path must too
+        observations = json.loads(observation_text())["observations"]
+        observations[2]["id"] = value
+        (read, _), (walked, error), bulk = read_three_ways(observations)
+        assert error is None and bulk is not None
+        assert bulk[2].obs_id == int(value)
+        assert_same_observations(bulk, walked)
+        assert_same_observations(read, walked)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_observations_read_as_the_walk_reads_them(self, data):
+        observations = data.draw(mutated(json.loads(observation_text())["observations"]))
+        (read, read_error), (walked, walk_error), bulk = read_three_ways(observations)
+        assert (bulk is not None) == (walk_error is None)
+        assert read_error == walk_error
+        if walk_error is None:
+            assert_same_observations(bulk, walked)
+            assert_same_observations(read, walked)
+
+
 class TestCalibrationFile:
     def test_two_writes_are_byte_identical(self, tmp_path, report):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -265,6 +432,13 @@ class TestCalibrationFile:
         doc["termination"] = "bogus"
         write_json(path, doc)
         with pytest.raises(SchemaError, match="termination"):
+            read_calibration_file(path)
+
+    @pytest.mark.parametrize("root", [[1, 2], "abc"], ids=["list", "string"])
+    def test_non_object_root_rejected(self, tmp_path, root):
+        path = tmp_path / "calib.json"
+        write_json(path, root)
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: expected a JSON object$"):
             read_calibration_file(path)
 
     def test_bad_rotation_shape_rejected(self, tmp_path, report):
