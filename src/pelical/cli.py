@@ -43,11 +43,14 @@ def _env_seed() -> int | None:
         raise SchemaError(f"{_ENV_SEED} must be an integer, got {raw!r}") from exc
 
 
-def _float_list(text: str) -> list[float]:
+def _float_list(text: str, flag: str) -> list[float]:
+    """The comma-separated numbers of ``flag``, each finite and of magnitude
+    at most ``fileio.MAX_MAGNITUDE``."""
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
-        raise SchemaError(f"expected comma-separated numbers, got {text!r}") from exc
+        raise SchemaError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
+    return [fileio._number(v, flag, fileio.MAX_MAGNITUDE) for v in values]
 
 
 def _checked(where: str, build):
@@ -120,15 +123,13 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    rotations = _float_list(args.rotations, "--rotations")
+    baselines = _float_list(args.baselines, "--baselines")
+    if args.seeds < 1:
+        raise SchemaError(f"--seeds: must be at least 1, got {args.seeds}")
     base = _rig_spec(args)
     cfg = _pipeline_config(args)
-    rows, _ = sweep(
-        base,
-        _float_list(args.rotations),
-        _float_list(args.baselines),
-        n_seeds=args.seeds,
-        pipeline_cfg=cfg,
-    )
+    rows, _ = sweep(base, rotations, baselines, n_seeds=args.seeds, pipeline_cfg=cfg)
     fileio.write_sweep_csv(args.output, rows)
     if rows and not any(row["converged"] for row in rows):
         return 2
@@ -145,6 +146,8 @@ def _point_list(data: dict, key: str, count: int, exact: bool = False) -> np.nda
 
 
 def _cmd_evaluate_planes(args) -> int:
+    if not fileio._number(args.square_mm, "--square-mm") > 0:
+        raise SchemaError("--square-mm: must be positive")
     data = fileio.load_json(args.input)
     calib = fileio.read_calibration_file(args.transform)
     if not isinstance(data, dict):
@@ -194,6 +197,8 @@ def _cmd_evaluate_planes(args) -> int:
 
 
 def _cmd_pose_errors(args) -> int:
+    fileio._number(args.step_rot_deg, "--step-rot-deg")
+    fileio._number(args.step_trans_cm, "--step-trans-cm")
     data = fileio.load_json(args.input)
     raw_groups = data.get("groups") if isinstance(data, dict) else None
     if not isinstance(raw_groups, list):

@@ -383,8 +383,8 @@ def read_calibration_file(path: str | Path) -> dict:
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     out = dict(data)
-    R = _matrix(_need(data, "rotation", "root"), 3, 3, "rotation")
-    t = _vector(_need(data, "translation_m", "root"), 3, "translation_m")
+    R = _matrix(_need(data, "rotation", "root"), 3, 3, "rotation", MAX_MAGNITUDE)
+    t = _vector(_need(data, "translation_m", "root"), 3, "translation_m", MAX_MAGNITUDE)
     try:
         out["extrinsics"] = Extrinsics(R, t)
     except ValueError as exc:

@@ -102,9 +102,12 @@ class PluckerLine:
     def __post_init__(self) -> None:
         d = np.asarray(self.d, dtype=float).reshape(3)
         m = np.asarray(self.m, dtype=float).reshape(3)
-        if abs(np.linalg.norm(d) - 1.0) > _UNIT_TOL:
+        # Each check is written so that NaN fails it.
+        if not abs(np.linalg.norm(d) - 1.0) <= _UNIT_TOL:
             raise ValueError("direction must be unit length")
-        if abs(float(d @ m)) > _UNIT_TOL:
+        if not np.isfinite(m).all():
+            raise ValueError("moment must be finite")
+        if not abs(float(d @ m)) <= _UNIT_TOL:
             raise ValueError("moment must be orthogonal to direction")
         object.__setattr__(self, "d", _readonly(d))
         object.__setattr__(self, "m", _readonly(m))
@@ -129,14 +132,15 @@ class Line2D:
         l = _readonly(self.coeffs).reshape(3)
         ep = _readonly(self.endpoints).reshape(2, 2)
         # The checks run on Python floats: numpy is slow on single 3-vectors.
+        # Each is written so that NaN fails it.
         a, b, c = l.tolist()
         n = math.hypot(a, b)
-        if n < 1e-12:
+        if not n >= 1e-12:
             raise ValueError("line coefficients are degenerate")
-        if abs(n - 1.0) > 1e-9:
+        if not abs(n - 1.0) <= 1e-9:
             raise ValueError("line coefficients must be normalized")
         for u, v in ep.tolist():
-            if abs(a * u + b * v + c) >= 0.5:
+            if not abs(a * u + b * v + c) < 0.5:
                 raise ValueError("endpoints must lie on the line (within 0.5 px)")
         object.__setattr__(self, "coeffs", l)
         object.__setattr__(self, "endpoints", ep)
@@ -176,10 +180,13 @@ class Extrinsics:
     def __post_init__(self) -> None:
         R = np.asarray(self.rotation, dtype=float).reshape(3, 3)
         t = np.asarray(self.translation, dtype=float).reshape(3)
-        if np.linalg.norm(R.T @ R - np.eye(3)) > 1e-9:
+        # Each check is written so that NaN fails it.
+        if not (np.isfinite(R).all() and np.linalg.norm(R.T @ R - np.eye(3)) <= 1e-9):
             raise ValueError("rotation must be orthonormal")
-        if abs(np.linalg.det(R) - 1.0) > 1e-9:
+        if not abs(np.linalg.det(R) - 1.0) <= 1e-9:
             raise ValueError("rotation must have determinant +1")
+        if not np.isfinite(t).all():
+            raise ValueError("translation must be finite")
         object.__setattr__(self, "rotation", _readonly(R))
         object.__setattr__(self, "translation", _readonly(t))
 

@@ -187,39 +187,23 @@ def candidate_from_pnl(
     P = line_projection_matrix(K_t)
     K = K_t.camera_matrix
     Rd = R @ c.source_line.d
-    Rm = R @ c.source_line.m
-
-    base_rows: list[np.ndarray] = []
-    base_vals: list[float] = []
-
-    def push(rows: list, vals: list, n: np.ndarray, r: float) -> None:
-        scale = np.linalg.norm(n)
-        if scale < 1e-12:
-            return
-        rows.append(n / scale)
-        vals.append(r / scale)
-
-    for uv in ep:
-        x_h = np.array([uv[0], uv[1], 1.0])
-        push(base_rows, base_vals, cross3(Rd, P.T @ x_h), -float(x_h @ (P @ Rm)))
+    PRm = P @ (R @ c.source_line.m)
+    x_h = [np.array([uv[0], uv[1], 1.0]) for uv in ep]
+    S = [skew(x) for x in x_h]
+    # The rows do not depend on the endpoint ordering; only the values do.
+    rows = np.stack([cross3(Rd, P.T @ x) for x in x_h] + [r for Sx in S for r in Sx @ K])
+    moments = [-float(x @ PRm) for x in x_h]
+    scale = row_norms(rows)
+    keep = ~(scale < 1e-12)
+    A = rows[keep] / scale[keep, None]
+    sv = np.linalg.svd(A, compute_uv=False)
+    if sv[2] < 1e-9 * max(1.0, sv[0]):
+        raise ParallelPlanes("endpoint planes are degenerate")
 
     best: tuple[float, np.ndarray] | None = None
-    for order in ((0, 1), (1, 0)):
-        rows = list(base_rows)
-        vals = list(base_vals)
-        picked = c.source_endpoints[list(order)]
-        for uv, X in zip(ep, picked):
-            x_h = np.array([uv[0], uv[1], 1.0])
-            S = skew(x_h)
-            lhs = S @ K
-            rhs = -S @ (K @ (R @ X))
-            for i in range(3):
-                push(rows, vals, lhs[i], float(rhs[i]))
-        A = np.stack(rows)
-        b = np.asarray(vals)
-        sv = np.linalg.svd(A, compute_uv=False)
-        if sv[2] < 1e-9 * max(1.0, sv[0]):
-            continue
+    for picked in (c.source_endpoints, c.source_endpoints[::-1]):
+        transfers = [-Sx @ (K @ (R @ X)) for Sx, X in zip(S, picked)]
+        b = np.concatenate([moments, *transfers])[keep] / scale[keep]
         sol, *_ = np.linalg.lstsq(A, b, rcond=None)
         # the swapped ordering is often algebraically consistent too (the
         # endpoint rays and the line direction are coplanar), but it places

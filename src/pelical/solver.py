@@ -10,7 +10,6 @@ SO(3) x R^3.
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 from dataclasses import dataclass
@@ -211,9 +210,9 @@ def solve_quadratic_system(system: QuadraticSystem) -> PoseSolution:
     entries.  Every candidate is Gauss-Newton polished; the root with the
     smallest ``||A r + B tau||_2`` wins, with exact ties broken by the
     smaller ``|s|``, and must pass a sanity floor set by the smallest
-    singular value.  Only when no null-vector start is usable or their
-    winner fails the floor is a fixed 27-point multi-start lattice polished
-    as well, and the winner picked and checked again over all candidates.
+    singular value, or NoRealSolution is raised.  The floor rejects the
+    structurally underdetermined sets (e.g. two FULL3D and two PnL pairs),
+    where no other start would help either.
     """
     G, tau_map = eliminate_translation(system)
     # Reduce to a square triangular factor: ||G r|| == ||R r||.
@@ -226,17 +225,7 @@ def solve_quadratic_system(system: QuadraticSystem) -> PoseSolution:
         for v in Vt[-3:][::-1]
         if abs(v[9]) > 1e-6 * np.linalg.norm(v)
     ]
-    try:
-        scored = _select(system, tau_map, polished, sing[-1], scale)
-    except NoRealSolution:
-        # Fallback: the null-vector roots are unusable (near-degenerate
-        # geometry); sweep a coarse deterministic lattice as well.
-        polished += [
-            _polish_root(G_reduced, np.array(s0))
-            for s0 in itertools.product((-1.0, 0.0, 1.0), repeat=3)
-        ]
-        scored = _select(system, tau_map, polished, sing[-1], scale)
-
+    scored = _select(system, tau_map, polished, sing[-1], scale)
     best_res, _, s_best, tau_best = scored[0]
     ss = float(s_best @ s_best)
     t = tau_best / (1.0 + ss)
@@ -331,13 +320,13 @@ def refine(
 
     R = np.array(initial.extrinsics.rotation)
     t = np.array(initial.extrinsics.translation)
-    e, _ = _stack_residuals(correspondences, K_t, R, t, w, with_jacobian=False)
-    cost = float(e @ e)
     lam = cfg.lm_initial_damping
     converged = False
 
-    for _ in range(cfg.max_lm_iterations):
+    for k in range(cfg.max_lm_iterations):
         e, J = _stack_residuals(correspondences, K_t, R, t, w, with_jacobian=True)
+        if k == 0:  # the start; later costs come from the accepted steps
+            cost = float(e @ e)
         g = J.T @ e
         JtJ = J.T @ J
         accepted = False

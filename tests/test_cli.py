@@ -562,6 +562,22 @@ class TestEvaluatePlanes:
         assert code == 1
         assert capsys.readouterr().err == f"error: {calib_path}: expected a JSON object\n"
 
+    @pytest.mark.parametrize(
+        "field, value, where",
+        [("translation_m", [-1e300, 0.0, 0.0], "translation_m"),
+         ("rotation", [[1e300, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], "rotation[0]")],
+        ids=["translation", "rotation"],
+    )
+    def test_huge_transform_exits_1(self, tmp_path, capsys, field, value, where):
+        # a translation of 1e300 once overflowed in the metrics with a
+        # RuntimeWarning (found by test_fuzzed_plane_documents_never_traceback)
+        docs = plane_documents()
+        docs["transform"][field] = value
+        code, err, runtime = run_fuzzed(docs, lambda paths, tmp: [
+            "evaluate-planes", "--input", str(paths["input"]), "--transform",
+            str(paths["transform"]), "--output", str(tmp / "m.json")])
+        assert (code, err, runtime) == (1, f"error: {where}: magnitude exceeds 1e+06\n", [])
+
 
 class TestPoseErrors:
     def test_step_error_table(self, tmp_path):
@@ -669,6 +685,92 @@ def test_bad_plane_or_pose_input_exits_1(tmp_path, capsys, command, doc, field):
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field}") and err.count("\n") == 1
+
+
+def plane_documents() -> dict:
+    """Valid ``evaluate-planes`` documents: a plane input with corners and a
+    calibration file."""
+    T = Extrinsics(rotation_about_y(10.0), np.array([0.2, 0.0, 0.0]))
+    return {
+        "input": {**BOARD, **CORNERS, "squares_per_row": 6},
+        "transform": {**extrinsics_to_dict(T), "termination": "converged"},
+    }
+
+
+def pose_document() -> dict:
+    """A valid ``pose-errors`` document with a rotation and a translation series."""
+    return {"groups": [
+        {"name": "yaw", "vary": "rotation", "poses": [
+            extrinsics_to_dict(Extrinsics(rotation_about_y(a), np.zeros(3))) for a in (0, 20, 40)]},
+        {"name": "slide", "vary": "translation", "poses": [
+            extrinsics_to_dict(Extrinsics(np.eye(3), np.array([x, 0.0, 0.0])))
+            for x in (0.0, 0.05)]},
+    ]}
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_plane_documents_never_traceback(data):
+    which = data.draw(st.sampled_from(("input", "transform", "both")))
+    docs = {
+        name: data.draw(mutated(doc)) if which in (name, "both") else doc
+        for name, doc in plane_documents().items()
+    }
+    code, err, runtime = run_fuzzed(docs, lambda paths, tmp: [
+        "evaluate-planes", "--input", str(paths["input"]), "--transform",
+        str(paths["transform"]), "--output", str(tmp / "m.json")])
+    assert_clean_exit(code, err)
+    assert runtime == []
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_pose_document_never_tracebacks(data):
+    doc = data.draw(mutated(pose_document()))
+    code, err, runtime = run_fuzzed({"poses": doc}, lambda paths, tmp: [
+        "pose-errors", "--input", str(paths["poses"]), "--output", str(tmp / "e.csv")])
+    assert_clean_exit(code, err)
+    assert runtime == []
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep", "--rotations", "nan", "--baselines", "0.3"],
+         "--rotations: expected a finite number"),
+        (["sweep", "--rotations", "20", "--baselines", "0.3,inf"],
+         "--baselines: expected a finite number"),
+        (["sweep", "--rotations", "20", "--baselines", "1e300"],
+         "--baselines: magnitude exceeds 1e+06"),
+        (["sweep", "--rotations", "20", "--baselines", "0.3", "--seeds", "-2"],
+         "--seeds: must be at least 1, got -2"),
+        (["sweep", "--rotations", "20", "--baselines", "0.3", "--seeds", "0"],
+         "--seeds: must be at least 1, got 0"),
+        (["pose-errors", "--step-rot-deg", "nan"], "--step-rot-deg: expected a finite number"),
+        (["pose-errors", "--step-trans-cm=-inf"], "--step-trans-cm: expected a finite number"),
+        (["evaluate-planes", "--square-mm", "nan"], "--square-mm: expected a finite number"),
+        (["evaluate-planes", "--square-mm", "-5"], "--square-mm: must be positive"),
+    ],
+    ids=["nan-rotation", "inf-baseline", "huge-baseline", "negative-seeds", "zero-seeds",
+         "nan-step-rot", "inf-step-trans", "nan-square", "negative-square"],
+)
+def test_bad_numeric_flag_exits_1(tmp_path, capsys, argv, message):
+    # these once printed RuntimeWarnings and wrote NaN rows, or a header-only
+    # table, or nan / null errors, and exited 0 or 2
+    command, out = argv[0], tmp_path / "out"
+    spec_path, input_path, calib_path = (tmp_path / f"{n}.json" for n in ("rig", "in", "calib"))
+    write_spec(spec_path, easy_spec())
+    planes = plane_documents()
+    write_json(input_path, planes["input"] if command == "evaluate-planes" else pose_document())
+    write_json(calib_path, planes["transform"])
+    files = {
+        "sweep": ["--spec", str(spec_path)],
+        "pose-errors": ["--input", str(input_path)],
+        "evaluate-planes": ["--input", str(input_path), "--transform", str(calib_path)],
+    }[command]
+    assert main([*argv, *files, "--output", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
 
 
 class TestConsoleScript:

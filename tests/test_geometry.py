@@ -282,6 +282,49 @@ class TestSmallTypes:
         with pytest.raises(ValueError):
             Line2D(np.array([1.0, 0.0, 0.0]), np.array([[5.0, 0.0], [5.0, 1.0]]))
 
+    # Comparisons such as ``x > tol`` are False for NaN, so each invariant
+    # check must be written to fail on it.
+    @pytest.mark.parametrize(
+        "rotation, translation, message",
+        [
+            (np.full((3, 3), np.nan), np.zeros(3), "orthonormal"),
+            (np.diag([1.0, np.inf, 1.0]), np.zeros(3), "orthonormal"),
+            (np.eye(3), [np.inf, 0.0, 0.0], "translation must be finite"),
+            (np.eye(3), [0.0, np.nan, 0.0], "translation must be finite"),
+        ],
+        ids=["nan-rotation", "inf-rotation", "inf-translation", "nan-translation"],
+    )
+    def test_extrinsics_rejects_non_finite(self, rotation, translation, message):
+        with pytest.raises(ValueError, match=message):
+            Extrinsics(rotation, translation)
+
+    @pytest.mark.parametrize(
+        "d, m, message",
+        [
+            ([np.nan] * 3, [0.0, 0.0, 0.0], "unit length"),
+            ([1.0, 0.0, 0.0], [0.0, np.nan, 0.0], "moment must be finite"),
+            ([1.0, 0.0, 0.0], [0.0, np.inf, 0.0], "moment must be finite"),
+        ],
+        ids=["nan-direction", "nan-moment", "inf-moment"],
+    )
+    def test_plucker_rejects_non_finite(self, d, m, message):
+        with pytest.raises(ValueError, match=message):
+            PluckerLine(d, m)
+
+    @pytest.mark.parametrize(
+        "coeffs, endpoints, message",
+        [
+            ([np.nan] * 3, [[0.0, 0.0], [1.0, 1.0]], "degenerate"),
+            ([np.inf, 0.0, 0.0], [[0.0, 0.0], [0.0, 1.0]], "normalized"),
+            ([1.0, 0.0, np.nan], [[0.0, 0.0], [0.0, 1.0]], "on the line"),
+            ([1.0, 0.0, 0.0], [[0.0, np.nan], [0.0, 1.0]], "on the line"),
+        ],
+        ids=["nan-coeffs", "inf-coeff", "nan-offset", "nan-endpoint"],
+    )
+    def test_line2d_rejects_non_finite(self, coeffs, endpoints, message):
+        with pytest.raises(ValueError, match=message):
+            Line2D(coeffs, endpoints)
+
     def test_intrinsics_project(self, intrinsics):
         uv = intrinsics.project(np.array([0.0, 0.0, 2.0]))
         assert_allclose(uv, [intrinsics.cx, intrinsics.cy], atol=1e-12)
