@@ -1,8 +1,8 @@
 """Command line interface.
 
 Subcommands: simulate, sweep, calibrate, evaluate-planes, pose-errors.
-Exit codes: 0 on success/convergence, 1 on I/O or schema errors, 2 when a
-run finished without converging (or a rig spec was infeasible).
+Exit codes: 0 on success/convergence, 1 on I/O, schema or usage errors, 2
+when a run finished without converging (or a rig spec was infeasible).
 
 Seeding precedence: built-in defaults < command line flags < --config file
 < the PELICAL_SEED environment variable (seed only).
@@ -232,12 +232,20 @@ def _cmd_pose_errors(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors exit 1 with a one-line ``error:``, like
+    every other bad input, and not 2, which means a run did not converge."""
+
+    def error(self, message: str):
+        self.exit(1, f"error: {message}\n")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command line parser.  It is built on the first call and shared by
     later ones, so repeated in-process ``main`` calls skip the argparse
     set-up; callers must not modify it."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pelical",
         description="Line-based extrinsic calibration for RGB-D camera pairs.",
     )

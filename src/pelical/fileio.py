@@ -10,6 +10,7 @@ byte offset, for malformed JSON).
 from __future__ import annotations
 
 import contextlib
+import functools
 import json
 import math
 from itertools import accumulate, chain
@@ -24,7 +25,32 @@ from .pipeline import CalibrationReport, LineObservation
 from .simulator import GroundTruthRecord, RigSpec
 
 
+@functools.lru_cache(maxsize=64)
+def _block_template(rows: int, cols: int) -> str:
+    """The ``%`` template of ``rows`` floats or, when ``cols`` is positive,
+    of ``rows`` lists of ``cols`` floats."""
+    row = "[" + ",".join(["%.17g"] * (cols or rows)) + "]"
+    return "[" + ",".join([row] * rows) + "]" if cols else row
+
+
+def _float_block(value: list) -> str | None:
+    """``value`` in canonical form, formatted with one ``%``, when it is a
+    non-empty list of finite floats or of equal-length lists of them; None
+    otherwise, and the walk in :func:`_canon` writes it."""
+    if set(map(type, value)) == {list} and len(set(map(len, value))) == 1:
+        cols, flat = len(value[0]), list(chain.from_iterable(value))
+    else:
+        cols, flat = 0, value
+    if not flat or set(map(type, flat)) != {float}:
+        return None
+    text = _block_template(len(value), cols) % tuple(flat)
+    # "%.17g" spells NaN and the infinities with an "n"; the walk writes null.
+    return None if "n" in text else text
+
+
 def _canon(value) -> str:
+    if type(value) is list and (block := _float_block(value)) is not None:
+        return block
     if isinstance(value, bool) or isinstance(value, np.bool_):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):

@@ -35,6 +35,11 @@ _MAX_REJECTS = 10_000
 #: a stream holds (n_lines x samples_per_line) of them.
 _MAX_COUNT = 10_000
 _MAX_POINTS = 100_000
+#: Points along a segment at which its visibility in an image is tested.
+_GRID = np.linspace(0.0, 1.0, 257)
+
+#: A segment's visible part in an image, as a parameter range along a->b.
+Interval = tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -118,39 +123,34 @@ def _random_pixel(K: CameraIntrinsics, rng: np.random.Generator) -> np.ndarray:
 
 
 def _visible_interval(
-    a: np.ndarray, b: np.ndarray, K: CameraIntrinsics, grid: int = 257
-) -> tuple[float, float] | None:
+    a: np.ndarray, b: np.ndarray, K: CameraIntrinsics
+) -> Interval | None:
     """Parameter range of segment a->b whose projection stays inside the image.
 
     Requires the projected sub-segment to span at least _MIN_SEGMENT_PX.
     """
-    lam = np.linspace(0.0, 1.0, grid)
-    pts = a[None, :] + lam[:, None] * (b - a)[None, :]
+    pts = a[None, :] + _GRID[:, None] * (b - a)[None, :]
     z = pts[:, 2]
     front = z > _MIN_DEPTH
-    uv = np.full((grid, 2), np.nan)
-    uv[front, 0] = K.fx * pts[front, 0] / z[front] + K.cx
-    uv[front, 1] = K.fy * pts[front, 1] / z[front] + K.cy
-    inside = (
-        front
-        & (uv[:, 0] >= 0)
-        & (uv[:, 0] <= K.width - 1)
-        & (uv[:, 1] >= 0)
-        & (uv[:, 1] <= K.height - 1)
-    )
-    if inside.sum() < 2:
-        return None
+    # Points behind the camera get a harmless depth; the mask drops them.
+    z = np.where(front, z, 1.0)
+    u = K.fx * pts[:, 0] / z + K.cx
+    v = K.fy * pts[:, 1] / z + K.cy
+    inside = front & (u >= 0) & (u <= K.width - 1) & (v >= 0) & (v <= K.height - 1)
     idx = np.flatnonzero(inside)
-    lo, hi = int(idx[0]), int(idx[-1])
-    if np.linalg.norm(uv[hi] - uv[lo]) < _MIN_SEGMENT_PX:
+    if len(idx) < 2:
         return None
-    return float(lam[lo]), float(lam[hi])
+    lo, hi = idx[0], idx[-1]
+    if np.linalg.norm([u[hi] - u[lo], v[hi] - v[lo]]) < _MIN_SEGMENT_PX:
+        return None
+    return float(_GRID[lo]), float(_GRID[hi])
 
 
 def _sample_segment(
     spec: RigSpec, rng: np.random.Generator, budget: _RejectBudget
-) -> tuple[np.ndarray, np.ndarray]:
-    """One 3D segment (source frame) visible in both cameras."""
+) -> tuple[np.ndarray, np.ndarray, Interval, Interval]:
+    """One 3D segment (source frame) visible in both cameras, with its
+    visible intervals in the source and the target image."""
     K_s, K_t = spec.source_intrinsics, spec.target_intrinsics
     T = spec.truth
     # First try free-floating segments inside the source frustum; if the rig
@@ -162,36 +162,44 @@ def _sample_segment(
         direction /= np.linalg.norm(direction)
         half = 0.5 * rng.uniform(*spec.line_length_m)
         a, b = mid - half * direction, mid + half * direction
-        if _segment_ok(a, b, spec):
-            return a, b
+        if seen := _seen_by_both(a, b, spec):
+            return a, b, *seen
         budget.spend()
+    to_source = T.inverse()
     while True:
         p = _backproject(K_s, _random_pixel(K_s, rng), rng.uniform(*spec.scene_depth_m))
         q_t = _backproject(K_t, _random_pixel(K_t, rng), rng.uniform(*spec.scene_depth_m))
-        q = T.inverse().transform_point(q_t)
+        q = to_source.transform_point(q_t)
         span = q - p
         if np.linalg.norm(span) < 0.05:
             budget.spend()
             continue
         a, b = p - 0.05 * span, q + 0.05 * span
-        if _segment_ok(a, b, spec):
-            return a, b
+        if seen := _seen_by_both(a, b, spec):
+            return a, b, *seen
         budget.spend()
 
 
-def _segment_ok(a: np.ndarray, b: np.ndarray, spec: RigSpec) -> bool:
-    if _visible_interval(a, b, spec.source_intrinsics) is None:
-        return False
+def _seen_by_both(
+    a: np.ndarray, b: np.ndarray, spec: RigSpec
+) -> tuple[Interval, Interval] | None:
+    """The visible intervals of a->b (source frame) in the source and the
+    target image, or None when either camera does not see it."""
+    source = _visible_interval(a, b, spec.source_intrinsics)
+    if source is None:
+        return None
     a_t = spec.truth.transform_point(a)
     b_t = spec.truth.transform_point(b)
-    return _visible_interval(a_t, b_t, spec.target_intrinsics) is not None
+    target = _visible_interval(a_t, b_t, spec.target_intrinsics)
+    return None if target is None else (source, target)
 
 
 def _target_only_segment(
     spec: RigSpec, rng: np.random.Generator, budget: _RejectBudget
-) -> tuple[np.ndarray, np.ndarray]:
-    """A segment (target frame) visible in the target camera only -- used to
-    manufacture mismatched (outlier) target observations."""
+) -> tuple[np.ndarray, np.ndarray, Interval]:
+    """A segment (target frame) visible in the target camera only, with its
+    visible interval -- used to manufacture mismatched (outlier) target
+    observations."""
     K_t = spec.target_intrinsics
     while True:
         mid = _backproject(K_t, _random_pixel(K_t, rng), rng.uniform(*spec.scene_depth_m))
@@ -199,8 +207,8 @@ def _target_only_segment(
         direction /= np.linalg.norm(direction)
         half = 0.5 * rng.uniform(*spec.line_length_m)
         a, b = mid - half * direction, mid + half * direction
-        if _visible_interval(a, b, K_t) is not None:
-            return a, b
+        if (seen := _visible_interval(a, b, K_t)) is not None:
+            return a, b, seen
         budget.spend()
 
 
@@ -208,12 +216,14 @@ def _noisy_view(
     a: np.ndarray,
     b: np.ndarray,
     K: CameraIntrinsics,
+    seen: Interval,
     spec: RigSpec,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, Line2D]:
     """Sample noisy 3D points and a noisy 2D line for one camera's view of
-    the segment a->b (all in that camera's frame)."""
-    lo, hi = _visible_interval(a, b, K)
+    the segment a->b (all in that camera's frame) over its visible
+    interval ``seen``."""
+    lo, hi = seen
     lam = np.linspace(lo, hi, spec.samples_per_line)
     pts = a[None, :] + lam[:, None] * (b - a)[None, :]
     if spec.depth_noise_sigma > 0:
@@ -243,14 +253,14 @@ def generate(spec: RigSpec) -> tuple[list[LineObservation], list[GroundTruthReco
     observations: list[LineObservation] = []
     records: list[GroundTruthRecord] = []
     for i in range(n):
-        a, b = _sample_segment(spec, rng, budget)
-        src_pts, src_2d = _noisy_view(a, b, spec.source_intrinsics, spec, rng)
+        a, b, src_seen, tgt_seen = _sample_segment(spec, rng, budget)
+        src_pts, src_2d = _noisy_view(a, b, spec.source_intrinsics, src_seen, spec, rng)
         if i in out_ids:
-            ta, tb = _target_only_segment(spec, rng, budget)
+            ta, tb, tgt_seen = _target_only_segment(spec, rng, budget)
         else:
             ta = spec.truth.transform_point(a)
             tb = spec.truth.transform_point(b)
-        tgt_pts, tgt_2d = _noisy_view(ta, tb, spec.target_intrinsics, spec, rng)
+        tgt_pts, tgt_2d = _noisy_view(ta, tb, spec.target_intrinsics, tgt_seen, spec, rng)
         is_pnl = i in pnl_ids
         observations.append(
             LineObservation(

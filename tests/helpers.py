@@ -6,13 +6,17 @@ going through the simulator, so solver/selection tests do not depend on the
 modules they are meant to check.  The references at the end restate, one
 pair or one hypothesis at a time, formulas the package computes batched or
 stacked, so tests can compare the two; ``brute_force_roots`` is a
-grid-search oracle that certifies the closed-form solver.  ``mutated`` is
-the hypothesis strategy that breaks valid documents for the reader fuzzes.
+grid-search oracle that certifies the closed-form solver, and
+``canon_walk`` the one-value-at-a-time writer that checks the bulk one.
+``mutated`` is the hypothesis strategy that breaks valid documents for the
+reader fuzzes.
 """
 
 from __future__ import annotations
 
 import copy
+import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -438,6 +442,32 @@ def brute_force_roots(system: QuadraticSystem) -> list[tuple[np.ndarray, float]]
         out.append((s, system.residual(s, tau)))
     out.sort(key=lambda item: (item[1], float(np.linalg.norm(item[0]))))
     return out
+
+
+def canon_walk(value) -> str:
+    """Canonical JSON of ``value``, one value at a time: the reference for
+    ``fileio.dumps_canonical``, which formats whole float blocks at once."""
+    if isinstance(value, bool) or isinstance(value, np.bool_):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        v = float(value)
+        if math.isnan(v) or math.isinf(v):
+            return "null"
+        return format(v, ".17g")
+    if isinstance(value, str):
+        return json.dumps(value)
+    if value is None:
+        return "null"
+    if isinstance(value, dict):
+        inner = ",".join(f"{json.dumps(str(k))}:{canon_walk(v)}" for k, v in value.items())
+        return "{" + inner + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(canon_walk(v) for v in value) + "]"
+    if isinstance(value, np.ndarray):
+        return canon_walk(value.tolist())
+    raise TypeError(f"cannot serialize {type(value)!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -482,6 +482,16 @@ class TestSweep:
         )
         assert code == 2
 
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_spec_never_tracebacks(self, data):
+        doc = data.draw(mutated(rig_spec_to_dict(easy_spec(n_lines=6))))
+        code, err, runtime = run_fuzzed({"spec": doc}, lambda paths, tmp: [
+            "sweep", "--spec", str(paths["spec"]), "--rotations", "20",
+            "--baselines", "0.3", "--output", str(tmp / "sweep.csv")])
+        assert_clean_exit(code, err)
+        assert runtime == []
+
 
 class TestEvaluatePlanes:
     def test_merged_plane_metrics(self, tmp_path, rng):
@@ -771,6 +781,33 @@ def test_bad_numeric_flag_exits_1(tmp_path, capsys, argv, message):
     assert main([*argv, *files, "--output", str(out)]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["calibrate", "--output", "x.json"], "the following arguments are required: --input"),
+        (["sweep", "--spec", "rig.json", "--rotations", "20", "--baselines", "0.3",
+          "--seeds", "x", "--output", "out.csv"], "argument --seeds: invalid int value: 'x'"),
+        (["pose-errors", "--input", "poses.json", "--output", "out.csv",
+          "--step-trans-cm", "-inf"], "argument --step-trans-cm: expected one argument"),
+    ],
+    ids=["missing-input", "non-integer-seeds", "flag-read-as-option"],
+)
+def test_usage_error_exits_1(capsys, argv, message):
+    # argparse exits 2 here, the code of a run that did not converge
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["sweep", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: pelical")
 
 
 class TestConsoleScript:

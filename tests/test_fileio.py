@@ -24,6 +24,7 @@ from pelical import (
 from pelical.constraints import CaseKind
 from pelical.fileio import (
     SWEEP_COLUMNS,
+    _float_block,
     _observation_from_dict,
     _observations_in_bulk,
     calibration_file_dict,
@@ -44,7 +45,7 @@ from pelical.fileio import (
 )
 from pelical.pipeline import CalibrationReport
 
-from helpers import DEFAULT_K, make_observation, mutated, rand_truth
+from helpers import DEFAULT_K, canon_walk, make_observation, mutated, rand_truth
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,27 @@ def report():
     rep = run(obs, PipelineConfig(), DEFAULT_K)
     assert rep.termination is TerminationReason.CONVERGED
     return rep
+
+
+#: Floats the writer must spell exactly as ``format(x, ".17g")`` does, or as
+#: null: signed zero, the smallest subnormal, huge, whole and non-finite ones.
+FLOATS = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -3.0, 2.0**53, 1e16, 0.1]),
+    st.integers(-(10**6), 10**6).map(float),
+)
+#: Lists of equal-length float lists: the shape of sample and endpoint blocks.
+BLOCKS = st.integers(0, 4).flatmap(
+    lambda cols: st.lists(st.lists(FLOATS, min_size=cols, max_size=cols), max_size=6)
+)
+#: Everything a list may hold: floats, numpy floats, ints, bools, float lists,
+#: blocks, and ragged, empty and deeper lists of these.
+NESTED = st.recursive(
+    st.one_of(FLOATS, FLOATS.map(np.float64), st.integers(), st.booleans(),
+              st.lists(FLOATS), BLOCKS),
+    lambda inner: st.lists(inner, max_size=4),
+    max_leaves=40,
+)
 
 
 class TestCanonicalJson:
@@ -91,6 +113,30 @@ class TestCanonicalJson:
         text = dumps_canonical({"k": [1, 2, {"n": None}]})
         assert text.endswith("\n")
         assert " " not in text and "\t" not in text
+
+    def test_float_blocks_take_one_format(self):
+        assert _float_block([0.5, -0.0, 3.0]) == "[0.5,-0,3]"
+        assert _float_block([[0.5, 1e300], [5e-324, 2.0]]) == (
+            "[[0.5,1.0000000000000001e+300],[4.9406564584124654e-324,2]]"
+        )
+        # non-finite, non-float or ragged content, and empty lists, go to the walk
+        for value in ([1.0, float("nan")], [[1.0], [float("-inf")]], [1.0, 2],
+                      [np.float64(1.0)], [[1.0], [2.0, 3.0]], [], [[], []], [True]):
+            assert _float_block(value) is None
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(value=NESTED)
+    def test_bulk_writer_matches_the_walk(self, value):
+        assert dumps_canonical(value) == canon_walk(value) + "\n"
+
+    def test_observation_file_matches_the_walk(self):
+        spec = RigSpec(
+            truth=Extrinsics(rotation_about_y(20.0), np.array([0.3, 0.0, 0.0])),
+            target_intrinsics=DEFAULT_K, source_intrinsics=DEFAULT_K, n_lines=8,
+            pixel_noise_sigma=0.5, depth_noise_sigma=0.003, pnl_fraction=0.25,
+        )
+        doc = observation_file_dict(DEFAULT_K, DEFAULT_K, generate(spec)[0])
+        assert dumps_canonical(doc) == canon_walk(doc) + "\n"
 
     def test_unsupported_type_raises(self):
         with pytest.raises(TypeError):

@@ -1,0 +1,85 @@
+"""Pinned SHA-256 digests of `simulate` and `sweep` output.
+
+The other determinism tests compare two runs of the same version.  These
+compare against digests recorded before the simulator and the writer were
+rewritten for speed, so a rewrite that moves one byte of an observation,
+truth or sweep file fails here.  The three rigs take the simulator through
+its outlier, PnL and axial-noise branches; the 80° yaw one also through the
+penetrating-segment fallback.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from pelical import Extrinsics, RigSpec, rotation_about_y
+from pelical.cli import main
+from pelical.fileio import rig_spec_to_dict, write_json
+
+from helpers import DEFAULT_K
+
+
+@pytest.fixture(autouse=True)
+def clean_env(monkeypatch):
+    monkeypatch.delenv("PELICAL_SEED", raising=False)
+
+
+def rig(yaw_deg: float, baseline_m: float = 0.3, **overrides) -> RigSpec:
+    fields = dict(
+        truth=Extrinsics(rotation_about_y(yaw_deg), np.array([baseline_m, 0.0, 0.0])),
+        target_intrinsics=DEFAULT_K,
+        source_intrinsics=DEFAULT_K,
+        n_lines=16,
+        pixel_noise_sigma=0.5,
+        depth_noise_sigma=0.003,
+        rng_seed=7,
+    )
+    fields.update(overrides)
+    return RigSpec(**fields)
+
+
+def sha256(*paths) -> str:
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (
+            rig(20.0, outlier_fraction=0.2, pnl_fraction=0.25),
+            "cc4c86bba62a3cc8908ceabf75fc6d53cc706b7250036853daa780e0fb8663a4",
+        ),
+        (
+            rig(80.0, 0.45),
+            "52ccac4cc2bc4fdf36c03aaf4de43e5f6476cf1b1d175d383b94b84397541582",
+        ),
+        (
+            rig(20.0, depth_noise_sigma=0.001, depth_noise_model="axial_z2"),
+            "d65d3a0dabc89cf0b6e091913266a03757f06f314cbeaa4ea0707fd6604af0f4",
+        ),
+    ],
+    ids=["mixed-yaw20", "penetrating-yaw80", "axial-noise"],
+)
+def test_simulate_bytes_are_pinned(tmp_path, spec, expected):
+    spec_path, obs, truth = (tmp_path / f"{n}.json" for n in ("rig", "obs", "truth"))
+    write_json(spec_path, rig_spec_to_dict(spec))
+    argv = ["simulate", "--spec", str(spec_path), "--output", str(obs), "--truth", str(truth)]
+    assert main(argv) == 0
+    assert sha256(obs, truth) == expected
+
+
+def test_sweep_csv_bytes_are_pinned(tmp_path):
+    spec_path, table = tmp_path / "rig.json", tmp_path / "sweep.csv"
+    write_json(spec_path, rig_spec_to_dict(rig(20.0, n_lines=12, pnl_fraction=0.25)))
+    argv = ["sweep", "--spec", str(spec_path), "--rotations", "10,40",
+            "--baselines", "0.2,0.3", "--seeds", "2", "--cost-threshold", "30",
+            "--output", str(table)]
+    assert main(argv) == 0
+    assert len(table.read_text().splitlines()) == 1 + 2 * 2 * 2
+    assert sha256(table) == "8a2dfb484d74d1f9b084a3f9dab1612c0ef130fbe29afa12a6bf3abea9a8e873"
