@@ -21,12 +21,7 @@ import numpy as np
 
 from . import fileio
 from .errors import EmptyInput, IllConditionedPlane, InfeasibleSpec, SchemaError
-from .metrics import (
-    PlaneMergeInput,
-    plane_merge_metrics,
-    pose_variation_errors,
-    square_size_error_mm,
-)
+from .metrics import PlaneMergeInput, plane_merge_metrics, pose_variation_errors
 from .pipeline import PipelineConfig, TerminationReason, run as run_pipeline
 from .simulator import generate, sweep
 
@@ -81,9 +76,7 @@ def _pipeline_config(args) -> PipelineConfig:
         data = fileio.load_json(config_path)
         if not isinstance(data, dict):
             raise SchemaError(f"{config_path}: config must be a JSON object")
-        cfg = _checked(
-            config_path, lambda: PipelineConfig.from_dict({**cfg.to_dict(), **data})
-        )
+        cfg = _checked(config_path, lambda: replace(cfg, **data))
     env = _env_seed()
     if env is not None:
         cfg = _checked(_ENV_SEED, lambda: replace(cfg, rng_seed=env))
@@ -172,19 +165,10 @@ def _cmd_evaluate_planes(args) -> int:
         **corners,
     )
     try:
-        metrics = plane_merge_metrics(inp, calib["extrinsics"])
+        metrics = plane_merge_metrics(inp, calib["extrinsics"], square_mm=args.square_mm)
     except IllConditionedPlane as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if metrics.square_size_error_mm is not None and args.square_mm != 108.0:
-        # Recompute the span metric against a non-default square edge.
-        err = square_size_error_mm(
-            inp.target_corners,
-            calib["extrinsics"].transform_points(inp.source_corners),
-            inp.squares_per_row,
-            square_mm=args.square_mm,
-        )
-        metrics = replace(metrics, square_size_error_mm=err)
     fileio.write_json(
         args.output,
         {

@@ -68,14 +68,15 @@ def fit_plane(points: np.ndarray) -> tuple[np.ndarray, float]:
     return normal, offset
 
 
-def plane_merge_metrics(inp: PlaneMergeInput, T: Extrinsics) -> PlaneMergeMetrics:
+def plane_merge_metrics(
+    inp: PlaneMergeInput, T: Extrinsics, square_mm: float = 108.0
+) -> PlaneMergeMetrics:
     """Compare the two board planes after mapping the source set through T.
 
     The offset gap is the difference of the plane-to-origin distances, the
     angle is between the normals folded to [0, 90] degrees, and the square
     size error compares the mean corner-span-per-square against the true
-    square edge (108 mm board unless overridden via ``square_mm`` kwargs on
-    the CLI).
+    square edge of ``square_mm`` millimetres.
     """
     merged_source = T.transform_points(inp.source_points)
     n_t, d_t = fit_plane(inp.target_points)
@@ -94,6 +95,7 @@ def plane_merge_metrics(inp: PlaneMergeInput, T: Extrinsics) -> PlaneMergeMetric
             inp.target_corners,
             T.transform_points(np.asarray(inp.source_corners, float)),
             inp.squares_per_row,
+            square_mm,
         )
     return PlaneMergeMetrics(gap_mm, angle, square_err)
 

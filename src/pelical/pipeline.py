@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,93 +47,65 @@ from .selection import (
     gate_rotation,
     rotation_rows,
 )
-from .solver import PoseSolution, SolverConfig, _real, refine, solve_quadratic_system
+from .solver import PoseSolution, refine, solve_quadratic_system
 
 #: Accepted pairs required before the first finalize attempt.
 MIN_PAIRS_FOR_FINALIZE = 4
 #: An eviction is kept only if it shrinks the SO(3) distance below this
 #: fraction of its starting value.
 EVICTION_FACTOR = 0.5
+#: RANSAC line fit: inlier distance, two-point hypotheses per fit, and the
+#: fewest inliers a fitted line needs.
+RANSAC_DISTANCE_M = 0.01
+RANSAC_ITERATIONS = 200
+RANSAC_MIN_INLIERS = 8
+#: A vote carries with ``max(VOTE_MIN_COUNT, ceil(VOTE_FRACTION * lines))``
+#: agreeing candidate lines.
+VOTE_MIN_COUNT = 4
+VOTE_FRACTION = 0.6
 
 
-@dataclass(frozen=True)
-class RansacConfig:
-    distance_threshold_m: float = 0.01
-    iterations: int = 200
-    min_inlier_count: int = 8
-
-    def __post_init__(self) -> None:
-        if not _real(self, "distance_threshold_m") > 0:
-            raise ValueError("distance_threshold_m must be positive")
-        for name in ("iterations", "min_inlier_count"):
-            if _real(self, name, integer=True) < 1:
-                raise ValueError(f"{name} must be at least 1")
-        # scoring holds (iterations x samples) arrays
-        if self.iterations > 10_000:
-            raise ValueError("iterations must be at most 10000")
-
-    def to_dict(self) -> dict:
-        return {
-            "distance_threshold_m": self.distance_threshold_m,
-            "iterations": self.iterations,
-            "min_inlier_count": self.min_inlier_count,
-        }
+def _real(config, name: str, integer: bool = False):
+    """Config field ``name``, checked to be a finite real number (an integer
+    if asked) and not a bool; raises TypeError or ValueError naming the
+    field otherwise."""
+    value = getattr(config, name)
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if integer else "a number"
+        raise TypeError(f"{name} must be {noun}, got {value!r}")
+    try:
+        finite = integer or math.isfinite(value)
+    except OverflowError:  # an integer too large for a float
+        finite = False
+    if not finite:
+        raise ValueError(f"{name} must be finite")
+    return value
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
     inlier_ratio_threshold: float = 0.8
-    ransac: RansacConfig = field(default_factory=RansacConfig)
     epsilon_d_m: float = 0.02
-    vote_min_count: int = 4
-    vote_fraction: float = 0.6
     cost_threshold: float = 2.0
     max_pairs: int = 200
     rng_seed: int = 0
-    solver: SolverConfig = field(default_factory=SolverConfig)
 
     def __post_init__(self) -> None:
         if not _real(self, "epsilon_d_m") > 0:
             raise ValueError("epsilon_d_m must be positive")
-        for name in ("inlier_ratio_threshold", "vote_fraction"):
-            if not 0 < _real(self, name) <= 1:
-                raise ValueError(f"{name} must lie in (0, 1]")
-        for name in ("vote_min_count", "max_pairs"):
-            if _real(self, name, integer=True) < 1:
-                raise ValueError(f"{name} must be at least 1")
+        if not 0 < _real(self, "inlier_ratio_threshold") <= 1:
+            raise ValueError("inlier_ratio_threshold must lie in (0, 1]")
+        if _real(self, "max_pairs", integer=True) < 1:
+            raise ValueError("max_pairs must be at least 1")
         if _real(self, "rng_seed", integer=True) < 0:
             raise ValueError("rng_seed must be non-negative")
         _real(self, "cost_threshold")
 
-    def vote_threshold(self, n_lines: int) -> int:
-        return max(self.vote_min_count, math.ceil(self.vote_fraction * n_lines))
 
-    def to_dict(self) -> dict:
-        return {
-            "inlier_ratio_threshold": self.inlier_ratio_threshold,
-            "ransac": self.ransac.to_dict(),
-            "epsilon_d_m": self.epsilon_d_m,
-            "vote_min_count": self.vote_min_count,
-            "vote_fraction": self.vote_fraction,
-            "cost_threshold": self.cost_threshold,
-            "max_pairs": self.max_pairs,
-            "rng_seed": self.rng_seed,
-            "solver": self.solver.to_dict(),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineConfig":
-        kwargs = dict(data)
-        for name, kind in (("ransac", RansacConfig), ("solver", SolverConfig)):
-            block = kwargs.pop(name, None)
-            if block is not None:
-                if not isinstance(block, dict):
-                    raise TypeError(f"{name} must be an object")
-                try:
-                    kwargs[name] = kind(**block)
-                except (TypeError, ValueError) as exc:
-                    raise type(exc)(f"{name}: {exc}") from exc
-        return cls(**kwargs)
+def vote_threshold(n_lines: int) -> int:
+    """Votes a point needs among ``n_lines`` candidate lines to carry."""
+    return max(VOTE_MIN_COUNT, math.ceil(VOTE_FRACTION * n_lines))
 
 
 @dataclass(frozen=True)
@@ -193,7 +166,6 @@ def _inlier_masks(
 
 def ransac_fit_line(
     samples: np.ndarray,
-    cfg: RansacConfig,
     rng: np.random.Generator,
 ) -> tuple[PluckerLine, float, np.ndarray]:
     """Robust 3D line fit.
@@ -211,15 +183,15 @@ def ransac_fit_line(
     if n < 2:
         raise TooFewSamples(f"need at least 2 samples, got {n}")
 
-    ii = rng.integers(0, n, size=cfg.iterations)
-    jj = rng.integers(0, n - 1, size=cfg.iterations)
+    ii = rng.integers(0, n, size=RANSAC_ITERATIONS)
+    jj = rng.integers(0, n - 1, size=RANSAC_ITERATIONS)
     jj = jj + (jj >= ii)
     dirs = pts[jj] - pts[ii]
     norms = np.linalg.norm(dirs, axis=1)
     valid = norms > 1e-9
     # Degenerate hypotheses score -1, below any real consensus.
     safe = np.where(valid, norms, 1.0)[:, None]
-    masks = _inlier_masks(pts, ii, dirs / safe, cfg.distance_threshold_m)
+    masks = _inlier_masks(pts, ii, dirs / safe, RANSAC_DISTANCE_M)
     counts = np.where(valid, masks.sum(axis=1), -1)
     best = int(np.argmax(counts))
     if counts[best] < 2:
@@ -272,7 +244,6 @@ class CalibrationReport:
     accepted_pairs: int
     voting_inlier_ids: tuple[int, ...]
     trace: list[dict]
-    solution: PoseSolution | None = None
     inlier_correspondences: list[Correspondence] = field(default_factory=list)
 
 
@@ -298,22 +269,20 @@ def ingest(
 ) -> RoundOutcome:
     """Fit, classify and gate one observation; store it on acceptance."""
     try:
-        src_line, src_ratio, src_endpoints = ransac_fit_line(
-            obs.source_samples, cfg.ransac, state.rng
-        )
+        src_line, src_ratio, src_endpoints = ransac_fit_line(obs.source_samples, state.rng)
     except (TooFewSamples, DegenerateLine) as exc:
         return RoundOutcome(RoundStatus.REJECTED, f"source fit failed: {exc}")
-    if src_ratio * len(obs.source_samples) < cfg.ransac.min_inlier_count:
+    if src_ratio * len(obs.source_samples) < RANSAC_MIN_INLIERS:
         return RoundOutcome(RoundStatus.REJECTED, "too few source fit inliers")
 
     tgt_line = tgt_endpoints = None
     tgt_ratio = 0.0
     if obs.target_samples is not None:
         try:
-            fit = ransac_fit_line(obs.target_samples, cfg.ransac, state.rng)
+            fit = ransac_fit_line(obs.target_samples, state.rng)
         except (TooFewSamples, DegenerateLine):
             fit = None
-        if fit is not None and fit[1] * len(obs.target_samples) >= cfg.ransac.min_inlier_count:
+        if fit is not None and fit[1] * len(obs.target_samples) >= RANSAC_MIN_INLIERS:
             tgt_line, tgt_ratio, tgt_endpoints = fit
 
     kind = classify(src_ratio, tgt_ratio, cfg.inlier_ratio_threshold)
@@ -472,7 +441,7 @@ def try_finalize(
         entry["note"] = "too few candidate lines"
         return None
 
-    threshold = cfg.vote_threshold(len(members))
+    threshold = vote_threshold(len(members))
     try:
         vote = convergence_voting(p0, u, cfg.epsilon_d_m, threshold)
     except InsufficientLines as exc:
@@ -492,7 +461,7 @@ def try_finalize(
         system = assemble(inlier_cs, state.target_K)
         solution = solve_quadratic_system(system)
         weights = _full3d_weights(inlier_cs, state.target_K)
-        refined = refine(solution, inlier_cs, state.target_K, cfg.solver, weights)
+        refined = refine(solution, inlier_cs, state.target_K, weights)
     except (DegenerateTranslation, NoRealSolution, CalibrationError) as exc:
         entry["note"] = f"solve failed: {exc}"
         return None
@@ -515,7 +484,6 @@ def try_finalize(
         accepted_pairs=len(state.correspondences),
         voting_inlier_ids=ids,
         trace=state.trace,
-        solution=refined,
         inlier_correspondences=inlier_cs,
     )
 
@@ -570,5 +538,4 @@ def run(
         accepted_pairs=len(state.correspondences),
         voting_inlier_ids=(),
         trace=state.trace,
-        solution=state.last_solution,
     )

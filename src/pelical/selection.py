@@ -51,8 +51,10 @@ class RotationGateState:
     acceptance order.  ``rotation`` is the SO(3) projection of their
     unconstrained least-squares solution (reshaped 3x3, row-major; None
     while the system is too degenerate to project), and ``distance`` the
-    spectrum distance of that solution to SO(3) -- infinity until enough
-    rows exist to make it meaningful.
+    spectrum distance of that solution to SO(3) -- infinity exactly while
+    ``rotation`` is None.  Below nine rows the solution is the minimum-norm
+    one of an underdetermined system, so the distance is usually finite
+    already but not yet used to reject pairs (see :func:`gate_rotation`).
     """
 
     C: np.ndarray

@@ -25,8 +25,7 @@ from .geometry import (
     plucker_from_points,
     rotation_angle,
 )
-from .pipeline import CalibrationReport, LineObservation, PipelineConfig, run
-from .solver import _real
+from .pipeline import CalibrationReport, LineObservation, PipelineConfig, _real, run
 
 _MIN_SEGMENT_PX = 10.0
 _MIN_DEPTH = 0.05
@@ -336,28 +335,19 @@ def sweep(
                     obs, _ = generate(spec)
                     report = run(obs, run_cfg, spec.target_intrinsics)
                 except InfeasibleSpec:
-                    reports[key] = None
-                    rows.append(
-                        {
-                            "rotation_deg": rot_deg,
-                            "baseline_m": baseline,
-                            "seed": k,
-                            "rot_err_deg": math.nan,
-                            "trans_err_mm": math.nan,
-                            "converged": False,
-                        }
-                    )
-                    continue
+                    report, errors, converged = None, (math.nan, math.nan), False
+                else:
+                    errors = pose_errors(report.extrinsics, truth)
+                    converged = report.termination.value == "converged"
                 reports[key] = report
-                rot_err, trans_err = pose_errors(report.extrinsics, truth)
                 rows.append(
                     {
                         "rotation_deg": rot_deg,
                         "baseline_m": baseline,
                         "seed": k,
-                        "rot_err_deg": rot_err,
-                        "trans_err_mm": trans_err,
-                        "converged": report.termination.value == "converged",
+                        "rot_err_deg": errors[0],
+                        "trans_err_mm": errors[1],
+                        "converged": converged,
                     }
                 )
     return rows, reports

@@ -10,8 +10,6 @@ SO(3) x R^3.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,43 +35,11 @@ from .geometry import (
 )
 
 
-def _real(config, name: str, integer: bool = False):
-    """Config field ``name``, checked to be a finite real number (an integer
-    if asked) and not a bool; raises TypeError or ValueError naming the
-    field otherwise."""
-    value = getattr(config, name)
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if integer else "a number"
-        raise TypeError(f"{name} must be {noun}, got {value!r}")
-    try:
-        finite = integer or math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
-        raise ValueError(f"{name} must be finite")
-    return value
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    max_lm_iterations: int = 100
-    lm_initial_damping: float = 1e-3
-    cost_tolerance: float = 1e-10
-
-    def __post_init__(self) -> None:
-        if _real(self, "max_lm_iterations", integer=True) < 1:
-            raise ValueError("max_lm_iterations must be positive")
-        for name in ("lm_initial_damping", "cost_tolerance"):
-            if not _real(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_lm_iterations": self.max_lm_iterations,
-            "lm_initial_damping": self.lm_initial_damping,
-            "cost_tolerance": self.cost_tolerance,
-        }
+#: Levenberg-Marquardt settings of :func:`refine`: the iteration cap, the
+#: starting damping, and the relative cost decrease that ends the polish.
+MAX_LM_ITERATIONS = 100
+LM_INITIAL_DAMPING = 1e-3
+COST_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -299,7 +265,6 @@ def refine(
     initial: PoseSolution,
     correspondences: list[Correspondence],
     K_t: CameraIntrinsics,
-    cfg: SolverConfig,
     weights: np.ndarray | None = None,
 ) -> PoseSolution:
     """Levenberg-Marquardt polish of a pose against the geometric cost.
@@ -309,7 +274,7 @@ def refine(
     multiplicatively; the rotation update composes a small rotation onto the
     estimate and is re-orthonormalized after every accepted step.  With the
     iteration cap hit before the relative cost decrease drops below
-    ``cost_tolerance``, the best iterate is returned with
+    ``COST_TOLERANCE``, the best iterate is returned with
     ``lm_converged=False``.
     """
     if not correspondences:
@@ -320,10 +285,10 @@ def refine(
 
     R = np.array(initial.extrinsics.rotation)
     t = np.array(initial.extrinsics.translation)
-    lam = cfg.lm_initial_damping
+    lam = LM_INITIAL_DAMPING
     converged = False
 
-    for k in range(cfg.max_lm_iterations):
+    for k in range(MAX_LM_ITERATIONS):
         e, J = _stack_residuals(correspondences, K_t, R, t, w, with_jacobian=True)
         if k == 0:  # the start; later costs come from the accepted steps
             cost = float(e @ e)
@@ -352,7 +317,7 @@ def refine(
                 R, t, cost = R_new, t_new, cost_new
                 lam = max(lam * 0.1, 1e-14)
                 accepted = True
-                if rel < cfg.cost_tolerance:
+                if rel < COST_TOLERANCE:
                     converged = True
                 break
             lam *= 10.0

@@ -9,7 +9,8 @@ stacked, so tests can compare the two; ``brute_force_roots`` is a
 grid-search oracle that certifies the closed-form solver, and
 ``canon_walk`` the one-value-at-a-time writer that checks the bulk one.
 ``mutated`` is the hypothesis strategy that breaks valid documents for the
-reader fuzzes.
+reader fuzzes, and ``odd_rig_spec`` the one that makes odd but valid rig
+specs.
 """
 
 from __future__ import annotations
@@ -481,6 +482,24 @@ BAD_VALUES = st.sampled_from(
      10**20, 10**400, -1, 0, 0.5]
 )
 
+_FRACTIONS = st.sampled_from([0.0, 1e-9, 0.5, 0.999, 1.0])
+_SIGMAS = st.sampled_from([0.0, 1e-9, 0.05, 1.0, 100.0])
+_RANGES = st.sampled_from([[0.1, 0.1], [1e-3, 1e3], [0.05, 100.0], [2.9, 3.0]])
+#: Values of rig-spec fields that the reader accepts but that stress the
+#: simulator: the fewest lines and samples, fractions at or near 0 and 1,
+#: zero to huge sigmas, and single-point, narrow or huge ranges.
+ODD_RIG_FIELDS = {
+    "n_lines": st.sampled_from([1, 2, 3, 30]),
+    "samples_per_line": st.sampled_from([2, 3, 9, 500]),
+    "line_length_m": _RANGES,
+    "scene_depth_m": _RANGES,
+    "pixel_noise_sigma": _SIGMAS,
+    "depth_noise_sigma": _SIGMAS,
+    "outlier_fraction": _FRACTIONS,
+    "pnl_fraction": _FRACTIONS,
+    "depth_noise_model": st.sampled_from(["isotropic", "axial_z2"]),
+}
+
 
 @st.composite
 def mutated(draw, doc):
@@ -511,4 +530,16 @@ def mutated(draw, doc):
             parent[key] = node[: draw(st.integers(0, max(0, len(node) - 1)))]
         else:
             parent[key] = copy.deepcopy(draw(BAD_VALUES))  # later mutations may edit it
+    return doc
+
+
+@st.composite
+def odd_rig_spec(draw, doc):
+    """The rig-spec document ``doc`` with one to three of its fields set to
+    odd values of ``ODD_RIG_FIELDS``: a spec the reader accepts, so fuzzes
+    reach the simulator and the pipeline behind it."""
+    doc = copy.deepcopy(doc)
+    names = draw(st.lists(st.sampled_from(sorted(ODD_RIG_FIELDS)), min_size=1, max_size=3))
+    for name in names:
+        doc[name] = draw(ODD_RIG_FIELDS[name])
     return doc

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -41,7 +42,7 @@ from pelical.fileio import (
     write_observation_file,
 )
 
-from helpers import DEFAULT_K, mutated
+from helpers import DEFAULT_K, mutated, odd_rig_spec
 
 
 @pytest.fixture(autouse=True)
@@ -79,7 +80,7 @@ def base_documents() -> str:
     valid config object, as one JSON text."""
     observations, _ = generate(easy_spec())
     obs = observation_file_dict(DEFAULT_K, DEFAULT_K, observations)
-    return json.dumps({"observations": obs, "config": PipelineConfig().to_dict()})
+    return json.dumps({"observations": obs, "config": dataclasses.asdict(PipelineConfig())})
 
 
 def calibrate_edited(tmp_path, path, value) -> int:
@@ -119,6 +120,12 @@ def assert_clean_exit(code: int, err: str) -> None:
     assert code in (0, 1, 2)
     if code == 1:
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def fuzzed_spec(doc: dict):
+    """Rig-spec fuzz documents: half break the reader, and half hold odd
+    values it accepts, so the simulator runs on them."""
+    return st.one_of(mutated(doc), odd_rig_spec(doc))
 
 
 INFEASIBLE = dict(
@@ -221,7 +228,7 @@ class TestSimulate:
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(data=st.data())
     def test_fuzzed_spec_never_tracebacks(self, data):
-        doc = data.draw(mutated(rig_spec_to_dict(easy_spec(n_lines=6))))
+        doc = data.draw(fuzzed_spec(rig_spec_to_dict(easy_spec(n_lines=6))))
         code, err, runtime = run_fuzzed({"spec": doc}, lambda paths, tmp: [
             "simulate", "--spec", str(paths["spec"]), "--output", str(tmp / "o.json")])
         assert_clean_exit(code, err)
@@ -335,9 +342,8 @@ class TestCalibrate:
     @pytest.mark.parametrize(
         "config, message",
         [
-            ({"solver": {"max_lm_iterations": 0}}, "solver: max_lm_iterations must be positive"),
+            ({"cost_threshold": "2"}, "cost_threshold must be a number, got '2'"),
             ({"epsilon_d_m": -1}, "epsilon_d_m must be positive"),
-            ({"vote_fraction": "0.5"}, "vote_fraction must be a number, got '0.5'"),
         ],
     )
     def test_bad_config_field_exits_1(self, tmp_path, capsys, config, message):
@@ -354,8 +360,12 @@ class TestCalibrate:
             ({"rotation_gate_slack": 1e-10}, "rotation_gate_slack"),
             ({"rotation_gate_growth": 1.0}, "rotation_gate_growth"),
             ({"eviction_factor": 0.5}, "eviction_factor"),
-            ({"solver": {"oracle_grid_halfwidth": 2.0}}, "oracle_grid_halfwidth"),
-            ({"solver": {"oracle_grid_step": 0.05}}, "oracle_grid_step"),
+            ({"solver": {"oracle_grid_halfwidth": 2.0}}, "solver"),
+            ({"solver": {"oracle_grid_step": 0.05}}, "solver"),
+            ({"ransac": {"iterations": 0}}, "ransac"),
+            ({"solver": {"max_lm_iterations": 0}}, "solver"),
+            ({"vote_min_count": 4}, "vote_min_count"),
+            ({"vote_fraction": "0.5"}, "vote_fraction"),
         ],
     )
     def test_removed_config_key_exits_1(self, tmp_path, capsys, config, key):
@@ -367,17 +377,6 @@ class TestCalibrate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {cfg_path}: ") and err.count("\n") == 1
         assert f"'{key}'" in err
-
-    def test_solver_block_in_config_reaches_the_solver(self, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        write_json(cfg_path, {"solver": {"max_lm_iterations": 5}})
-        args = argparse.Namespace(
-            seed=None, cost_threshold=None, config=str(cfg_path),
-            epsilon_d=None, max_pairs=None, inlier_ratio=None,
-        )
-        cfg = _pipeline_config(args)
-        assert cfg.solver.max_lm_iterations == 5
-        assert cfg.solver.lm_initial_damping == 1e-3
 
     def test_bad_flag_or_env_seed_exits_1(self, tmp_path, capsys, monkeypatch):
         argv = ["calibrate", "--input", str(observation_file(tmp_path)),
@@ -485,7 +484,7 @@ class TestSweep:
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(data=st.data())
     def test_fuzzed_spec_never_tracebacks(self, data):
-        doc = data.draw(mutated(rig_spec_to_dict(easy_spec(n_lines=6))))
+        doc = data.draw(fuzzed_spec(rig_spec_to_dict(easy_spec(n_lines=6))))
         code, err, runtime = run_fuzzed({"spec": doc}, lambda paths, tmp: [
             "sweep", "--spec", str(paths["spec"]), "--rotations", "20",
             "--baselines", "0.3", "--output", str(tmp / "sweep.csv")])
@@ -494,9 +493,12 @@ class TestSweep:
 
 
 class TestEvaluatePlanes:
-    def test_merged_plane_metrics(self, tmp_path, rng):
+    @staticmethod
+    def board_metrics(tmp_path, rng, *flags) -> dict:
+        """``evaluate-planes`` metrics of a wall seen through the true
+        transform, with checkerboard corners 6 squares of 108 mm apart."""
         truth = Extrinsics(rotation_about_y(10.0), np.array([0.2, 0.0, 0.0]))
-        # wall z = 1.5 in the target frame, checkerboard corners 6 squares apart
+        # wall z = 1.5 in the target frame
         uv = rng.uniform(-0.5, 0.5, size=(60, 2))
         target_points = np.column_stack([uv, np.full(60, 1.5)])
         target_corners = np.array([[0.0, 0.0, 1.5], [0.648, 0.0, 1.5]])
@@ -528,13 +530,21 @@ class TestEvaluatePlanes:
                 str(calib_path),
                 "--output",
                 str(out_path),
+                *flags,
             ]
         )
         assert code == 0
-        metrics = json.loads(out_path.read_text())
+        return json.loads(out_path.read_text())
+
+    def test_merged_plane_metrics(self, tmp_path, rng):
+        metrics = self.board_metrics(tmp_path, rng)
         assert abs(metrics["offset_gap_mm"]) < 1e-6
         assert abs(metrics["normal_angle_deg"]) < 1e-6
         assert abs(metrics["square_size_error_mm"]) < 1e-6
+
+    def test_square_mm_sets_the_true_edge(self, tmp_path, rng):
+        metrics = self.board_metrics(tmp_path, rng, "--square-mm", "100")
+        assert abs(metrics["square_size_error_mm"] - 8.0) < 1e-6
 
     def test_missing_point_list_exits_1(self, tmp_path, capsys):
         input_path, calib_path = tmp_path / "planes.json", tmp_path / "calib.json"

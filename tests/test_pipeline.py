@@ -13,9 +13,7 @@ from pelical import (
     Line2D,
     LineObservation,
     PipelineConfig,
-    RansacConfig,
     RigSpec,
-    SolverConfig,
     TerminationReason,
     TooFewSamples,
     assemble,
@@ -34,6 +32,7 @@ from pelical import (
 from pelical.constraints import CaseKind
 from pelical.pipeline import (
     MIN_PAIRS_FOR_FINALIZE,
+    RANSAC_DISTANCE_M,
     PipelineState,
     RoundStatus,
     _candidate_lines,
@@ -42,6 +41,7 @@ from pelical.pipeline import (
     _maybe_evict,
     _pair_residuals,
     _row_stacks,
+    vote_threshold,
 )
 from pelical.selection import ROTATION_ROW_COUNT
 
@@ -81,7 +81,7 @@ def good_stream(rng, truth, n_full3d, n_pnl, start_id=0):
 class TestRansacFitLine:
     def test_exact_samples_full_consensus(self, rng):
         pts, p, d = segment_samples(rng)
-        line, ratio, endpoints = ransac_fit_line(pts, RansacConfig(), rng)
+        line, ratio, endpoints = ransac_fit_line(pts, rng)
         assert ratio == 1.0
         assert abs(abs(line.d @ d) - 1.0) < 1e-12
         # endpoints are the extreme sample projections
@@ -94,31 +94,31 @@ class TestRansacFitLine:
 
     def test_orientation_follows_sample_order(self, rng):
         pts, _, d = segment_samples(rng)
-        line_fwd, *_ = ransac_fit_line(pts, RansacConfig(), rng)
-        line_rev, *_ = ransac_fit_line(pts[::-1], RansacConfig(), rng)
+        line_fwd, *_ = ransac_fit_line(pts, rng)
+        line_rev, *_ = ransac_fit_line(pts[::-1], rng)
         assert line_fwd.d @ d > 0.99
         assert line_rev.d @ d < -0.99
 
     def test_outliers_rejected(self, rng):
         pts, _, d = segment_samples(rng, n=80, noise=0.002, outliers=20)
-        line, ratio, _ = ransac_fit_line(pts, RansacConfig(), rng)
+        line, ratio, _ = ransac_fit_line(pts, rng)
         assert 0.7 <= ratio <= 0.9
         angle = np.degrees(np.arccos(min(1.0, abs(line.d @ d))))
         assert angle < 0.5
 
     def test_too_few_samples(self, rng):
         with pytest.raises(TooFewSamples):
-            ransac_fit_line(np.zeros((1, 3)), RansacConfig(), rng)
+            ransac_fit_line(np.zeros((1, 3)), rng)
 
     def test_coincident_samples_degenerate(self, rng):
         pts = np.tile(np.array([1.0, 2.0, 3.0]), (10, 1))
         with pytest.raises(DegenerateLine):
-            ransac_fit_line(pts, RansacConfig(), rng)
+            ransac_fit_line(pts, rng)
 
     def test_deterministic_given_seed(self):
         pts, _, _ = segment_samples(np.random.default_rng(5), n=60, noise=0.003)
-        a = ransac_fit_line(pts, RansacConfig(), np.random.default_rng(7))
-        b = ransac_fit_line(pts, RansacConfig(), np.random.default_rng(7))
+        a = ransac_fit_line(pts, np.random.default_rng(7))
+        b = ransac_fit_line(pts, np.random.default_rng(7))
         assert np.array_equal(a[0].d, b[0].d)
         assert np.array_equal(a[0].m, b[0].m)
         assert a[1] == b[1]
@@ -151,7 +151,7 @@ class TestRansacFitLine:
         keep = norms > 1e-9
         ii, dirs = ii[keep], dirs[keep] / norms[keep, None]
 
-        threshold = RansacConfig().distance_threshold_m
+        threshold = RANSAC_DISTANCE_M
         ref, dist = reference_inlier_masks(pts, ii, dirs, threshold)
         new = _inlier_masks(pts, ii, dirs, threshold)
         # both round the same real distance: only a sample on the threshold may flip
@@ -162,7 +162,7 @@ class TestRansacFitLine:
         pts, _, _ = segment_samples(np.random.default_rng(3), n=5000, noise=0.003)
         tracemalloc.start()
         try:
-            ransac_fit_line(pts, RansacConfig(), np.random.default_rng(4))
+            ransac_fit_line(pts, np.random.default_rng(4))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -319,13 +319,10 @@ class TestRunConverged:
         truth = rand_truth(rng)
         report = run(good_stream(rng, truth, 6, 2), PipelineConfig(), DEFAULT_K)
         assert report.termination is TerminationReason.CONVERGED
-        cfg = PipelineConfig()
         system = assemble(report.inlier_correspondences, DEFAULT_K)
         solution = solve_quadratic_system(system)
         weights = _full3d_weights(report.inlier_correspondences, DEFAULT_K)
-        replay = refine(
-            solution, report.inlier_correspondences, DEFAULT_K, cfg.solver, weights
-        )
+        replay = refine(solution, report.inlier_correspondences, DEFAULT_K, weights)
         assert np.max(
             np.abs(replay.extrinsics.rotation - report.extrinsics.rotation)
         ) < 1e-12
@@ -492,56 +489,26 @@ class TestRunDegenerate:
 
 
 class TestConfig:
-    def test_round_trips_through_dict(self):
-        cfg = PipelineConfig(
-            epsilon_d_m=0.05,
-            cost_threshold=7.5,
-            max_pairs=42,
-            ransac=RansacConfig(distance_threshold_m=0.02, iterations=77),
-            solver=SolverConfig(max_lm_iterations=5),
-        )
-        again = PipelineConfig.from_dict(cfg.to_dict())
-        assert again == cfg
-        assert again.to_dict() == cfg.to_dict()
-        assert again.ransac.iterations == 77
-        assert again.solver.max_lm_iterations == 5
-        assert cfg.to_dict()["solver"]["max_lm_iterations"] == 5
-
     @pytest.mark.parametrize(
         "data, error, field",
         [
             ({"epsilon_d_m": -1}, ValueError, "epsilon_d_m"),
             ({"epsilon_d_m": float("nan")}, ValueError, "epsilon_d_m"),
-            ({"vote_fraction": "0.5"}, TypeError, "vote_fraction"),
-            ({"vote_fraction": 1.5}, ValueError, "vote_fraction"),
             ({"inlier_ratio_threshold": 0}, ValueError, "inlier_ratio_threshold"),
             ({"max_pairs": 0}, ValueError, "max_pairs"),
-            ({"vote_min_count": 2.5}, TypeError, "vote_min_count"),
             ({"cost_threshold": True}, TypeError, "cost_threshold"),
             ({"rng_seed": -1}, ValueError, "rng_seed"),
-            ({"ransac": {"distance_threshold_m": 0}}, ValueError, "ransac: distance_threshold_m"),
-            ({"ransac": {"iterations": 0}}, ValueError, "ransac: iterations"),
-            ({"ransac": {"min_inlier_count": False}}, TypeError, "ransac: min_inlier_count"),
-            ({"solver": {"max_lm_iterations": 0}}, ValueError, "solver: max_lm_iterations"),
-            ({"solver": {"cost_tolerance": "1e-9"}}, TypeError, "solver: cost_tolerance"),
-            ({"solver": []}, TypeError, "solver must be an object"),
             ({"cost_threshold": float("nan")}, ValueError, "cost_threshold"),
-            # removed fields (now constants) are unknown keys
-            ({"rotation_gate_slack": 1e-10}, TypeError, ".*'rotation_gate_slack'"),
-            ({"solver": {"oracle_grid_step": 0.05}}, TypeError, "solver: .*'oracle_grid_step'"),
-            ({"ransac": {"iterations": 10**20}}, ValueError, "ransac: iterations"),
-            ({"solver": {"lm_initial_damping": 10**400}}, ValueError, "solver: lm_initial_damping"),
         ],
     )
-    def test_from_dict_rejects_bad_fields(self, data, error, field):
+    def test_rejects_bad_fields(self, data, error, field):
         with pytest.raises(error, match=f"^{field}"):
-            PipelineConfig.from_dict(data)
+            PipelineConfig(**data)
 
     def test_vote_threshold_floor_and_fraction(self):
-        cfg = PipelineConfig()
-        assert cfg.vote_threshold(2) == 4
-        assert cfg.vote_threshold(10) == 6
-        assert cfg.vote_threshold(20) == 12
+        assert vote_threshold(2) == 4
+        assert vote_threshold(10) == 6
+        assert vote_threshold(20) == 12
 
     def test_finalize_waits_for_minimum_population(self, rng):
         truth = rand_truth(rng)

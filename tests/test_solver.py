@@ -24,7 +24,7 @@ from pelical import (
 from pelical import pipeline, solver
 from pelical.constraints import CaseKind, monomial_vector
 from pelical.errors import NoRealSolution
-from pelical.solver import PoseSolution, SolverConfig
+from pelical.solver import PoseSolution
 
 from helpers import (
     DEFAULT_K,
@@ -107,13 +107,12 @@ class TestSolve:
 
     def test_noiseless_recovery_sweep(self):
         rng = np.random.default_rng(11)
-        cfg = SolverConfig()
         for _ in range(100):
             truth = rand_truth(rng)
             cs = consistent_correspondences(rng, truth, 4, 2)
             system = assemble(cs, DEFAULT_K)
             sol = solve_quadratic_system(system)
-            refined = refine(sol, cs, DEFAULT_K, cfg)
+            refined = refine(sol, cs, DEFAULT_K)
             rot_err = rotation_angle(refined.extrinsics.rotation.T @ truth.rotation)
             assert np.degrees(rot_err) < 1e-5
             assert (
@@ -305,7 +304,7 @@ class TestRefine:
         start = PoseSolution(
             extrinsics=truth, s=CGRParams(s), algebraic_residual=0.0
         )
-        out = refine(start, cs, DEFAULT_K, SolverConfig())
+        out = refine(start, cs, DEFAULT_K)
         assert out.refined_cost < 1e-16
         assert_allclose(out.extrinsics.rotation, truth.rotation, atol=1e-9)
 
@@ -324,12 +323,12 @@ class TestRefine:
             s=CGRParams(rotation_to_cgr(R0).s),
             algebraic_residual=np.nan,
         )
-        out = refine(start, cs, DEFAULT_K, SolverConfig())
+        out = refine(start, cs, DEFAULT_K)
         assert np.degrees(rotation_angle(out.extrinsics.rotation.T @ truth.rotation)) < 1e-5
         assert np.linalg.norm(out.extrinsics.translation - truth.translation) < 1e-6
         assert out.lm_converged
 
-    def test_overflowing_damping_keeps_the_start(self, rng):
+    def test_overflowing_damping_keeps_the_start(self, rng, monkeypatch):
         # each trial step is negligible until the damping overflows, so no
         # step is taken and refine returns the start instead of raising
         truth = rand_truth(rng)
@@ -339,8 +338,9 @@ class TestRefine:
             s=CGRParams(rotation_to_cgr(truth.rotation).s),
             algebraic_residual=np.nan,
         )
+        monkeypatch.setattr(solver, "LM_INITIAL_DAMPING", 1e300)
         with np.errstate(all="ignore"):
-            out = refine(start, cs, DEFAULT_K, SolverConfig(lm_initial_damping=1e300))
+            out = refine(start, cs, DEFAULT_K)
         assert np.array_equal(out.extrinsics.rotation, start.extrinsics.rotation)
         assert np.array_equal(out.extrinsics.translation, start.extrinsics.translation)
 
@@ -372,7 +372,7 @@ class TestRefine:
                     noisy.append(c)
             system = assemble(noisy, DEFAULT_K)
             sol = solve_quadratic_system(system)
-            out = refine(sol, noisy, DEFAULT_K, SolverConfig())
+            out = refine(sol, noisy, DEFAULT_K)
             if sol.refined_cost is not None:
                 assert out.refined_cost <= sol.refined_cost + 1e-15
             assert out.refined_cost is not None
@@ -383,10 +383,10 @@ class TestRefine:
         s = rotation_to_cgr(truth.rotation).s
         start = PoseSolution(extrinsics=truth, s=CGRParams(s), algebraic_residual=0.0)
         w = np.array([2.0, 2.0, 2.0, 1.0])
-        out = refine(start, cs, DEFAULT_K, SolverConfig(), weights=w)
+        out = refine(start, cs, DEFAULT_K, weights=w)
         assert out.refined_cost < 1e-15
 
-    def test_iteration_cap_flags_nonconvergence(self, rng):
+    def test_iteration_cap_flags_nonconvergence(self, rng, monkeypatch):
         truth = rand_truth(rng)
         cs = consistent_correspondences(rng, truth, 4, 2)
         from scipy.spatial.transform import Rotation
@@ -400,7 +400,8 @@ class TestRefine:
             s=CGRParams(rotation_to_cgr(R0).s),
             algebraic_residual=np.nan,
         )
-        out = refine(start, cs, DEFAULT_K, SolverConfig(max_lm_iterations=1))
+        monkeypatch.setattr(solver, "MAX_LM_ITERATIONS", 1)
+        out = refine(start, cs, DEFAULT_K)
         assert not out.lm_converged
 
     def test_rotation_stays_orthonormal(self, rng):
@@ -408,7 +409,7 @@ class TestRefine:
         cs = consistent_correspondences(rng, truth, 4, 2)
         system = assemble(cs, DEFAULT_K)
         sol = solve_quadratic_system(system)
-        out = refine(sol, cs, DEFAULT_K, SolverConfig())
+        out = refine(sol, cs, DEFAULT_K)
         R = out.extrinsics.rotation
         assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-9
 
