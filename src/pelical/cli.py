@@ -39,12 +39,14 @@ def _env_seed() -> int | None:
 
 
 def _float_list(text: str, flag: str) -> list[float]:
-    """The comma-separated numbers of ``flag``, each finite and of magnitude
-    at most ``fileio.MAX_MAGNITUDE``."""
+    """The comma-separated numbers of ``flag``, at least one, each finite and
+    of magnitude at most ``fileio.MAX_MAGNITUDE``."""
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise SchemaError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
+    if not values:
+        raise SchemaError(f"{flag}: expected at least one number")
     return [fileio._number(v, flag, fileio.MAX_MAGNITUDE) for v in values]
 
 

@@ -36,7 +36,7 @@ from .errors import (
     ParallelPlanes,
     TooFewSamples,
 )
-from .geometry import CameraIntrinsics, Extrinsics, Line2D, PluckerLine, cross3, row_norms
+from .geometry import CameraIntrinsics, Extrinsics, Line2D, PluckerLine, cross3
 from .selection import (
     ROTATION_ROW_COUNT,
     RotationGateState,
@@ -334,12 +334,12 @@ def _maybe_evict(state: PipelineState) -> list[int | None]:
     if orig.rotation is None or not 0.0 < orig.distance < math.inf:
         return []
     sizes = np.array([ROTATION_ROW_COUNT[c.kind] for c in state.correspondences])
-    stacks = _row_stacks(orig.C, orig.b, sizes)
+    starts = np.cumsum(sizes) - sizes
     kept = np.ones(len(sizes), dtype=bool)
     cur = orig
     removed: list[int] = []
     while cur.rotation is not None:
-        residuals = _pair_residuals(stacks, cur.rotation.reshape(-1))
+        residuals = _pair_residuals(orig.C, orig.b, starts, cur.rotation.reshape(-1))
         residuals[~kept] = -np.inf
         worst = int(np.argmax(residuals))
         if cur.row_count - sizes[worst] < 9 or kept.sum() - 1 < MIN_PAIRS_FOR_FINALIZE:
@@ -356,32 +356,13 @@ def _maybe_evict(state: PipelineState) -> list[int | None]:
     return []
 
 
-def _row_stacks(
-    C: np.ndarray, b: np.ndarray, sizes: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The gate's stacked rows grouped by pair row count (``sizes[i]`` rows
-    for pair ``i``): for each count ``n`` present, the mask of those pairs
-    and their rows as ``(k, n, 9)`` and ``(k, n)`` stacks, in store order."""
-    rows = np.repeat(sizes, sizes)
-    return [
-        (sizes == n, C[rows == n].reshape(-1, n, 9), b[rows == n].reshape(-1, n))
-        for n in ROTATION_ROW_COUNT.values()
-        if n in sizes
-    ]
-
-
 def _pair_residuals(
-    stacks: list[tuple[np.ndarray, np.ndarray, np.ndarray]], vec: np.ndarray
+    C: np.ndarray, b: np.ndarray, starts: np.ndarray, vec: np.ndarray
 ) -> np.ndarray:
-    """``|C_i vec - b_i|`` of each stored pair's rows, in store order.
-
-    One stacked ``(k, n, 9) @ vec`` product per row count, which rounds
-    exactly like the per-pair products; a single 2-D ``C @ vec`` does not.
-    """
-    out = np.empty(len(stacks[0][0]))
-    for pairs, C, b in stacks:
-        out[pairs] = row_norms(C @ vec - b)
-    return out
+    """``|C_i vec - b_i|`` of each stored pair's rows, in store order; pair
+    ``i``'s rows start at row ``starts[i]``."""
+    e = C @ vec - b
+    return np.sqrt(np.add.reduceat(e * e, starts))
 
 
 def _candidate_lines(

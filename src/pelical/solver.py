@@ -1,9 +1,9 @@
 """Closed-loop pose estimation from the merged quadratic system.
 
-``solve_quadratic_system`` eliminates the scaled translation, extracts CGR
-root candidates from the null space of the reduced system, polishes them
-with damped Gauss-Newton, and picks the candidate with the smallest
-algebraic residual.  ``refine`` then locally minimizes the geometric cost
+``solve_quadratic_system`` eliminates the scaled translation, reads one
+CGR root off the null vector of the reduced system, polishes it with damped
+Gauss-Newton and checks it against a sanity floor set by the smallest
+singular value.  ``refine`` then locally minimizes the geometric cost
 (3D point-to-line plus 2D line reprojection) with Levenberg-Marquardt on
 SO(3) x R^3.
 """
@@ -46,10 +46,11 @@ COST_TOLERANCE = 1e-10
 class PoseSolution:
     """Estimated extrinsics plus solver bookkeeping.
 
-    ``algebraic_residual`` is ``||A r(s) + B tau||_2`` of the selected
-    algebraic root (fixed at solve time; refinement does not touch it).
-    ``all_candidates`` lists every distinct stationary point found as
-    ``(s, tau)`` pairs.  ``lm_converged`` is False when refinement hit its
+    ``algebraic_residual`` is ``||A r(s) + B tau||_2`` of the algebraic
+    root (fixed at solve time; refinement does not touch it).
+    ``all_candidates`` holds that one root, read off the null vector,
+    polished and checked against the floor, as an ``(s, tau)`` pair.
+    ``lm_converged`` is False when refinement hit its
     iteration cap before the relative cost decrease fell below tolerance.
     """
 
@@ -116,91 +117,51 @@ def _polish_root(G_reduced: np.ndarray, s0: np.ndarray, max_iter: int = 80) -> n
     return s
 
 
-def _dedupe(cands: list[np.ndarray], tol: float = 1e-6) -> list[np.ndarray]:
-    kept: list[np.ndarray] = []
-    for s in cands:
-        if not np.all(np.isfinite(s)):
-            continue
-        if any(np.linalg.norm(s - k) < tol for k in kept):
-            continue
-        kept.append(s)
-    return kept
+def _check_floor(residual: float, s: np.ndarray, sigma_min: float, scale: float) -> None:
+    """Raise NoRealSolution when root ``s`` fails the sanity floor.
 
-
-def _select(
-    system: QuadraticSystem,
-    tau_map: np.ndarray,
-    polished: list[np.ndarray],
-    sigma_min: float,
-    scale: float,
-) -> list[tuple]:
-    """Score the distinct polished roots and check the winner.
-
-    Returns the ``(residual, |s|, s, tau)`` candidates sorted by
-    ``(residual, |s|)``; the first is the winner: the smallest
-    ``||A r + B tau||_2``, with exact ties broken by the smaller ``|s|``.
-    Raises NoRealSolution when there is no candidate or the winner fails
-    the sanity floor.
+    ``sigma_min`` bounds the best achievable residual of any unit vector, so
+    a root orders of magnitude above it means the polynomial search failed
+    rather than the data being noisy.  ``scale`` is the norm of the reduced
+    system.
     """
-    candidates = _dedupe(polished)
-    if not candidates:
-        raise NoRealSolution("no stationary point found")
-
-    scored = []
-    for s in candidates:
-        r = monomial_vector(s)
-        tau = tau_map @ r
-        scored.append((system.residual(s, tau), float(np.linalg.norm(s)), s, tau))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    best_res, _, s_best, _ = scored[0]
-
-    # Sanity floor: sigma_min bounds the best achievable residual of any
-    # unit vector, so a root orders of magnitude above it means the
-    # polynomial search failed rather than the data being noisy.
-    r_norm = float(np.linalg.norm(monomial_vector(s_best)))
-    floor = sigma_min * r_norm
-    allowance = 1e3 * floor + 1e-9 * scale * r_norm
-    if best_res > max(allowance, 1e-12):
+    r_norm = float(np.linalg.norm(monomial_vector(s)))
+    allowance = 1e3 * (sigma_min * r_norm) + 1e-9 * scale * r_norm
+    if not residual <= max(allowance, 1e-12):
         raise NoRealSolution(
-            f"best residual {best_res:.3e} exceeds sanity bound {allowance:.3e}"
+            f"best residual {residual:.3e} exceeds sanity bound {allowance:.3e}"
         )
-    return scored
 
 
 def solve_quadratic_system(system: QuadraticSystem) -> PoseSolution:
     """Recover ``(R, t)`` from the merged system.
 
-    Root candidates come from the trailing right-singular vectors of the
-    reduced system: in the noise-free case the null vector is exactly the
-    monomial vector of the true root, so ``s`` reads off its linear
-    entries.  Every candidate is Gauss-Newton polished; the root with the
-    smallest ``||A r + B tau||_2`` wins, with exact ties broken by the
-    smaller ``|s|``, and must pass a sanity floor set by the smallest
-    singular value, or NoRealSolution is raised.  The floor rejects the
-    structurally underdetermined sets (e.g. two FULL3D and two PnL pairs),
-    where no other start would help either.
+    The root is read off the trailing right-singular vector of the reduced
+    system: in the noise-free case that null vector is exactly the monomial
+    vector of the true root, so ``s`` is its linear entries over its last.
+    The root is Gauss-Newton polished and must pass a sanity floor set by
+    the smallest singular value, or NoRealSolution is raised.  The floor
+    rejects the structurally underdetermined sets (e.g. two FULL3D and two
+    PnL pairs), where no other start would help either.
     """
     G, tau_map = eliminate_translation(system)
     # Reduce to a square triangular factor: ||G r|| == ||R r||.
     G_reduced = np.linalg.qr(G, mode="r")
 
     _, sing, Vt = np.linalg.svd(G_reduced)
-    scale = float(np.linalg.norm(G_reduced)) or 1.0
-    polished = [
-        _polish_root(G_reduced, v[6:9] / v[9])
-        for v in Vt[-3:][::-1]
-        if abs(v[9]) > 1e-6 * np.linalg.norm(v)
-    ]
-    scored = _select(system, tau_map, polished, sing[-1], scale)
-    best_res, _, s_best, tau_best = scored[0]
-    ss = float(s_best @ s_best)
-    t = tau_best / (1.0 + ss)
-    pose = Extrinsics(cgr_to_rotation(s_best), t)
+    v = Vt[-1]
+    if not abs(v[9]) > 1e-6 * np.linalg.norm(v):
+        raise NoRealSolution("no stationary point found")
+    s = _polish_root(G_reduced, v[6:9] / v[9])
+    tau = tau_map @ monomial_vector(s)
+    residual = system.residual(s, tau)
+    _check_floor(residual, s, sing[-1], float(np.linalg.norm(G_reduced)) or 1.0)
+    t = tau / (1.0 + float(s @ s))
     return PoseSolution(
-        extrinsics=pose,
-        s=CGRParams(s_best),
-        algebraic_residual=best_res,
-        all_candidates=tuple((s, tau) for _, _, s, tau in scored),
+        extrinsics=Extrinsics(cgr_to_rotation(s), t),
+        s=CGRParams(s),
+        algebraic_residual=residual,
+        all_candidates=((s, tau),),
     )
 
 

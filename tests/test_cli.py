@@ -762,6 +762,10 @@ def test_fuzzed_pose_document_never_tracebacks(data):
          "--baselines: expected a finite number"),
         (["sweep", "--rotations", "20", "--baselines", "1e300"],
          "--baselines: magnitude exceeds 1e+06"),
+        (["sweep", "--rotations", "", "--baselines", "0.3"],
+         "--rotations: expected at least one number"),
+        (["sweep", "--rotations", "20", "--baselines", ","],
+         "--baselines: expected at least one number"),
         (["sweep", "--rotations", "20", "--baselines", "0.3", "--seeds", "-2"],
          "--seeds: must be at least 1, got -2"),
         (["sweep", "--rotations", "20", "--baselines", "0.3", "--seeds", "0"],
@@ -771,12 +775,13 @@ def test_fuzzed_pose_document_never_tracebacks(data):
         (["evaluate-planes", "--square-mm", "nan"], "--square-mm: expected a finite number"),
         (["evaluate-planes", "--square-mm", "-5"], "--square-mm: must be positive"),
     ],
-    ids=["nan-rotation", "inf-baseline", "huge-baseline", "negative-seeds", "zero-seeds",
+    ids=["nan-rotation", "inf-baseline", "huge-baseline", "empty-rotations", "comma-baselines",
+         "negative-seeds", "zero-seeds",
          "nan-step-rot", "inf-step-trans", "nan-square", "negative-square"],
 )
 def test_bad_numeric_flag_exits_1(tmp_path, capsys, argv, message):
     # these once printed RuntimeWarnings and wrote NaN rows, or a header-only
-    # table, or nan / null errors, and exited 0 or 2
+    # table (also for an empty list), or nan / null errors, and exited 0 or 2
     command, out = argv[0], tmp_path / "out"
     spec_path, input_path, calib_path = (tmp_path / f"{n}.json" for n in ("rig", "in", "calib"))
     write_spec(spec_path, easy_spec())

@@ -7,7 +7,19 @@ import importlib.util
 import sys
 from pathlib import Path
 
-from pelical import PipelineConfig, cli, fileio, pipeline, run
+import numpy as np
+
+from pelical import (
+    Extrinsics,
+    PipelineConfig,
+    RigSpec,
+    cli,
+    fileio,
+    generate,
+    pipeline,
+    rotation_about_y,
+    run,
+)
 from pelical.constraints import CaseKind
 
 from helpers import DEFAULT_K, make_observation, rand_truth
@@ -46,3 +58,30 @@ def test_voting_observer_reads_the_line_count(rng):
     assert len(votes) >= 2
     assert traced.layer_totals()["selection.convergence_voting"][0] == len(votes)
     assert traced.counts["voting_lines_max"] == max(votes)
+
+
+def test_solve_observer_counts_one_candidate_per_returned_solve():
+    # candidates_mean is solve_candidates over the solves that returned; the
+    # solver returns one root, so it reads 1.0.  Streams 4 and 5 of the
+    # half-PnL rig each fail one solve (at the sanity floor) and then
+    # converge, stream 1 converges at its first solve.
+    tracer = load_tracer()
+    truth = Extrinsics(rotation_about_y(20.0), np.array([0.30, 0.0, 0.0]))
+    with tracer.Tracer(MODULES) as traced:
+        for seed in (1, 4, 5):
+            spec = RigSpec(
+                truth=truth,
+                target_intrinsics=DEFAULT_K,
+                source_intrinsics=DEFAULT_K,
+                n_lines=60,
+                pixel_noise_sigma=0.5,
+                depth_noise_sigma=0.003,
+                pnl_fraction=0.5,
+                rng_seed=seed,
+            )
+            report = run(generate(spec)[0], PipelineConfig(cost_threshold=30.0), DEFAULT_K)
+            assert report.termination.value == "converged"
+    solves = traced.layer_totals()["solver.solve_quadratic_system"][0]
+    failed = traced.counts["solve_failed"]
+    assert failed == 2 and solves == 5
+    assert traced.counts["solve_candidates"] == solves - failed
