@@ -15,7 +15,7 @@ import csv
 import functools
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
@@ -60,17 +60,12 @@ def _checked(where: str, build):
 
 def _pipeline_config(args) -> PipelineConfig:
     cfg = PipelineConfig()
-    overrides = {}
-    for flag, field in (
-        ("epsilon_d", "epsilon_d_m"),
-        ("cost_threshold", "cost_threshold"),
-        ("max_pairs", "max_pairs"),
-        ("inlier_ratio", "inlier_ratio_threshold"),
-        ("seed", "rng_seed"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[field] = value
+    # Each field's flag stores under the field's own name.
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in fields(PipelineConfig)
+        if getattr(args, f.name, None) is not None
+    }
     if overrides:
         cfg = _checked("command line", lambda: replace(cfg, **overrides))
     config_path = getattr(args, "config", None)
@@ -171,14 +166,7 @@ def _cmd_evaluate_planes(args) -> int:
     except IllConditionedPlane as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    fileio.write_json(
-        args.output,
-        {
-            "offset_gap_mm": metrics.offset_gap_mm,
-            "normal_angle_deg": metrics.normal_angle_deg,
-            "square_size_error_mm": metrics.square_size_error_mm,
-        },
-    )
+    fileio.write_json(args.output, asdict(metrics))
     return 0
 
 
@@ -245,15 +233,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_pipeline_flags(p):
         p.add_argument("--config", help="pipeline config JSON (overrides flags)")
-        p.add_argument("--epsilon-d", dest="epsilon_d", type=float,
+        p.add_argument("--epsilon-d", dest="epsilon_d_m", type=float,
                        help="voting neighborhood radius in meters")
         p.add_argument("--cost-threshold", dest="cost_threshold", type=float,
                        help="mean refined cost accepted as converged")
         p.add_argument("--max-pairs", dest="max_pairs", type=int,
                        help="observation budget")
-        p.add_argument("--inlier-ratio", dest="inlier_ratio", type=float,
+        p.add_argument("--inlier-ratio", dest="inlier_ratio_threshold", type=float,
                        help="classification inlier-ratio threshold")
-        p.add_argument("--seed", type=int, help="pipeline RNG seed")
+        p.add_argument("--seed", dest="rng_seed", type=int, help="pipeline RNG seed")
 
     p = sub.add_parser("sweep", help="grid evaluation over rotations and baselines")
     p.add_argument("--spec", required=True, help="base rig spec JSON")

@@ -13,6 +13,7 @@ import contextlib
 import functools
 import json
 import math
+from dataclasses import asdict, fields
 from itertools import accumulate, chain
 from pathlib import Path
 
@@ -21,7 +22,7 @@ import numpy as np
 from .errors import SchemaError
 from .geometry import CameraIntrinsics, Extrinsics, Line2D, rotation_to_cgr
 from .errors import NearSingularRotation
-from .pipeline import CalibrationReport, LineObservation
+from .pipeline import MAX_MAGNITUDE, CalibrationReport, LineObservation
 from .simulator import GroundTruthRecord, RigSpec
 
 
@@ -102,13 +103,6 @@ def load_json(path: str | Path):
         raise SchemaError(f"{path}: invalid JSON: nested too deeply") from exc
 
 
-#: Largest magnitude a reader accepts for a point coordinate or translation
-#: (m), an image endpoint or intrinsic (px), a rotation entry, or a rig spec's
-#: noise and ranges: far beyond any real rig, and far enough below float64's
-#: range that the products computed from them cannot overflow.
-MAX_MAGNITUDE = 1e6
-
-
 def _need(data: dict, key: str, where: str):
     if not isinstance(data, dict) or key not in data:
         raise SchemaError(f"{where}: missing field '{key}'")
@@ -183,28 +177,17 @@ def _matrix(
 # intrinsics / extrinsics blocks
 
 
-def intrinsics_to_dict(K: CameraIntrinsics) -> dict:
-    return {
-        "fx": K.fx,
-        "fy": K.fy,
-        "cx": K.cx,
-        "cy": K.cy,
-        "width": K.width,
-        "height": K.height,
-    }
-
-
 def intrinsics_from_dict(data, where: str) -> CameraIntrinsics:
-    fx, fy, cx, cy = (
-        _number(_need(data, key, where), f"{where}.{key}", MAX_MAGNITUDE)
-        for key in ("fx", "fy", "cx", "cy")
-    )
-    width, height = (
-        _integer(_need(data, key, where), f"{where}.{key}", MAX_MAGNITUDE)
-        for key in ("width", "height")
-    )
+    """The fields of ``CameraIntrinsics`` in order: its ``int`` fields as
+    integers, the others as numbers."""
+    values = [
+        (_integer if f.type == "int" else _number)(
+            _need(data, f.name, where), f"{where}.{f.name}", MAX_MAGNITUDE
+        )
+        for f in fields(CameraIntrinsics)
+    ]
     try:
-        return CameraIntrinsics(fx, fy, cx, cy, width, height)
+        return CameraIntrinsics(*values)
     except ValueError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
@@ -265,8 +248,8 @@ def observation_file_dict(
             }
         )
     return {
-        "target_intrinsics": intrinsics_to_dict(target_K),
-        "source_intrinsics": intrinsics_to_dict(source_K),
+        "target_intrinsics": asdict(target_K),
+        "source_intrinsics": asdict(source_K),
         "observations": obs_out,
     }
 
@@ -424,22 +407,22 @@ def read_calibration_file(path: str | Path) -> dict:
 # rig specs and ground truth
 
 
+#: The rig-spec fields that are records, each read and written by its own
+#: functions; RigSpec itself checks the others.
+_RIG_RECORDS = ("truth", "target_intrinsics", "source_intrinsics")
+_RIG_VALUES = tuple(f.name for f in fields(RigSpec) if f.name not in _RIG_RECORDS)
+
+
 def rig_spec_to_dict(spec: RigSpec) -> dict:
-    return {
+    doc = {
         "truth": extrinsics_to_dict(spec.truth),
-        "target_intrinsics": intrinsics_to_dict(spec.target_intrinsics),
-        "source_intrinsics": intrinsics_to_dict(spec.source_intrinsics),
-        "n_lines": spec.n_lines,
-        "line_length_m": list(spec.line_length_m),
-        "scene_depth_m": list(spec.scene_depth_m),
-        "pixel_noise_sigma": spec.pixel_noise_sigma,
-        "depth_noise_sigma": spec.depth_noise_sigma,
-        "outlier_fraction": spec.outlier_fraction,
-        "samples_per_line": spec.samples_per_line,
-        "pnl_fraction": spec.pnl_fraction,
-        "rng_seed": spec.rng_seed,
-        "depth_noise_model": spec.depth_noise_model,
+        "target_intrinsics": asdict(spec.target_intrinsics),
+        "source_intrinsics": asdict(spec.source_intrinsics),
     }
+    for name in _RIG_VALUES:
+        value = getattr(spec, name)
+        doc[name] = list(value) if isinstance(value, tuple) else value
+    return doc
 
 
 def rig_spec_from_dict(data) -> RigSpec:
@@ -451,30 +434,9 @@ def rig_spec_from_dict(data) -> RigSpec:
     source_K = intrinsics_from_dict(
         _need(data, "source_intrinsics", where), "source_intrinsics"
     )
-    # The integer fields go through as read; RigSpec checks their type.
-    kwargs = {
-        key: data[key] for key in ("n_lines", "samples_per_line", "rng_seed") if key in data
-    }
-    for key in (
-        "pixel_noise_sigma",
-        "depth_noise_sigma",
-        "outlier_fraction",
-        "pnl_fraction",
-    ):
-        if key in data:
-            kwargs[key] = _number(data[key], key, MAX_MAGNITUDE)
-    for key in ("line_length_m", "scene_depth_m"):
-        if key in data:
-            kwargs[key] = tuple(_vector(data[key], 2, key, MAX_MAGNITUDE).tolist())
-    if "depth_noise_model" in data:
-        kwargs["depth_noise_model"] = str(data["depth_noise_model"])
+    kwargs = {key: data[key] for key in _RIG_VALUES if key in data}
     try:
-        return RigSpec(
-            truth=truth,
-            target_intrinsics=target_K,
-            source_intrinsics=source_K,
-            **kwargs,
-        )
+        return RigSpec(truth, target_K, source_K, **kwargs)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 

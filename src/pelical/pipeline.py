@@ -30,14 +30,13 @@ from .constraints import CaseKind, Correspondence, assemble, classify
 from .errors import (
     CalibrationError,
     DegenerateLine,
-    DegenerateTranslation,
     InsufficientLines,
-    NoRealSolution,
     ParallelPlanes,
     TooFewSamples,
 )
 from .geometry import CameraIntrinsics, Extrinsics, Line2D, PluckerLine, cross3
 from .selection import (
+    _FULL_ROWS,
     ROTATION_ROW_COUNT,
     RotationGateState,
     _solve_state,
@@ -65,11 +64,17 @@ VOTE_MIN_COUNT = 4
 VOTE_FRACTION = 0.6
 
 
-def _real(config, name: str, integer: bool = False):
-    """Config field ``name``, checked to be a finite real number (an integer
-    if asked) and not a bool; raises TypeError or ValueError naming the
-    field otherwise."""
-    value = getattr(config, name)
+#: Largest magnitude accepted for a point coordinate or translation (m), an
+#: image endpoint or intrinsic (px), a rotation entry, or a rig spec's noise
+#: and ranges: far beyond any real rig, and far enough below float64's
+#: range that the products computed from them cannot overflow.
+MAX_MAGNITUDE = 1e6
+
+
+def _real(value, name: str, integer: bool = False):
+    """``value`` of field ``name``, checked to be a finite real number (an
+    integer if asked) and not a bool; raises TypeError or ValueError naming
+    the field otherwise."""
     kind = numbers.Integral if integer else numbers.Real
     if isinstance(value, bool) or not isinstance(value, kind):
         noun = "an integer" if integer else "a number"
@@ -92,15 +97,15 @@ class PipelineConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not _real(self, "epsilon_d_m") > 0:
+        if not _real(self.epsilon_d_m, "epsilon_d_m") > 0:
             raise ValueError("epsilon_d_m must be positive")
-        if not 0 < _real(self, "inlier_ratio_threshold") <= 1:
+        if not 0 < _real(self.inlier_ratio_threshold, "inlier_ratio_threshold") <= 1:
             raise ValueError("inlier_ratio_threshold must lie in (0, 1]")
-        if _real(self, "max_pairs", integer=True) < 1:
+        if _real(self.max_pairs, "max_pairs", integer=True) < 1:
             raise ValueError("max_pairs must be at least 1")
-        if _real(self, "rng_seed", integer=True) < 0:
+        if _real(self.rng_seed, "rng_seed", integer=True) < 0:
             raise ValueError("rng_seed must be non-negative")
-        _real(self, "cost_threshold")
+        _real(self.cost_threshold, "cost_threshold")
 
 
 def vote_threshold(n_lines: int) -> int:
@@ -322,13 +327,14 @@ def _maybe_evict(state: PipelineState) -> list[int | None]:
     below ``EVICTION_FACTOR`` times its starting value.  Peeling several
     pairs per call matters: with two or more bad pairs, removing just one
     barely moves the distance and a single-step test would deadlock.
-    Peeling stops before the rows would fall under nine or the pairs under
-    ``MIN_PAIRS_FOR_FINALIZE``, and when the rotation becomes undetermined.
-    If no prefix reaches the target the store is left untouched.  That does
-    not keep an honest store whole: with few rows, dropping the worst-fitting
-    noisy pair can halve the distance by itself, so an outlier-free stream
-    whose vote never forms keeps losing pairs (20 to 36 per 60-line stream
-    at 0.5 px / 3 mm noise).  Returns the evicted ids.
+    Peeling stops before the rows would fall under ``_FULL_ROWS`` or the
+    pairs under ``MIN_PAIRS_FOR_FINALIZE``, and when the rotation becomes
+    undetermined.  If no prefix reaches the target the store is left
+    untouched.  That does not keep an honest store whole: with few rows,
+    dropping the worst-fitting noisy pair can halve the distance by itself,
+    so an outlier-free stream whose vote never forms keeps losing pairs (20
+    to 36 per 60-line stream at 0.5 px / 3 mm noise).  Returns the evicted
+    ids.
     """
     orig = state.gate
     if orig.rotation is None or not 0.0 < orig.distance < math.inf:
@@ -342,7 +348,8 @@ def _maybe_evict(state: PipelineState) -> list[int | None]:
         residuals = _pair_residuals(orig.C, orig.b, starts, cur.rotation.reshape(-1))
         residuals[~kept] = -np.inf
         worst = int(np.argmax(residuals))
-        if cur.row_count - sizes[worst] < 9 or kept.sum() - 1 < MIN_PAIRS_FOR_FINALIZE:
+        too_few_rows = cur.row_count - sizes[worst] < _FULL_ROWS
+        if too_few_rows or kept.sum() - 1 < MIN_PAIRS_FOR_FINALIZE:
             break
         removed.append(worst)
         kept[worst] = False
@@ -443,7 +450,7 @@ def try_finalize(
         solution = solve_quadratic_system(system)
         weights = _full3d_weights(inlier_cs, state.target_K)
         refined = refine(solution, inlier_cs, state.target_K, weights)
-    except (DegenerateTranslation, NoRealSolution, CalibrationError) as exc:
+    except CalibrationError as exc:
         entry["note"] = f"solve failed: {exc}"
         return None
     state.last_solution = refined

@@ -25,7 +25,14 @@ from .geometry import (
     plucker_from_points,
     rotation_angle,
 )
-from .pipeline import CalibrationReport, LineObservation, PipelineConfig, _real, run
+from .pipeline import (
+    MAX_MAGNITUDE,
+    CalibrationReport,
+    LineObservation,
+    PipelineConfig,
+    _real,
+    run,
+)
 
 _MIN_SEGMENT_PX = 10.0
 _MIN_DEPTH = 0.05
@@ -60,23 +67,31 @@ class RigSpec:
     depth_noise_model: str = "isotropic"
 
     def __post_init__(self) -> None:
+        """Check every field but the three records, which check themselves;
+        a bad value raises TypeError or ValueError naming its field."""
         for name, low in (("n_lines", 1), ("samples_per_line", 2)):
-            if not low <= _real(self, name, integer=True) <= _MAX_COUNT:
+            if not low <= _real(getattr(self, name), name, integer=True) <= _MAX_COUNT:
                 raise ValueError(f"{name} must lie in [{low}, {_MAX_COUNT}]")
         if self.n_lines * self.samples_per_line > _MAX_POINTS:
             raise ValueError(f"n_lines x samples_per_line must be at most {_MAX_POINTS}")
-        if _real(self, "rng_seed", integer=True) < 0:
+        if _real(self.rng_seed, "rng_seed", integer=True) < 0:
             raise ValueError("rng_seed must be non-negative")
+        for name, high in (
+            ("pixel_noise_sigma", MAX_MAGNITUDE),
+            ("depth_noise_sigma", MAX_MAGNITUDE),
+            ("outlier_fraction", 1),
+            ("pnl_fraction", 1),
+        ):
+            if not 0 <= _real(getattr(self, name), name) <= high:
+                raise ValueError(f"{name} must lie in [0, {high:g}]")
         for name in ("line_length_m", "scene_depth_m"):
-            lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
-                raise ValueError(f"{name} must be an increasing positive range")
-        for name in ("pixel_noise_sigma", "depth_noise_sigma"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        for name in ("outlier_fraction", "pnl_fraction"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+            value = getattr(self, name)
+            if not isinstance(value, (tuple, list)) or len(value) != 2:
+                raise TypeError(f"{name} must be a pair of numbers, got {value!r}")
+            lo, hi = (float(_real(v, name)) for v in value)
+            if not 0 < lo <= hi <= MAX_MAGNITUDE:
+                raise ValueError(f"{name} must be a range 0 < lo <= hi <= {MAX_MAGNITUDE:g}")
+            object.__setattr__(self, name, (lo, hi))
         if self.depth_noise_model not in ("isotropic", "axial_z2"):
             raise ValueError("depth_noise_model must be 'isotropic' or 'axial_z2'")
 

@@ -30,7 +30,7 @@ from pelical import (
     pose_errors,
     rotation_about_y,
 )
-from pelical.cli import _pipeline_config, main
+from pelical.cli import _pipeline_config, build_parser, main
 from pelical.fileio import (
     SWEEP_COLUMNS,
     extrinsics_to_dict,
@@ -203,9 +203,11 @@ class TestSimulate:
             ("rng_seed", 1.5, "rng_seed must be an integer, got 1.5"),
             # 10000 lines of 40 samples each: 400000 points per camera
             ("n_lines", 10_000, "n_lines x samples_per_line must be at most 100000"),
+            ("pixel_noise_sigma", 2e6, "pixel_noise_sigma must lie in [0, 1e+06]"),
+            ("scene_depth_m", [0.5, "x"], "scene_depth_m must be a number, got 'x'"),
         ],
         ids=["negative-seed", "huge-float-samples", "huge-samples", "fractional-lines",
-             "fractional-seed", "huge-stream"],
+             "fractional-seed", "huge-stream", "huge-sigma", "string-depth"],
     )
     def test_bad_spec_field_exits_1(self, tmp_path, capsys, field, value, message):
         spec_path = tmp_path / "rig.json"
@@ -324,8 +326,8 @@ class TestCalibrate:
         cfg_path = tmp_path / "cfg.json"
         write_json(cfg_path, {"rng_seed": 7, "cost_threshold": 11.0})
         args = argparse.Namespace(
-            seed=3, cost_threshold=5.0, config=str(cfg_path),
-            epsilon_d=None, max_pairs=None, inlier_ratio=None,
+            rng_seed=3, cost_threshold=5.0, config=str(cfg_path),
+            epsilon_d_m=None, max_pairs=None, inlier_ratio_threshold=None,
         )
         cfg = _pipeline_config(args)
         assert cfg.rng_seed == 7 and cfg.cost_threshold == 11.0
@@ -815,6 +817,17 @@ def test_usage_error_exits_1(capsys, argv, message):
         main(argv)
     assert stop.value.code == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["calibrate", "sweep"])
+def test_every_config_field_has_a_flag(command):
+    # _pipeline_config reads each PipelineConfig field from the flag that
+    # stores under its name, so each field needs one
+    required = {"calibrate": ["--input", "i", "--output", "o"],
+                "sweep": ["--spec", "s", "--rotations", "0", "--baselines", "0",
+                          "--output", "o"]}[command]
+    dests = vars(build_parser().parse_args([command, *required]))
+    assert {f.name for f in dataclasses.fields(PipelineConfig)} <= dests.keys()
 
 
 @pytest.mark.parametrize("argv", [["-h"], ["sweep", "-h"]])

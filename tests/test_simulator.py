@@ -54,6 +54,41 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             easy_spec(depth_noise_model="banana")
 
+    @pytest.mark.parametrize(
+        "name", ["pixel_noise_sigma", "depth_noise_sigma", "outlier_fraction", "pnl_fraction"]
+    )
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            (math.nan, ValueError),
+            (math.inf, ValueError),
+            (-math.inf, ValueError),
+            (True, TypeError),
+            ("0.5", TypeError),
+            (2e6, ValueError),
+        ],
+        ids=["nan", "inf", "-inf", "bool", "string", "huge"],
+    )
+    def test_rejects_bad_number_naming_the_field(self, name, value, error):
+        # NaN fails every comparison, so sign checks alone let it through
+        with pytest.raises(error, match=name):
+            easy_spec(**{name: value})
+
+    @pytest.mark.parametrize("name", ["line_length_m", "scene_depth_m"])
+    @pytest.mark.parametrize(
+        "value, error",
+        [((0.5, math.inf), ValueError), (5, TypeError), ([0.5, "x"], TypeError)],
+        ids=["inf", "scalar", "string"],
+    )
+    def test_rejects_bad_range_naming_the_field(self, name, value, error):
+        with pytest.raises(error, match=name):
+            easy_spec(**{name: value})
+
+    def test_list_range_is_stored_as_a_float_tuple(self):
+        spec = easy_spec(line_length_m=[1, 2.5])
+        assert spec.line_length_m == (1.0, 2.5)
+        assert list(map(type, spec.line_length_m)) == [float, float]
+
     def test_axial_noise_model_accepted(self):
         obs, _ = generate(
             easy_spec(depth_noise_sigma=0.001, depth_noise_model="axial_z2")
