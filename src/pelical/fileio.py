@@ -19,10 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SchemaError
+from .checks import MAX_MAGNITUDE
+from .errors import NearSingularRotation, SchemaError
 from .geometry import CameraIntrinsics, Extrinsics, Line2D, rotation_to_cgr
-from .errors import NearSingularRotation
-from .pipeline import MAX_MAGNITUDE, CalibrationReport, LineObservation
+from .pipeline import CalibrationReport, LineObservation
 from .simulator import GroundTruthRecord, RigSpec
 
 
@@ -124,9 +124,9 @@ def _number(value, where: str, limit: float = math.inf) -> float:
     return number
 
 
-def _integer(value, where: str, limit: float = math.inf) -> int:
-    """``value`` as an int: a whole number of magnitude at most ``limit``."""
-    number = _number(value, where, limit)
+def _integer(value, where: str) -> int:
+    """``value`` as an int: a finite whole number."""
+    number = _number(value, where)
     if not number.is_integer():
         raise SchemaError(f"{where}: expected an integer")
     return value if isinstance(value, int) else int(number)
@@ -178,17 +178,16 @@ def _matrix(
 
 
 def intrinsics_from_dict(data, where: str) -> CameraIntrinsics:
-    """The fields of ``CameraIntrinsics`` in order: its ``int`` fields as
-    integers, the others as numbers."""
+    """The fields of ``CameraIntrinsics`` as read, except that a whole float
+    such as ``640.0`` reads as an ``int`` field's integer."""
+    values = [_need(data, f.name, where) for f in fields(CameraIntrinsics)]
     values = [
-        (_integer if f.type == "int" else _number)(
-            _need(data, f.name, where), f"{where}.{f.name}", MAX_MAGNITUDE
-        )
-        for f in fields(CameraIntrinsics)
+        int(v) if f.type == "int" and type(v) is float and v.is_integer() else v
+        for f, v in zip(fields(CameraIntrinsics), values)
     ]
     try:
         return CameraIntrinsics(*values)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
@@ -408,7 +407,7 @@ def read_calibration_file(path: str | Path) -> dict:
 
 
 #: The rig-spec fields that are records, each read and written by its own
-#: functions; RigSpec itself checks the others.
+#: functions; RigSpec itself checks the others and refuses unknown keys.
 _RIG_RECORDS = ("truth", "target_intrinsics", "source_intrinsics")
 _RIG_VALUES = tuple(f.name for f in fields(RigSpec) if f.name not in _RIG_RECORDS)
 
@@ -434,7 +433,7 @@ def rig_spec_from_dict(data) -> RigSpec:
     source_K = intrinsics_from_dict(
         _need(data, "source_intrinsics", where), "source_intrinsics"
     )
-    kwargs = {key: data[key] for key in _RIG_VALUES if key in data}
+    kwargs = {key: value for key, value in data.items() if key not in _RIG_RECORDS}
     try:
         return RigSpec(truth, target_K, source_K, **kwargs)
     except (TypeError, ValueError) as exc:

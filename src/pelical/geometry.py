@@ -15,10 +15,11 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .checks import MAX_MAGNITUDE, _real
 from .errors import DegenerateLine, NearSingularRotation, RankDeficient
 
 _UNIT_TOL = 1e-9
@@ -69,6 +70,11 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self) -> None:
+        """A bad value raises TypeError or ValueError naming its field."""
+        for f in fields(self):
+            value = _real(getattr(self, f.name), f.name, integer=f.type == "int")
+            if not abs(value) <= MAX_MAGNITUDE:
+                raise ValueError(f"{f.name} must be at most {MAX_MAGNITUDE:g} in magnitude")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be positive")
         if not (self.width > 0 and self.height > 0):

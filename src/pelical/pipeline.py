@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import enum
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import MAX_MAGNITUDE, _real  # both still importable from here
 from .constraints import CaseKind, Correspondence, assemble, classify
 from .errors import (
     CalibrationError,
@@ -62,30 +62,6 @@ RANSAC_MIN_INLIERS = 8
 #: agreeing candidate lines.
 VOTE_MIN_COUNT = 4
 VOTE_FRACTION = 0.6
-
-
-#: Largest magnitude accepted for a point coordinate or translation (m), an
-#: image endpoint or intrinsic (px), a rotation entry, or a rig spec's noise
-#: and ranges: far beyond any real rig, and far enough below float64's
-#: range that the products computed from them cannot overflow.
-MAX_MAGNITUDE = 1e6
-
-
-def _real(value, name: str, integer: bool = False):
-    """``value`` of field ``name``, checked to be a finite real number (an
-    integer if asked) and not a bool; raises TypeError or ValueError naming
-    the field otherwise."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        noun = "an integer" if integer else "a number"
-        raise TypeError(f"{name} must be {noun}, got {value!r}")
-    try:
-        finite = integer or math.isfinite(value)
-    except OverflowError:  # an integer too large for a float
-        finite = False
-    if not finite:
-        raise ValueError(f"{name} must be finite")
-    return value
 
 
 @dataclass(frozen=True)
@@ -498,15 +474,14 @@ def run(
                 return report
 
     # The stream is exhausted.  Earlier rounds may have admitted mismatched
-    # pairs while the gate was still underdetermined; keep re-voting as long
-    # as evictions make progress so a poisoned store can still recover.
-    while len(state.correspondences) >= MIN_PAIRS_FOR_FINALIZE:
-        before = len(state.correspondences)
+    # pairs while the gate was still underdetermined; re-vote while the last
+    # attempt evicted pairs, so a poisoned store can still recover.  Without
+    # an eviction the store is as that attempt left it, and a deterministic
+    # re-vote would only repeat it.
+    while state.trace and "evicted" in state.trace[-1]:
         report = try_finalize(state, cfg)
         if report is not None:
             return report
-        if len(state.correspondences) == before:
-            break
 
     if state.last_solution is not None:
         pose = state.last_solution.extrinsics

@@ -173,13 +173,13 @@ def candidate_from_pnl(
     transferred source segment endpoints, so each endpoint/source-endpoint
     match adds the point-transfer rows ``[x]_x K t = -[x]_x K R X``.  The
     stacked system is solved by least squares.  Segment orientation is not
-    shared across cameras, so both endpoint orderings are tried; orderings
-    implying a segment behind the camera are discarded and the best
-    remaining fit wins.  The candidate line runs through that anchor
-    ``p0`` along the unit ``u = R d_s``; returns ``(p0, u)``.
+    shared across cameras, so the reversed endpoint ordering is tried when
+    the first one implies a segment behind the camera; the first ordering in
+    front of the camera gives the anchor.  The candidate line runs through
+    that anchor ``p0`` along the unit ``u = R d_s``; returns ``(p0, u)``.
 
-    Raises ParallelPlanes when the 2D endpoints coincide or the stacked
-    constraints are rank deficient.
+    Raises ParallelPlanes when the 2D endpoints coincide, the stacked
+    constraints are rank deficient, or both orderings lie behind the camera.
     """
     if c.kind is not CaseKind.PNL:
         raise ParallelPlanes("candidate_from_pnl needs a PNL pair")
@@ -198,27 +198,18 @@ def candidate_from_pnl(
     scale = row_norms(rows)
     keep = ~(scale < 1e-12)
     A = rows[keep] / scale[keep, None]
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[2] < 1e-9 * max(1.0, sv[0]):
-        raise ParallelPlanes("endpoint planes are degenerate")
-
-    best: tuple[float, np.ndarray] | None = None
     for picked in (c.source_endpoints, c.source_endpoints[::-1]):
         transfers = [-Sx @ (K @ (R @ X)) for Sx, X in zip(S, picked)]
         b = np.concatenate([moments, *transfers])[keep] / scale[keep]
-        sol, *_ = np.linalg.lstsq(A, b, rcond=None)
+        sol, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
+        if sv[2] < 1e-9 * max(1.0, sv[0]):
+            break
         # the swapped ordering is often algebraically consistent too (the
         # endpoint rays and the line direction are coplanar), but it places
         # the transferred segment behind the camera
-        depths = [(R @ X + sol)[2] for X in picked]
-        if min(depths) <= 0.0:
-            continue
-        misfit = float(np.linalg.norm(A @ sol - b))
-        if best is None or misfit < best[0]:
-            best = (misfit, sol)
-    if best is None:
-        raise ParallelPlanes("endpoint planes are degenerate")
-    return best[1], Rd / np.linalg.norm(Rd)
+        if min((R @ X + sol)[2] for X in picked) > 0.0:
+            return sol, Rd / np.linalg.norm(Rd)
+    raise ParallelPlanes("endpoint planes are degenerate")
 
 
 @dataclass(frozen=True)

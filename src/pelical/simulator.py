@@ -16,6 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .checks import MAX_MAGNITUDE, _real
 from .errors import InfeasibleSpec
 from .geometry import (
     CameraIntrinsics,
@@ -25,14 +26,7 @@ from .geometry import (
     plucker_from_points,
     rotation_angle,
 )
-from .pipeline import (
-    MAX_MAGNITUDE,
-    CalibrationReport,
-    LineObservation,
-    PipelineConfig,
-    _real,
-    run,
-)
+from .pipeline import CalibrationReport, LineObservation, PipelineConfig, run
 
 _MIN_SEGMENT_PX = 10.0
 _MIN_DEPTH = 0.05

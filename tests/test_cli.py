@@ -205,9 +205,12 @@ class TestSimulate:
             ("n_lines", 10_000, "n_lines x samples_per_line must be at most 100000"),
             ("pixel_noise_sigma", 2e6, "pixel_noise_sigma must lie in [0, 1e+06]"),
             ("scene_depth_m", [0.5, "x"], "scene_depth_m must be a number, got 'x'"),
+            # a misspelt key once left its field at the default and exited 0
+            ("pixel_noise_sigm", 0.5,
+             "RigSpec.__init__() got an unexpected keyword argument 'pixel_noise_sigm'"),
         ],
         ids=["negative-seed", "huge-float-samples", "huge-samples", "fractional-lines",
-             "fractional-seed", "huge-stream", "huge-sigma", "string-depth"],
+             "fractional-seed", "huge-stream", "huge-sigma", "string-depth", "unknown-key"],
     )
     def test_bad_spec_field_exits_1(self, tmp_path, capsys, field, value, message):
         spec_path = tmp_path / "rig.json"
@@ -390,35 +393,38 @@ class TestCalibrate:
         assert capsys.readouterr().err == "error: PELICAL_SEED: rng_seed must be non-negative\n"
 
     @pytest.mark.parametrize(
-        "path, value, where",
+        "path, value, message",
         [
-            (("target_intrinsics", "fx"), 1e300, "target_intrinsics.fx"),
+            (("target_intrinsics", "fx"), 1e300,
+             "target_intrinsics: fx must be at most 1e+06 in magnitude"),
             (("observations", 0, "source_samples", 0), [1e300, 0.0, 0.0],
-             "observations[0].source_samples[0]"),
+             "observations[0].source_samples[0]: magnitude exceeds 1e+06"),
             (("observations", 3, "target_2d", "endpoints", 1), [-2e6, 0.0],
-             "observations[3].target_2d.endpoints[1]"),
+             "observations[3].target_2d.endpoints[1]: magnitude exceeds 1e+06"),
         ],
         ids=["fx", "sample", "endpoint"],
     )
-    def test_absurd_magnitude_exits_1(self, tmp_path, capsys, path, value, where):
+    def test_absurd_magnitude_exits_1(self, tmp_path, capsys, path, value, message):
         # finite values this large overflow the solver's products, so the
-        # reader must reject them and name the field
+        # reader (or the record it builds) must reject them and name the field
         assert calibrate_edited(tmp_path, path, value) == 1
-        assert capsys.readouterr().err == f"error: {where}: magnitude exceeds 1e+06\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(
-        "path, value, where",
+        "path, value, message",
         [
-            (("target_intrinsics", "width"), 640.9, "target_intrinsics.width"),
-            (("source_intrinsics", "height"), 480.5, "source_intrinsics.height"),
-            (("observations", 0, "id"), 1.5, "observations[0].id"),
+            (("target_intrinsics", "width"), 640.9,
+             "target_intrinsics: width must be an integer, got 640.9"),
+            (("source_intrinsics", "height"), 480.5,
+             "source_intrinsics: height must be an integer, got 480.5"),
+            (("observations", 0, "id"), 1.5, "observations[0].id: expected an integer"),
         ],
         ids=["width", "height", "id"],
     )
-    def test_fractional_integer_exits_1(self, tmp_path, capsys, path, value, where):
+    def test_fractional_integer_exits_1(self, tmp_path, capsys, path, value, message):
         # these were once truncated by int(), and the run exited 0
         assert calibrate_edited(tmp_path, path, value) == 1
-        assert capsys.readouterr().err == f"error: {where}: expected an integer\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_whole_float_integer_is_read(self, tmp_path):
         assert calibrate_edited(tmp_path, ("target_intrinsics", "width"), 640.0) == 0

@@ -280,11 +280,14 @@ class TestObservationFile:
         doc = load_json(path)
         if where.startswith("observations"):
             doc["observations"][1]["id"] = "BAD"
+            message = rf"^{re.escape(where)}: expected a finite number$"
         else:
             block, key = where.split(".")
             doc[block][key] = "BAD"
+            # CameraIntrinsics checks its own fields; JSON's 1e400 reads as inf
+            message = rf"^{block}: {key} must be (finite|an integer, got inf)$"
         path.write_text(dumps_canonical(doc).replace('"BAD"', literal))
-        with pytest.raises(SchemaError, match=rf"^{re.escape(where)}: expected a finite number$"):
+        with pytest.raises(SchemaError, match=message):
             read_observation_file(path)
 
     def test_missing_intrinsics_field(self, tmp_path, observations):
@@ -557,6 +560,12 @@ class TestRigSpecFile:
         doc = rig_spec_to_dict(self.spec())
         del doc["truth"]
         with pytest.raises(SchemaError, match="truth"):
+            rig_spec_from_dict(doc)
+
+    def test_unknown_key_rejected(self):
+        # a misspelt key once left its field at the default without a word
+        doc = {**rig_spec_to_dict(self.spec()), "pixel_noise_sigm": 0.5}
+        with pytest.raises(SchemaError, match="^rig spec: .*'pixel_noise_sigm'$"):
             rig_spec_from_dict(doc)
 
     def test_invalid_fraction_rejected(self):

@@ -325,6 +325,23 @@ class TestSmallTypes:
         with pytest.raises(ValueError, match=message):
             Line2D(coeffs, endpoints)
 
+    @pytest.mark.parametrize(
+        "field, value, error, message",
+        [
+            ("fx", np.inf, ValueError, "fx must be finite"),
+            ("cy", np.nan, ValueError, "cy must be finite"),
+            ("fy", 2e6, ValueError, "fy must be at most 1e\\+06 in magnitude"),
+            ("width", 640.5, TypeError, "width must be an integer, got 640.5"),
+            ("height", True, TypeError, "height must be an integer, got True"),
+            ("cx", "320", TypeError, "cx must be a number, got '320'"),
+        ],
+        ids=["inf-fx", "nan-cy", "huge-fy", "fractional-width", "bool-height", "string-cx"],
+    )
+    def test_intrinsics_check_each_field(self, field, value, error, message):
+        fields = dict(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
+        with pytest.raises(error, match=f"^{message}$"):
+            CameraIntrinsics(**{**fields, field: value})
+
     def test_intrinsics_project(self, intrinsics):
         uv = intrinsics.project(np.array([0.0, 0.0, 2.0]))
         assert_allclose(uv, [intrinsics.cx, intrinsics.cy], atol=1e-12)

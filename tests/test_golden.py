@@ -1,11 +1,13 @@
-"""Pinned SHA-256 digests of `simulate` and `sweep` output.
+"""Pinned SHA-256 digests of `simulate`, `calibrate` and `sweep` output.
 
 The other determinism tests compare two runs of the same version.  These
 compare against digests recorded before the simulator and the writer were
 rewritten for speed, so a rewrite that moves one byte of an observation,
 truth or sweep file fails here.  The three rigs take the simulator through
 its outlier, PnL and axial-noise branches; the 80° yaw one also through the
-penetrating-segment fallback.
+penetrating-segment fallback.  The calibration digests pin a converged mixed
+stream, a converged PnL-heavy one and one whose vote never carries, so it
+ends after the stream.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import hashlib
 import numpy as np
 import pytest
 
-from pelical import Extrinsics, RigSpec, rotation_about_y
+from pelical import Extrinsics, RigSpec, generate, rotation_about_y
 from pelical.cli import main
-from pelical.fileio import rig_spec_to_dict, write_json
+from pelical.fileio import rig_spec_to_dict, write_json, write_observation_file
 
 from helpers import DEFAULT_K
 
@@ -72,6 +74,38 @@ def test_simulate_bytes_are_pinned(tmp_path, spec, expected):
     argv = ["simulate", "--spec", str(spec_path), "--output", str(obs), "--truth", str(truth)]
     assert main(argv) == 0
     assert sha256(obs, truth) == expected
+
+
+@pytest.mark.parametrize(
+    "spec, flags, expected",
+    [
+        (
+            rig(20.0, outlier_fraction=0.2, pnl_fraction=0.25),
+            [],
+            "fe627b9a8f45067727d86fed144a72e9ac9c4b6fe693044cfaf6c3768b52bcce",
+        ),
+        (
+            rig(20.0, pnl_fraction=0.6),
+            [],
+            "ccf4d9c3f12f4b283651f3d001492db680fa463a8294084bb1ac87c3bfb29cd3",
+        ),
+        (
+            # recorded once the end of the stream stopped repeating the last
+            # attempt, whose trace entry the parent digest still held
+            rig(20.0, n_lines=20),
+            ["--epsilon-d", "1e-5"],
+            "cf445938c470ff1c09ad682c64b07cd24abad4b61a437bdfa4aca196b7d5cebc",
+        ),
+    ],
+    ids=["converged-mixed", "converged-pnl", "end-of-stream"],
+)
+def test_calibrate_bytes_are_pinned(tmp_path, spec, flags, expected):
+    obs, calib = tmp_path / "obs.json", tmp_path / "calib.json"
+    write_observation_file(obs, DEFAULT_K, DEFAULT_K, generate(spec)[0])
+    argv = ["calibrate", "--input", str(obs), "--output", str(calib),
+            "--cost-threshold", "30", *flags]
+    assert main(argv) == (2 if flags else 0)
+    assert sha256(calib) == expected
 
 
 def test_sweep_csv_bytes_are_pinned(tmp_path):

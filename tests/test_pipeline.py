@@ -476,6 +476,38 @@ class TestRunDegenerate:
         report = run([obs] * 30, PipelineConfig(), DEFAULT_K)
         assert report.termination is not TerminationReason.CONVERGED
 
+    def test_end_of_stream_does_not_repeat_the_last_attempt(self, monkeypatch):
+        # The vote radius is below the noise floor, so no vote carries, and
+        # this stream's last attempt evicts nothing: the store is as that
+        # attempt left it, so the end of the stream attempts nothing more.
+        spec = RigSpec(
+            truth=ENVELOPE_TRUTH,
+            target_intrinsics=DEFAULT_K,
+            source_intrinsics=DEFAULT_K,
+            n_lines=20,
+            pixel_noise_sigma=0.5,
+            depth_noise_sigma=0.003,
+            rng_seed=7,
+        )
+        calls = {"in stream": 0, "after": 0}
+        ended = []
+
+        def stream():
+            yield from generate(spec)[0]
+            ended.append(True)
+
+        def counting(state, cfg):
+            calls["after" if ended else "in stream"] += 1
+            return try_finalize(state, cfg)
+
+        monkeypatch.setattr("pelical.pipeline.try_finalize", counting)
+        cfg = PipelineConfig(epsilon_d_m=1e-5, cost_threshold=30.0)
+        report = run(stream(), cfg, DEFAULT_K)
+        assert report.termination is TerminationReason.MAX_PAIRS
+        assert "evicted" not in report.trace[-1]
+        assert report.trace[-1] != report.trace[-2]
+        assert calls == {"in stream": len(report.trace), "after": 0}
+
     def test_empty_stream_aborts(self):
         report = run([], PipelineConfig(), DEFAULT_K)
         assert report.termination is TerminationReason.ABORTED

@@ -16,6 +16,7 @@ from pelical import (
     candidate_from_pnl,
     convergence_voting,
     gate_rotation,
+    plucker_from_points,
     rotation_rows,
 )
 from pelical.constraints import CaseKind, Correspondence
@@ -31,6 +32,21 @@ from helpers import (
     rand_truth,
     reference_convergence_voting,
 )
+
+
+@pytest.fixture()
+def linalg_calls(monkeypatch):
+    """Counts ``np.linalg.lstsq`` and ``np.linalg.svd`` calls by name."""
+    calls = {"lstsq": 0, "svd": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
 
 def feed(correspondences):
@@ -174,17 +190,49 @@ class TestCandidateLines:
             assert point_line_distance(p0, u, truth.translation) < 1e-9
         assert skipped < 10
 
-    def test_pnl_endpoints_listed_in_reverse(self):
+    def test_pnl_endpoints_listed_in_reverse(self, linalg_calls):
         # the image segment may list its endpoints in the opposite order of
-        # the source segment; only the swapped endpoint match recovers it
+        # the source segment; only the swapped endpoint match recovers it,
+        # after the first ordering was solved and found behind the camera
         rng = np.random.default_rng(23)
         for _ in range(100):
             truth = rand_truth(rng)
             c = make_correspondence(rng, truth, CaseKind.PNL)
             ep = c.target_line_2d.endpoints
             flipped = replace(c, target_line_2d=Line2D.from_endpoints(ep[1], ep[0]))
+            linalg_calls.update(lstsq=0, svd=0)
             p0, u = candidate_from_pnl(flipped, truth.rotation, DEFAULT_K)
+            assert linalg_calls == {"lstsq": 2, "svd": 0}
             assert point_line_distance(p0, u, truth.translation) < 1e-9
+
+    def test_pnl_solves_once_when_first_ordering_is_in_front(self, linalg_calls):
+        rng = np.random.default_rng(24)
+        for _ in range(20):
+            truth = rand_truth(rng)
+            c = make_correspondence(rng, truth, CaseKind.PNL)
+            linalg_calls.update(lstsq=0, svd=0)
+            p0, u = candidate_from_pnl(c, truth.rotation, DEFAULT_K)
+            assert linalg_calls == {"lstsq": 1, "svd": 0}
+            assert point_line_distance(p0, u, truth.translation) < 1e-9
+
+    def test_pnl_segment_across_the_camera_plane_raises(self, linalg_calls):
+        # One endpoint in front of the camera and one behind it: whichever
+        # way the endpoints are matched, one transfers behind the camera.
+        rng = np.random.default_rng(25)
+        for _ in range(20):
+            truth = rand_truth(rng)
+            Y = np.array([[0.2, 0.1, 2.0], [-0.3, 0.2, -1.5]]) + rng.normal(0, 0.1, (2, 3))
+            X = (Y - truth.translation) @ truth.rotation
+            c = Correspondence(
+                kind=CaseKind.PNL,
+                source_line=plucker_from_points(X[0], X[1]),
+                source_endpoints=X,
+                target_line_2d=Line2D.from_endpoints(*DEFAULT_K.project(Y)),
+            )
+            linalg_calls.update(lstsq=0, svd=0)
+            with pytest.raises(ParallelPlanes, match="degenerate"):
+                candidate_from_pnl(c, truth.rotation, DEFAULT_K)
+            assert linalg_calls == {"lstsq": 2, "svd": 0}
 
     def test_kind_mismatch_raises(self, rng):
         truth = rand_truth(rng)
