@@ -477,7 +477,8 @@ def run(
     # pairs while the gate was still underdetermined; re-vote while the last
     # attempt evicted pairs, so a poisoned store can still recover.  Without
     # an eviction the store is as that attempt left it, and a deterministic
-    # re-vote would only repeat it.
+    # re-vote would only repeat it.  The trace key "evicted", which
+    # try_finalize sets, drives this loop.
     while state.trace and "evicted" in state.trace[-1]:
         report = try_finalize(state, cfg)
         if report is not None:
