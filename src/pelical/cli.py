@@ -119,7 +119,7 @@ def _cmd_sweep(args) -> int:
         raise SchemaError(f"--seeds: must be at least 1, got {args.seeds}")
     base = _rig_spec(args)
     cfg = _pipeline_config(args)
-    rows, _ = sweep(base, rotations, baselines, n_seeds=args.seeds, pipeline_cfg=cfg)
+    rows = sweep(base, rotations, baselines, n_seeds=args.seeds, pipeline_cfg=cfg)
     fileio.write_sweep_csv(args.output, rows)
     if rows and not any(row["converged"] for row in rows):
         return 2

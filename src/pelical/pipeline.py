@@ -12,7 +12,8 @@ under the configured threshold ends the run as Converged.
 One recovery mechanism goes beyond the plain gate: pairs accepted while the
 gate was still underdetermined are never re-examined by the gate itself, so
 a single early mismatch can poison the rotation estimate forever.  When a
-vote fails, the pipeline therefore tentatively peels the stored pairs with
+vote fails, or converges around a pose whose mean cost is not below the
+threshold, the pipeline therefore tentatively peels the stored pairs with
 the largest direction residuals; the removal is kept only when it collapses
 the SO(3) distance, which is exactly the signature of mismatched pairs.
 """
@@ -20,6 +21,7 @@ the SO(3) distance, which is exactly the signature of mismatched pairs.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -206,7 +208,6 @@ class RoundStatus(enum.Enum):
 class RoundOutcome:
     status: RoundStatus
     reason: str | None = None
-    distance: float = math.inf
 
 
 class TerminationReason(enum.Enum):
@@ -237,7 +238,6 @@ class PipelineState:
     gate: RotationGateState = field(default_factory=RotationGateState.empty)
     correspondences: list[Correspondence] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
-    ingested: int = 0
     last_solution: PoseSolution | None = None
 
     @classmethod
@@ -253,7 +253,9 @@ def ingest(
         src_line, src_ratio, src_endpoints = ransac_fit_line(obs.source_samples, state.rng)
     except (TooFewSamples, DegenerateLine) as exc:
         return RoundOutcome(RoundStatus.REJECTED, f"source fit failed: {exc}")
-    if src_ratio * len(obs.source_samples) < RANSAC_MIN_INLIERS:
+    # Both sides are divisions by the sample count, so the inlier count
+    # meets the minimum exactly when the ratio does.
+    if src_ratio < RANSAC_MIN_INLIERS / len(obs.source_samples):
         return RoundOutcome(RoundStatus.REJECTED, "too few source fit inliers")
 
     tgt_line = tgt_endpoints = None
@@ -263,7 +265,7 @@ def ingest(
             fit = ransac_fit_line(obs.target_samples, state.rng)
         except (TooFewSamples, DegenerateLine):
             fit = None
-        if fit is not None and fit[1] * len(obs.target_samples) >= RANSAC_MIN_INLIERS:
+        if fit is not None and fit[1] >= RANSAC_MIN_INLIERS / len(obs.target_samples):
             tgt_line, tgt_ratio, tgt_endpoints = fit
 
     kind = classify(src_ratio, tgt_ratio, cfg.inlier_ratio_threshold)
@@ -285,11 +287,10 @@ def ingest(
     rows = rotation_rows(corr, state.target_K)
     accepted, new_gate = gate_rotation(state.gate, rows)
     if not accepted:
-        return RoundOutcome(RoundStatus.GATE_REJECTED, "SO(3) distance grew past its budget",
-                            distance=state.gate.distance)
+        return RoundOutcome(RoundStatus.GATE_REJECTED, "SO(3) distance grew past its budget")
     state.gate = new_gate
     state.correspondences.append(corr)
-    return RoundOutcome(RoundStatus.ACCEPTED, distance=new_gate.distance)
+    return RoundOutcome(RoundStatus.ACCEPTED)
 
 
 def _maybe_evict(state: PipelineState) -> list[int | None]:
@@ -390,8 +391,8 @@ def try_finalize(
     """Vote on translation observability and, if converged, solve the pose.
 
     Returns a Converged report or None (not ready).  A failed vote, or a
-    converged one whose refined cost stays above ``cost_threshold``, may
-    evict several stored pairs (see :func:`_maybe_evict`).
+    converged one whose mean refined cost is not below ``cost_threshold``,
+    may evict several stored pairs (see :func:`_maybe_evict`).
     """
     entry: dict = {"pairs": len(state.correspondences), "d_so3": state.gate.distance}
     state.trace.append(entry)
@@ -414,42 +415,38 @@ def try_finalize(
     entry["vote_size"] = len(vote.inlier_indices)
     entry["vote_threshold"] = threshold
     entry["vote_converged"] = vote.converged
-    if not vote.converged:
-        evicted = _maybe_evict(state)
-        if evicted:
-            entry["evicted"] = evicted
-        return None
-
-    inlier_cs = [members[i] for i in vote.inlier_indices]
-    try:
-        system = assemble(inlier_cs, state.target_K)
-        solution = solve_quadratic_system(system)
-        weights = _full3d_weights(inlier_cs, state.target_K)
-        refined = refine(solution, inlier_cs, state.target_K, weights)
-    except CalibrationError as exc:
-        entry["note"] = f"solve failed: {exc}"
-        return None
-    state.last_solution = refined
-    mean_cost = refined.refined_cost / len(inlier_cs)
-    entry["mean_cost"] = mean_cost
-    if not mean_cost < cfg.cost_threshold:  # a NaN cost never converges
-        # A vote can converge around a pose that still fits poorly -- e.g.
-        # when a mismatched pair slipped into the store early.  Give the
-        # eviction pass a chance here too; it is a no-op for honest stores.
-        evicted = _maybe_evict(state)
-        if evicted:
-            entry["evicted"] = evicted
-        return None
-    ids = tuple(c.obs_id for c in inlier_cs if c.obs_id is not None)
-    return CalibrationReport(
-        extrinsics=refined.extrinsics,
-        final_cost=mean_cost,
-        termination=TerminationReason.CONVERGED,
-        accepted_pairs=len(state.correspondences),
-        voting_inlier_ids=ids,
-        trace=state.trace,
-        inlier_correspondences=inlier_cs,
-    )
+    if vote.converged:
+        inlier_cs = [members[i] for i in vote.inlier_indices]
+        try:
+            system = assemble(inlier_cs, state.target_K)
+            solution = solve_quadratic_system(system)
+            weights = _full3d_weights(inlier_cs, state.target_K)
+            refined = refine(solution, inlier_cs, state.target_K, weights)
+        except CalibrationError as exc:
+            entry["note"] = f"solve failed: {exc}"
+            return None
+        state.last_solution = refined
+        mean_cost = refined.refined_cost / len(inlier_cs)
+        entry["mean_cost"] = mean_cost
+        if mean_cost < cfg.cost_threshold:  # a NaN cost never converges
+            ids = tuple(c.obs_id for c in inlier_cs if c.obs_id is not None)
+            return CalibrationReport(
+                extrinsics=refined.extrinsics,
+                final_cost=mean_cost,
+                termination=TerminationReason.CONVERGED,
+                accepted_pairs=len(state.correspondences),
+                voting_inlier_ids=ids,
+                trace=state.trace,
+                inlier_correspondences=inlier_cs,
+            )
+    # Not yet: the vote failed, or it converged around a pose that still
+    # fits poorly (e.g. when a mismatched pair slipped into the store
+    # early).  Either way the store gets one eviction pass, which may also
+    # drop honest pairs (see _maybe_evict).
+    evicted = _maybe_evict(state)
+    if evicted:
+        entry["evicted"] = evicted
+    return None
 
 
 def run(
@@ -460,10 +457,7 @@ def run(
     """Drive the pipeline over an observation stream until it converges,
     the stream ends, or ``max_pairs`` observations were ingested."""
     state = PipelineState.fresh(cfg, target_K)
-    for obs in stream:
-        if state.ingested >= cfg.max_pairs:
-            break
-        state.ingested += 1
+    for obs in itertools.islice(stream, cfg.max_pairs):
         outcome = ingest(obs, state, cfg)
         if (
             outcome.status is RoundStatus.ACCEPTED

@@ -26,7 +26,7 @@ from .geometry import (
     plucker_from_points,
     rotation_angle,
 )
-from .pipeline import CalibrationReport, LineObservation, PipelineConfig, run
+from .pipeline import LineObservation, PipelineConfig, run
 
 _MIN_SEGMENT_PX = 10.0
 _MIN_DEPTH = 0.05
@@ -319,18 +319,17 @@ def sweep(
     baselines_m: list[float],
     n_seeds: int = 1,
     pipeline_cfg: PipelineConfig | None = None,
-) -> tuple[list[dict], dict[tuple[float, float, int], CalibrationReport | None]]:
+) -> list[dict]:
     """Grid evaluation over rig rotations and baselines.
 
     For each (rotation, baseline, seed) cell the rig truth becomes a yaw
     about y plus an x-axis baseline; the cell's rig seed and pipeline seed
     derive deterministically from the base seed and the cell position.
-    Per-cell failures (infeasible rigs) are recorded and do not stop the
-    sweep.  Returns (rows, reports) where rows hold the error table.
+    An infeasible rig does not stop the sweep; its row holds NaN errors.
+    Returns the rows of the error table.
     """
     cfg = pipeline_cfg or PipelineConfig()
     rows: list[dict] = []
-    reports: dict[tuple[float, float, int], CalibrationReport | None] = {}
     for i, rot_deg in enumerate(rotations_deg):
         for j, baseline in enumerate(baselines_m):
             truth = Extrinsics(rotation_about_y(rot_deg), np.array([baseline, 0.0, 0.0]))
@@ -339,16 +338,14 @@ def sweep(
                     base, truth=truth, rng_seed=cell_seed(base.rng_seed, i, j, k)
                 )
                 run_cfg = replace(cfg, rng_seed=cell_seed(base.rng_seed, i, j, k, 1))
-                key = (rot_deg, baseline, k)
                 try:
                     obs, _ = generate(spec)
                     report = run(obs, run_cfg, spec.target_intrinsics)
                 except InfeasibleSpec:
-                    report, errors, converged = None, (math.nan, math.nan), False
+                    errors, converged = (math.nan, math.nan), False
                 else:
                     errors = pose_errors(report.extrinsics, truth)
                     converged = report.termination.value == "converged"
-                reports[key] = report
                 rows.append(
                     {
                         "rotation_deg": rot_deg,
@@ -359,4 +356,4 @@ def sweep(
                         "converged": converged,
                     }
                 )
-    return rows, reports
+    return rows

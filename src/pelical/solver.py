@@ -171,15 +171,14 @@ def _stack_residuals(
     R: np.ndarray,
     t: np.ndarray,
     weights: np.ndarray,
-    with_jacobian: bool,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """Residual vector (and optionally its Jacobian) at ``(R, t)``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual vector and its Jacobian at ``(R, t)``.
 
     The pose is charted as ``R(delta) = R Exp(delta)``, ``t + dt``; Jacobians
     are taken at ``delta = 0``.  FULL3D residuals may carry a per-pair weight
     (used by the pipeline to express them in pixel-equivalent units).
     """
-    P_line = None
+    P_line = line_projection_matrix(K_t)
     res: list[np.ndarray] = []
     jac: list[np.ndarray] = []
     for c, w in zip(correspondences, weights):
@@ -188,38 +187,30 @@ def _stack_residuals(
             P = np.eye(3) - np.outer(d, d)
             for j in range(2):
                 X = c.source_endpoints[j]
-                e = w * (P @ (R @ X + t - c.target_endpoints[j]))
-                res.append(e)
-                if with_jacobian:
-                    J = np.empty((3, 6))
-                    J[:, :3] = -w * (P @ R @ skew(X))
-                    J[:, 3:] = w * P
-                    jac.append(J)
+                res.append(w * (P @ (R @ X + t - c.target_endpoints[j])))
+                J = np.empty((3, 6))
+                J[:, :3] = -w * (P @ R @ skew(X))
+                J[:, 3:] = w * P
+                jac.append(J)
         else:
-            if P_line is None:
-                P_line = line_projection_matrix(K_t)
             d_s, m_s = c.source_line.d, c.source_line.m
             Rd = R @ d_s
             m_hat = R @ m_s + cross3(t, Rd)
             l_hat = P_line @ m_hat
             nrm2 = l_hat[0] * l_hat[0] + l_hat[1] * l_hat[1]
             nrm = np.sqrt(nrm2)
-            if with_jacobian:
-                dm_ddelta = -R @ skew(m_s) - skew(t) @ R @ skew(d_s)
-                dm_dt = -skew(Rd)
-                dl = P_line @ np.hstack([dm_ddelta, dm_dt])  # (3, 6)
+            dm_ddelta = -R @ skew(m_s) - skew(t) @ R @ skew(d_s)
+            dm_dt = -skew(Rd)
+            dl = P_line @ np.hstack([dm_ddelta, dm_dt])  # (3, 6)
             for uv in c.target_line_2d.endpoints:
                 x_h = np.array([uv[0], uv[1], 1.0])
                 val = float(x_h @ l_hat)
                 res.append(np.array([val / nrm]))
-                if with_jacobian:
-                    de_dl = x_h / nrm - (val / (nrm2 * nrm)) * np.array(
-                        [l_hat[0], l_hat[1], 0.0]
-                    )
-                    jac.append((de_dl @ dl)[None, :])
-    e = np.concatenate(res)
-    J = np.vstack(jac) if with_jacobian else None
-    return e, J
+                de_dl = x_h / nrm - (val / (nrm2 * nrm)) * np.array(
+                    [l_hat[0], l_hat[1], 0.0]
+                )
+                jac.append((de_dl @ dl)[None, :])
+    return np.concatenate(res), np.vstack(jac)
 
 
 def refine(
@@ -246,13 +237,15 @@ def refine(
 
     R = np.array(initial.extrinsics.rotation)
     t = np.array(initial.extrinsics.translation)
+    # Each pose is evaluated once: an accepted trial carries its residuals
+    # and Jacobian into the next iteration, so on return ``(e, J)`` belong
+    # to the returned pose.
+    e, J = _stack_residuals(correspondences, K_t, R, t, w)
+    cost = float(e @ e)
     lam = LM_INITIAL_DAMPING
     converged = False
 
-    for k in range(MAX_LM_ITERATIONS):
-        e, J = _stack_residuals(correspondences, K_t, R, t, w, with_jacobian=True)
-        if k == 0:  # the start; later costs come from the accepted steps
-            cost = float(e @ e)
+    for _ in range(MAX_LM_ITERATIONS):
         g = J.T @ e
         JtJ = J.T @ J
         accepted = False
@@ -269,13 +262,11 @@ def refine(
             R_new = R @ cgr_to_rotation(0.5 * delta[:3])
             R_new, _, _ = project_so3(R_new)
             t_new = t + delta[3:]
-            e_new, _ = _stack_residuals(
-                correspondences, K_t, R_new, t_new, w, with_jacobian=False
-            )
+            e_new, J_new = _stack_residuals(correspondences, K_t, R_new, t_new, w)
             cost_new = float(e_new @ e_new)
             if cost_new < cost:
                 rel = (cost - cost_new) / max(cost, 1e-300)
-                R, t, cost = R_new, t_new, cost_new
+                R, t, e, J, cost = R_new, t_new, e_new, J_new, cost_new
                 lam = max(lam * 0.1, 1e-14)
                 accepted = True
                 if rel < COST_TOLERANCE:

@@ -361,11 +361,11 @@ def jacobian_check(
     w = np.ones(len(correspondences))
     R0 = np.array(T.rotation)
     t0 = np.array(T.translation)
-    _, J = _stack_residuals(correspondences, K_t, R0, t0, w, with_jacobian=True)
+    _, J = _stack_residuals(correspondences, K_t, R0, t0, w)
 
     def res_at(x: np.ndarray) -> np.ndarray:
         R = R0 @ Rotation.from_rotvec(x[:3]).as_matrix()
-        e, _ = _stack_residuals(correspondences, K_t, R, t0 + x[3:], w, False)
+        e, _ = _stack_residuals(correspondences, K_t, R, t0 + x[3:], w)
         return e
 
     J_fd = np.empty_like(J)

@@ -345,7 +345,7 @@ class TestAcceptance:
         base = _reference_rig(0, pixel_noise_sigma=0.0, depth_noise_sigma=0.0, n_lines=12)
         csvs = []
         for _ in range(2):
-            rows, _ = sweep(base, [10.0, 20.0], [0.2, 0.3])
+            rows = sweep(base, [10.0, 20.0], [0.2, 0.3])
             csvs.append(sweep_rows_to_csv(rows))
         sweep_same = csvs[0] == csvs[1]
 

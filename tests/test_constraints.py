@@ -248,7 +248,7 @@ class TestRowAssembly:
 def stacked_residuals(cs, T, K=DEFAULT_K, weights=None):
     """The residual vector ``refine`` minimises, at pose ``T``."""
     w = np.ones(len(cs)) if weights is None else weights
-    e, _ = _stack_residuals(cs, K, T.rotation, T.translation, w, with_jacobian=False)
+    e, _ = _stack_residuals(cs, K, T.rotation, T.translation, w)
     return e
 
 

@@ -6,8 +6,9 @@ rewritten for speed, so a rewrite that moves one byte of an observation,
 truth or sweep file fails here.  The three rigs take the simulator through
 its outlier, PnL and axial-noise branches; the 80° yaw one also through the
 penetrating-segment fallback.  The calibration digests pin a converged mixed
-stream, a converged PnL-heavy one and one whose vote never carries, so it
-ends after the stream.
+stream, a converged PnL-heavy one, one whose vote never carries, so it
+ends after the stream, and one that converges only after a converged vote
+with a poor cost evicted a pair.
 """
 
 from __future__ import annotations
@@ -96,8 +97,15 @@ def test_simulate_bytes_are_pinned(tmp_path, spec, expected):
             ["--epsilon-d", "1e-5"],
             "cf445938c470ff1c09ad682c64b07cd24abad4b61a437bdfa4aca196b7d5cebc",
         ),
+        (
+            # a converged vote at mean cost 114 evicts a pair; the next
+            # attempt converges
+            rig(20.0, outlier_fraction=0.4, rng_seed=12),
+            [],
+            "4a1899666e3fb2be1d0f38d0a6f8a086910ec16fa1c54454eeb0d47ce0593bf9",
+        ),
     ],
-    ids=["converged-mixed", "converged-pnl", "end-of-stream"],
+    ids=["converged-mixed", "converged-pnl", "end-of-stream", "cost-eviction"],
 )
 def test_calibrate_bytes_are_pinned(tmp_path, spec, flags, expected):
     obs, calib = tmp_path / "obs.json", tmp_path / "calib.json"

@@ -217,6 +217,23 @@ class TestIngest:
         assert out.status is RoundStatus.REJECTED
         assert not state.correspondences
 
+    @pytest.mark.parametrize("side, kind", [("source", CaseKind.PNL), ("target", CaseKind.FULL3D)])
+    def test_fit_with_exactly_the_minimum_inliers_is_kept(self, rng, side, kind):
+        # 8 of 49 samples meet RANSAC_MIN_INLIERS, although the inlier ratio
+        # times the sample count rounds below 8
+        assert (8 / 49) * 49 < 8
+        good = make_observation(rng, rand_truth(rng), CaseKind.FULL3D, n_samples=49)
+        line = getattr(good, f"{side}_samples")
+        scatter = line.mean(axis=0) + np.random.default_rng(3).uniform(-1.0, 1.0, (41, 3))
+        samples = {"source_samples": good.source_samples, "target_samples": None}
+        samples[f"{side}_samples"] = np.vstack([line[:48:6], scatter])
+        obs = replace(good, **samples)
+        cfg = PipelineConfig(inlier_ratio_threshold=0.1)
+        state = PipelineState.fresh(cfg, DEFAULT_K)
+        out = ingest(obs, state, cfg)
+        assert out.status is RoundStatus.ACCEPTED
+        assert state.correspondences[0].kind is kind
+
     def test_mismatch_gate_rejected_once_determined(self, rng):
         truth = rand_truth(rng)
         cfg = PipelineConfig()
@@ -520,6 +537,18 @@ class TestRunDegenerate:
         stream = good_stream(rng, truth, 10, 0)
         report = run(stream, cfg, DEFAULT_K)
         assert report.accepted_pairs <= 5
+
+    def test_max_pairs_reads_no_further(self, rng):
+        truth = rand_truth(rng)
+        pulled = []
+
+        def stream():
+            for obs in good_stream(rng, truth, 10, 0):
+                pulled.append(obs.obs_id)
+                yield obs
+
+        run(stream(), PipelineConfig(max_pairs=3), DEFAULT_K)
+        assert pulled == [0, 1, 2]
 
 
 class TestConfig:

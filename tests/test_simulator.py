@@ -215,11 +215,12 @@ class TestSweep:
         assert len(seeds) == 18
         assert cell_seed(7, 0, 1) != cell_seed(8, 0, 1)
 
-    def test_grid_rows_and_reports(self):
+    def test_grid_rows_cover_each_cell(self):
         base = easy_spec(n_lines=12, pnl_fraction=0.25)
-        rows, reports = sweep(base, [10.0, 20.0], [0.2, 0.3], n_seeds=1)
-        assert len(rows) == 4
-        assert set(reports) == {(10.0, 0.2, 0), (10.0, 0.3, 0), (20.0, 0.2, 0), (20.0, 0.3, 0)}
+        rows = sweep(base, [10.0, 20.0], [0.2, 0.3], n_seeds=1)
+        assert [(r["rotation_deg"], r["baseline_m"], r["seed"]) for r in rows] == [
+            (10.0, 0.2, 0), (10.0, 0.3, 0), (20.0, 0.2, 0), (20.0, 0.3, 0)
+        ]
         for row in rows:
             assert set(row) == {
                 "rotation_deg", "baseline_m", "seed",
@@ -231,16 +232,16 @@ class TestSweep:
 
     def test_infeasible_cell_yields_nan_row(self):
         base = easy_spec(n_lines=4, **INFEASIBLE)
-        rows, reports = sweep(base, [170.0], [500.0], n_seeds=1)
+        rows = sweep(base, [170.0], [500.0], n_seeds=1)
         assert len(rows) == 1
         assert math.isnan(rows[0]["rot_err_deg"])
+        assert math.isnan(rows[0]["trans_err_mm"])
         assert rows[0]["converged"] is False
-        assert reports[(170.0, 500.0, 0)] is None
 
     def test_sweep_is_deterministic(self):
         base = easy_spec(n_lines=10, pixel_noise_sigma=0.5, depth_noise_sigma=0.003,
                          pnl_fraction=0.25)
         cfg = PipelineConfig(cost_threshold=30.0)
-        rows_a, _ = sweep(base, [20.0], [0.3], n_seeds=2, pipeline_cfg=cfg)
-        rows_b, _ = sweep(base, [20.0], [0.3], n_seeds=2, pipeline_cfg=cfg)
+        rows_a = sweep(base, [20.0], [0.3], n_seeds=2, pipeline_cfg=cfg)
+        rows_b = sweep(base, [20.0], [0.3], n_seeds=2, pipeline_cfg=cfg)
         assert rows_a == rows_b

@@ -391,6 +391,30 @@ class TestRefine:
                 assert out.refined_cost <= sol.refined_cost + 1e-15
             assert out.refined_cost is not None
 
+    def test_evaluates_each_pose_once(self, monkeypatch):
+        # the start is evaluated once, then each trial step once; a trial
+        # step builds its rotation with one cgr_to_rotation call
+        rng = np.random.default_rng(21)
+        truth = rand_truth(rng)
+        cs = noisy_correspondences(rng, consistent_correspondences(rng, truth, 4, 2))
+        start = solve_quadratic_system(assemble(cs, DEFAULT_K))
+        calls = {"_stack_residuals": 0, "cgr_to_rotation": 0}
+
+        def counting(name):
+            fn = getattr(solver, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(solver, name, counting(name))
+        refine(start, cs, DEFAULT_K)
+        assert calls["cgr_to_rotation"] > 1
+        assert calls["_stack_residuals"] == 1 + calls["cgr_to_rotation"]
+
     def test_weights_scale_residuals(self, rng):
         truth = rand_truth(rng)
         cs = consistent_correspondences(rng, truth, 3, 1)
@@ -448,6 +472,5 @@ class TestJacobian:
             truth.rotation,
             truth.translation,
             np.ones(len(cs)),
-            with_jacobian=True,
         )
         assert np.linalg.matrix_rank(J) == 6
