@@ -23,6 +23,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ from .errors import (
 from .geometry import CameraIntrinsics, Extrinsics, Line2D, PluckerLine, cross3
 from .selection import (
     _FULL_ROWS,
+    EVICTION_FACTOR,
     ROTATION_ROW_COUNT,
     RotationGateState,
     _solve_state,
@@ -50,18 +52,14 @@ from .selection import (
 )
 from .solver import PoseSolution, refine, solve_quadratic_system
 
-#: Accepted pairs required before the first finalize attempt.
-MIN_PAIRS_FOR_FINALIZE = 4
-#: An eviction is kept only if it shrinks the SO(3) distance below this
-#: fraction of its starting value.
-EVICTION_FACTOR = 0.5
 #: RANSAC line fit: inlier distance, two-point hypotheses per fit, and the
 #: fewest inliers a fitted line needs.
 RANSAC_DISTANCE_M = 0.01
 RANSAC_ITERATIONS = 200
 RANSAC_MIN_INLIERS = 8
 #: A vote carries with ``max(VOTE_MIN_COUNT, ceil(VOTE_FRACTION * lines))``
-#: agreeing candidate lines.
+#: agreeing candidate lines, so finalize waits for, and eviction keeps,
+#: ``VOTE_MIN_COUNT`` pairs.
 VOTE_MIN_COUNT = 4
 VOTE_FRACTION = 0.6
 
@@ -79,8 +77,8 @@ class PipelineConfig:
             raise ValueError("epsilon_d_m must be positive")
         if not 0 < _real(self.inlier_ratio_threshold, "inlier_ratio_threshold") <= 1:
             raise ValueError("inlier_ratio_threshold must lie in (0, 1]")
-        if _real(self.max_pairs, "max_pairs", integer=True) < 1:
-            raise ValueError("max_pairs must be at least 1")
+        if not 1 <= _real(self.max_pairs, "max_pairs", integer=True) <= sys.maxsize:
+            raise ValueError(f"max_pairs must lie in [1, {sys.maxsize}]")
         if _real(self.rng_seed, "rng_seed", integer=True) < 0:
             raise ValueError("rng_seed must be non-negative")
         _real(self.cost_threshold, "cost_threshold")
@@ -305,7 +303,7 @@ def _maybe_evict(state: PipelineState) -> list[int | None]:
     pairs per call matters: with two or more bad pairs, removing just one
     barely moves the distance and a single-step test would deadlock.
     Peeling stops before the rows would fall under ``_FULL_ROWS`` or the
-    pairs under ``MIN_PAIRS_FOR_FINALIZE``, and when the rotation becomes
+    pairs under ``VOTE_MIN_COUNT``, and when the rotation becomes
     undetermined.  If no prefix reaches the target the store is left
     untouched.  That does not keep an honest store whole: with few rows,
     dropping the worst-fitting noisy pair can halve the distance by itself,
@@ -326,7 +324,7 @@ def _maybe_evict(state: PipelineState) -> list[int | None]:
         residuals[~kept] = -np.inf
         worst = int(np.argmax(residuals))
         too_few_rows = cur.row_count - sizes[worst] < _FULL_ROWS
-        if too_few_rows or kept.sum() - 1 < MIN_PAIRS_FOR_FINALIZE:
+        if too_few_rows or kept.sum() - 1 < VOTE_MIN_COUNT:
             break
         removed.append(worst)
         kept[worst] = False
@@ -402,10 +400,6 @@ def try_finalize(
         return None
 
     p0, u, members = _candidate_lines(state.correspondences, R, state.target_K)
-    if len(members) < 2:
-        entry["note"] = "too few candidate lines"
-        return None
-
     threshold = vote_threshold(len(members))
     try:
         vote = convergence_voting(p0, u, cfg.epsilon_d_m, threshold)
@@ -461,7 +455,7 @@ def run(
         outcome = ingest(obs, state, cfg)
         if (
             outcome.status is RoundStatus.ACCEPTED
-            and len(state.correspondences) >= MIN_PAIRS_FOR_FINALIZE
+            and len(state.correspondences) >= VOTE_MIN_COUNT
         ):
             report = try_finalize(state, cfg)
             if report is not None:

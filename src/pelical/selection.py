@@ -34,10 +34,12 @@ from .geometry import (
 
 #: Rows needed before the rotation least-squares problem is determined.
 _FULL_ROWS = 9
-#: Absolute and relative budgets on the SO(3) distance the gate admits
-#: (see :func:`gate_rotation`).
+#: The gate admits a pair while the SO(3) distance stays below its value
+#: over ``EVICTION_FACTOR`` plus ``GATE_SLACK`` (see :func:`gate_rotation`);
+#: an eviction is kept only when it shrinks the distance below
+#: ``EVICTION_FACTOR`` times its starting value.
 GATE_SLACK = 1e-10
-GATE_GROWTH = 1.0
+EVICTION_FACTOR = 0.5
 #: Size bound on the (proposals x lines x 3) float64 distance tensor that
 #: :func:`convergence_voting` evaluates at once.
 VOTE_CHUNK_BYTES = 8 << 20
@@ -116,14 +118,15 @@ def gate_rotation(
     While the accumulated system has fewer than nine rows it cannot reject
     anything (the least-squares fit is underdetermined), so early pairs are
     accepted unconditionally.  Once active, the gate accepts a pair when the
-    new distance stays below ``distance * (1 + GATE_GROWTH) + GATE_SLACK``.
+    new distance stays below ``distance / EVICTION_FACTOR + GATE_SLACK``: a
+    pair may at most double the distance that an eviction must halve.
     The absolute slack keeps noise-free streams alive (there the distance
     sits at float round-off and a strict comparison would randomly starve
-    the pipeline); the relative growth budget does the same on noisy
-    streams, where each honest pair adds its own fit error and the distance
+    the pipeline); the relative budget does the same on noisy streams,
+    where each honest pair adds its own fit error and the distance
     fluctuates around the noise floor instead of decreasing monotonically.
     A mismatched pair typically multiplies the distance tens of times over,
-    so a growth budget of 1 still rejects it cleanly.
+    so doubling still rejects it cleanly.
     """
     C_row, b_row = new_rows
     C_new = np.vstack([state.C, C_row])
@@ -131,7 +134,7 @@ def gate_rotation(
     candidate = _solve_state(C_new, b_new)
     if state.row_count < _FULL_ROWS:
         return True, candidate
-    if candidate.distance < state.distance * (1.0 + GATE_GROWTH) + GATE_SLACK:
+    if candidate.distance < state.distance / EVICTION_FACTOR + GATE_SLACK:
         return True, candidate
     return False, state
 

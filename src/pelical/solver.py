@@ -1,11 +1,12 @@
 """Closed-loop pose estimation from the merged quadratic system.
 
 ``solve_quadratic_system`` eliminates the scaled translation, reads one
-CGR root off the null vector of the reduced system, polishes it with damped
-Gauss-Newton and checks it against a sanity floor set by the smallest
+CGR root off the null vector of the reduced system, polishes it against the
+algebraic cost and checks it against a sanity floor set by the smallest
 singular value.  ``refine`` then locally minimizes the geometric cost
-(3D point-to-line plus 2D line reprojection) with Levenberg-Marquardt on
-SO(3) x R^3.
+(3D point-to-line plus 2D line reprojection) on SO(3) x R^3.  The polish
+and ``refine`` run the same Levenberg-Marquardt loop with the same stop
+rule, a relative cost decrease below ``COST_TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from .geometry import (
 )
 
 
-#: Levenberg-Marquardt settings of :func:`refine`: the iteration cap, the
-#: starting damping, and the relative cost decrease that ends the polish.
+#: Levenberg-Marquardt settings of :func:`refine`: the iteration cap and the
+#: starting damping; and the relative cost decrease that ends both the root
+#: polish and :func:`refine`.
 MAX_LM_ITERATIONS = 100
 LM_INITIAL_DAMPING = 1e-3
 COST_TOLERANCE = 1e-10
@@ -82,38 +84,56 @@ def eliminate_translation(system: QuadraticSystem) -> tuple[np.ndarray, np.ndarr
     return G, tau_map
 
 
-def _polish_root(G_reduced: np.ndarray, s0: np.ndarray, max_iter: int = 80) -> np.ndarray:
-    """Damped Gauss-Newton on ``||G r(s)||`` from a single start."""
-    s = np.asarray(s0, dtype=float).copy()
-    h = G_reduced @ monomial_vector(s)
-    cost = float(h @ h)
-    lam = 1e-10
+def _levenberg_marquardt(x, evaluate, step, lam: float, max_iter: int, tries: int):
+    """Damped Gauss-Newton (Levenberg-Marquardt) on ``||e(x)||^2``.
+
+    ``evaluate(x)`` returns the residuals and their Jacobian ``(e, J)``;
+    ``step(x, delta)`` applies a solved update.  Each point is evaluated
+    once: an accepted trial carries its ``(e, J)`` into the next iteration.
+    A failed trial multiplies the damping ``lam`` by 10, an accepted one by
+    0.1 (floored at 1e-14).  The loop stops when the relative cost decrease
+    of an accepted step falls below ``COST_TOLERANCE``, when none of
+    ``tries`` damped trials improves the cost, or when the step is not
+    finite.  Returns ``(x, cost, converged)``; ``converged`` is False only
+    when ``max_iter`` iterations ran out.
+    """
+    e, J = evaluate(x)
+    cost = float(e @ e)
     for _ in range(max_iter):
-        J = G_reduced @ monomial_jacobian(s)
-        g = J.T @ h
-        if np.linalg.norm(g, np.inf) < 1e-16:
-            break
+        g = J.T @ e
         JtJ = J.T @ J
-        stepped = False
-        for _ in range(12):
+        for _ in range(tries):
             try:
-                delta = np.linalg.solve(JtJ + lam * np.eye(3), -g)
+                delta = np.linalg.solve(JtJ + lam * np.eye(len(g)), -g)
             except np.linalg.LinAlgError:
                 lam *= 10.0
                 continue
-            s_new = s + delta
-            h_new = G_reduced @ monomial_vector(s_new)
-            cost_new = float(h_new @ h_new)
+            if not np.isfinite(delta).all():
+                return x, cost, True  # the damping overflowed or e is not finite
+            x_new = step(x, delta)
+            e_new, J_new = evaluate(x_new)
+            cost_new = float(e_new @ e_new)
             if cost_new < cost:
-                s, h, cost = s_new, h_new, cost_new
+                rel = (cost - cost_new) / max(cost, 1e-300)
+                x, e, J, cost = x_new, e_new, J_new, cost_new
                 lam = max(lam * 0.1, 1e-14)
-                stepped = True
-                if np.linalg.norm(delta) < 1e-14:
-                    return s
+                if rel < COST_TOLERANCE:
+                    return x, cost, True
                 break
             lam *= 10.0
-        if not stepped:
-            break
+        else:
+            return x, cost, True  # no direction improves the cost: a local minimum
+    return x, cost, False
+
+
+def _polish_root(G_reduced: np.ndarray, s0: np.ndarray, max_iter: int = 80) -> np.ndarray:
+    """Polish ``||G r(s)||`` from a single start (see _levenberg_marquardt)."""
+    s, _, _ = _levenberg_marquardt(
+        np.asarray(s0, dtype=float),
+        lambda s: (G_reduced @ monomial_vector(s), G_reduced @ monomial_jacobian(s)),
+        lambda s, delta: s + delta,
+        lam=1e-10, max_iter=max_iter, tries=12,
+    )
     return s
 
 
@@ -222,12 +242,10 @@ def refine(
     """Levenberg-Marquardt polish of a pose against the geometric cost.
 
     Minimizes the summed squared 3D point-to-line residuals (FULL3D pairs)
-    plus squared 2D reprojection residuals (PNL pairs).  Damping is scaled
-    multiplicatively; the rotation update composes a small rotation onto the
-    estimate and is re-orthonormalized after every accepted step.  With the
-    iteration cap hit before the relative cost decrease drops below
-    ``COST_TOLERANCE``, the best iterate is returned with
-    ``lm_converged=False``.
+    plus squared 2D reprojection residuals (PNL pairs).  Each rotation
+    update composes a small rotation onto the estimate and re-orthonormalizes
+    it.  The best iterate is returned, with ``lm_converged=False`` when the
+    iteration cap ran out first (see :func:`_levenberg_marquardt`).
     """
     if not correspondences:
         raise EmptyInput("nothing to refine")
@@ -235,54 +253,21 @@ def refine(
     if w.shape != (len(correspondences),):
         raise ValueError("weights must match the correspondence count")
 
-    R = np.array(initial.extrinsics.rotation)
-    t = np.array(initial.extrinsics.translation)
-    # Each pose is evaluated once: an accepted trial carries its residuals
-    # and Jacobian into the next iteration, so on return ``(e, J)`` belong
-    # to the returned pose.
-    e, J = _stack_residuals(correspondences, K_t, R, t, w)
-    cost = float(e @ e)
-    lam = LM_INITIAL_DAMPING
-    converged = False
+    def step(pose, delta):
+        R, t = pose
+        # The Cayley step Cay(delta / 2) equals Exp(delta) to first order,
+        # so the Jacobian taken at delta = 0 holds for it too.
+        R_new, _, _ = project_so3(R @ cgr_to_rotation(0.5 * delta[:3]))
+        return R_new, t + delta[3:]
 
-    for _ in range(MAX_LM_ITERATIONS):
-        g = J.T @ e
-        JtJ = J.T @ J
-        accepted = False
-        for _ in range(16):
-            try:
-                delta = np.linalg.solve(JtJ + lam * np.eye(6), -g)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            if not np.isfinite(delta).all():
-                break  # the damping overflowed or the residuals are not finite
-            # The Cayley step Cay(delta / 2) equals Exp(delta) to first order,
-            # so the Jacobian taken at delta = 0 holds for it too.
-            R_new = R @ cgr_to_rotation(0.5 * delta[:3])
-            R_new, _, _ = project_so3(R_new)
-            t_new = t + delta[3:]
-            e_new, J_new = _stack_residuals(correspondences, K_t, R_new, t_new, w)
-            cost_new = float(e_new @ e_new)
-            if cost_new < cost:
-                rel = (cost - cost_new) / max(cost, 1e-300)
-                R, t, e, J, cost = R_new, t_new, e_new, J_new, cost_new
-                lam = max(lam * 0.1, 1e-14)
-                accepted = True
-                if rel < COST_TOLERANCE:
-                    converged = True
-                break
-            lam *= 10.0
-        if not accepted:
-            # No direction improves the cost: we are at a local minimum.
-            converged = True
-            break
-        if converged:
-            break
-
-    pose = Extrinsics(R, t)
+    (R, t), cost, converged = _levenberg_marquardt(
+        (np.array(initial.extrinsics.rotation), np.array(initial.extrinsics.translation)),
+        lambda pose: _stack_residuals(correspondences, K_t, *pose, w),
+        step,
+        lam=LM_INITIAL_DAMPING, max_iter=MAX_LM_ITERATIONS, tries=16,
+    )
     return PoseSolution(
-        extrinsics=pose,
+        extrinsics=Extrinsics(R, t),
         s=rotation_to_cgr(R),
         algebraic_residual=initial.algebraic_residual,
         refined_cost=cost,

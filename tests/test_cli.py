@@ -349,6 +349,7 @@ class TestCalibrate:
         [
             ({"cost_threshold": "2"}, "cost_threshold must be a number, got '2'"),
             ({"epsilon_d_m": -1}, "epsilon_d_m must be positive"),
+            ({"max_pairs": 10**20}, f"max_pairs must lie in [1, {sys.maxsize}]"),
         ],
     )
     def test_bad_config_field_exits_1(self, tmp_path, capsys, config, message):
@@ -391,6 +392,24 @@ class TestCalibrate:
         monkeypatch.setenv("PELICAL_SEED", "-1")
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: PELICAL_SEED: rng_seed must be non-negative\n"
+
+    @pytest.mark.parametrize("command", ["calibrate", "sweep"])
+    def test_huge_max_pairs_flag_exits_1(self, tmp_path, capsys, command):
+        # a cap above sys.maxsize once reached itertools.islice, which raised
+        # a ValueError that ended in a traceback
+        spec_path = tmp_path / "rig.json"
+        write_spec(spec_path, easy_spec())
+        files = {
+            "calibrate": ["--input", str(observation_file(tmp_path))],
+            "sweep": ["--spec", str(spec_path), "--rotations", "20", "--baselines", "0.3"],
+        }[command]
+        out = tmp_path / "out"
+        argv = [command, *files, "--output", str(out), "--max-pairs", str(10**20)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: command line: max_pairs must lie in [1, {sys.maxsize}]\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "path, value, message",

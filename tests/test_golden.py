@@ -88,7 +88,7 @@ def test_simulate_bytes_are_pinned(tmp_path, spec, expected):
         (
             rig(20.0, pnl_fraction=0.6),
             [],
-            "ccf4d9c3f12f4b283651f3d001492db680fa463a8294084bb1ac87c3bfb29cd3",
+            "d0f54c9846fa80c5b3524e8b47afd1a65a2103f9a36de655e626bea842e0aca5",
         ),
         (
             # recorded once the end of the stream stopped repeating the last
@@ -102,7 +102,7 @@ def test_simulate_bytes_are_pinned(tmp_path, spec, expected):
             # attempt converges
             rig(20.0, outlier_fraction=0.4, rng_seed=12),
             [],
-            "4a1899666e3fb2be1d0f38d0a6f8a086910ec16fa1c54454eeb0d47ce0593bf9",
+            "3a65e4e3050eb72fa2fb4a7f4a56f6be94fa09e8fbe2653c1722b10e0da044c8",
         ),
     ],
     ids=["converged-mixed", "converged-pnl", "end-of-stream", "cost-eviction"],
@@ -124,4 +124,4 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
             "--output", str(table)]
     assert main(argv) == 0
     assert len(table.read_text().splitlines()) == 1 + 2 * 2 * 2
-    assert sha256(table) == "8a2dfb484d74d1f9b084a3f9dab1612c0ef130fbe29afa12a6bf3abea9a8e873"
+    assert sha256(table) == "70bf99c4befb89facee99e61dac976c4ac1707d7944467e615b70b5b0323d35b"

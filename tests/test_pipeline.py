@@ -31,8 +31,8 @@ from pelical import (
 )
 from pelical.constraints import CaseKind
 from pelical.pipeline import (
-    MIN_PAIRS_FOR_FINALIZE,
     RANSAC_DISTANCE_M,
+    VOTE_MIN_COUNT,
     PipelineState,
     RoundStatus,
     _candidate_lines,
@@ -293,14 +293,14 @@ class TestRunConverged:
         assert report.termination is TerminationReason.CONVERGED
         # converges as soon as the vote can carry, so possibly before the
         # stream is exhausted
-        assert MIN_PAIRS_FOR_FINALIZE <= report.accepted_pairs <= 8
+        assert VOTE_MIN_COUNT <= report.accepted_pairs <= 8
         assert np.degrees(
             rotation_angle(report.extrinsics.rotation.T @ truth.rotation)
         ) < 1e-5
         assert np.linalg.norm(report.extrinsics.translation - truth.translation) < 1e-6
         assert report.final_cost < PipelineConfig().cost_threshold
         assert set(report.voting_inlier_ids) <= set(range(8))
-        assert len(report.voting_inlier_ids) >= MIN_PAIRS_FOR_FINALIZE
+        assert len(report.voting_inlier_ids) >= VOTE_MIN_COUNT
 
     def test_early_poison_is_excluded(self, rng):
         truth = rand_truth(rng)
@@ -532,11 +532,21 @@ class TestRunDegenerate:
         assert report.final_cost == np.inf
 
     def test_max_pairs_caps_ingestion(self, rng):
+        # No cost is below a negative threshold, so the run cannot converge
+        # and only the cap ends it, after finalize attempts at 4 and 5 pairs.
         truth = rand_truth(rng)
-        cfg = PipelineConfig(max_pairs=5, cost_threshold=1e-12)
-        stream = good_stream(rng, truth, 10, 0)
-        report = run(stream, cfg, DEFAULT_K)
-        assert report.accepted_pairs <= 5
+        pulled = []
+
+        def stream():
+            for obs in good_stream(rng, truth, 10, 0):
+                pulled.append(obs.obs_id)
+                yield obs
+
+        cfg = PipelineConfig(max_pairs=5, cost_threshold=-1.0)
+        report = run(stream(), cfg, DEFAULT_K)
+        assert report.termination is TerminationReason.MAX_PAIRS
+        assert pulled == [0, 1, 2, 3, 4]
+        assert len(report.trace) == 2
 
     def test_max_pairs_reads_no_further(self, rng):
         truth = rand_truth(rng)
@@ -562,6 +572,7 @@ class TestConfig:
             ({"cost_threshold": True}, TypeError, "cost_threshold"),
             ({"rng_seed": -1}, ValueError, "rng_seed"),
             ({"cost_threshold": float("nan")}, ValueError, "cost_threshold"),
+            ({"max_pairs": 10**20}, ValueError, "max_pairs"),
         ],
     )
     def test_rejects_bad_fields(self, data, error, field):

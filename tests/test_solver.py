@@ -216,6 +216,97 @@ class TestNullVectorStarts:
             full_lattice_search(system)
 
 
+def tracking(evaluate):
+    """``evaluate`` that also appends every point it is called at."""
+    seen = []
+
+    def recorded(x):
+        seen.append(np.array(x, dtype=float))
+        return evaluate(x)
+
+    return recorded, seen
+
+
+def additive(x, delta):
+    return x + delta
+
+
+class TestLevenbergMarquardt:
+    """The one damped least-squares loop behind the root polish and refine,
+    on small problems whose minimum is known in closed form."""
+
+    def test_relative_decrease_stop(self):
+        # Linear least squares with a nonzero residual at its minimum: the
+        # loop ends on an accepted step whose relative decrease is below
+        # COST_TOLERANCE, so the last point it evaluated is the one returned.
+        A = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
+        b = np.array([1.0, 2.0, 0.0])
+        evaluate, seen = tracking(lambda x: (A @ x - b, A))
+        x, cost, converged = solver._levenberg_marquardt(
+            np.zeros(2), evaluate, additive, lam=1e-3, max_iter=50, tries=16
+        )
+        x_star = np.linalg.lstsq(A, b, rcond=None)[0]
+        assert converged
+        assert_allclose(x, x_star, atol=1e-9)
+        assert cost == pytest.approx(float(np.sum((A @ x_star - b) ** 2)), rel=1e-12)
+        assert np.array_equal(seen[-1], x)
+        assert len(seen) < 16
+
+    def test_no_improving_trial_stop(self):
+        # At the exact minimum of e(x) = x every trial returns the same zero
+        # cost: all `tries` trials fail and the start is returned.
+        evaluate, seen = tracking(lambda x: (x.copy(), np.eye(2)))
+        x, cost, converged = solver._levenberg_marquardt(
+            np.zeros(2), evaluate, additive, lam=1e-3, max_iter=50, tries=5
+        )
+        assert converged and cost == 0.0
+        assert np.array_equal(x, np.zeros(2))
+        assert len(seen) == 1 + 5
+
+    def test_non_finite_step_stop(self):
+        # A NaN residual gives a NaN step; the loop stops before taking it.
+        evaluate, seen = tracking(lambda x: (np.array([np.nan]), np.ones((1, 1))))
+        x, _, converged = solver._levenberg_marquardt(
+            np.ones(1), evaluate, additive, lam=1e-3, max_iter=50, tries=16
+        )
+        assert converged
+        assert np.array_equal(x, np.ones(1))
+        assert len(seen) == 1
+
+    def test_iteration_cap_is_not_converged(self):
+        # e(x) = exp(x) has its infimum at -inf: each Gauss-Newton step moves
+        # x by about -1 and cuts the cost by a constant factor, so only the
+        # iteration cap ends the loop.
+        def evaluate(x):
+            e = np.exp(x)
+            return e, e[:, None]
+
+        x, _, converged = solver._levenberg_marquardt(
+            np.zeros(1), evaluate, additive, lam=1e-3, max_iter=7, tries=16
+        )
+        assert not converged
+        assert -7.0 < x[0] < -6.9
+
+    def test_polish_ends_on_its_last_accepted_step(self, monkeypatch):
+        # On noisy data the polish stops by the relative-decrease rule: it
+        # ends on an accepted step, not after a batch of rejected trials.
+        rng = np.random.default_rng(15)
+        for _ in range(4):
+            truth = rand_truth(rng, max_deg=60.0)
+            cs = noisy_correspondences(rng, consistent_correspondences(rng, truth, 4, 2))
+            G, _ = eliminate_translation(assemble(cs, DEFAULT_K))
+            G_reduced = np.linalg.qr(G, mode="r")
+            v = np.linalg.svd(G_reduced)[2][-1]
+            evaluated = []
+            monkeypatch.setattr(
+                solver, "monomial_vector",
+                lambda s: (evaluated.append(np.array(s)), monomial_vector(s))[1],
+            )
+            s = solver._polish_root(G_reduced, v[6:9] / v[9])
+            assert len(evaluated) < 12
+            assert np.array_equal(evaluated[-1], s)
+
+
 #: Streams of the perfbench rigs (60 lines, 20 deg yaw, 0.30 m baseline,
 #: 0.5 px / 3 mm noise) whose finalize systems make the regression set:
 #: ``(outlier_fraction, pnl_fraction)`` of the mixed and PnL-heavy mixes.
