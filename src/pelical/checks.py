@@ -11,6 +11,11 @@ import numbers
 #: range that the products computed from them cannot overflow.
 MAX_MAGNITUDE = 1e6
 
+#: Most 3D samples in one camera's view of one line: the simulator's
+#: ``samples_per_line`` cap and the bound on a ``LineObservation``.  The
+#: line fit's memory grows with the sample count.
+MAX_SAMPLES = 10_000
+
 
 def _real(value, name: str, integer: bool = False):
     """``value`` of field ``name``, checked to be a finite real number (an

@@ -11,7 +11,6 @@ Seeding precedence: built-in defaults < command line flags < --config file
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import os
 import sys
@@ -47,7 +46,7 @@ def _float_list(text: str, flag: str) -> list[float]:
         raise SchemaError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
     if not values:
         raise SchemaError(f"{flag}: expected at least one number")
-    return [fileio._number(v, flag, fileio.MAX_MAGNITUDE) for v in values]
+    return fileio._array(values, (None,), flag, fileio.MAX_MAGNITUDE).tolist()
 
 
 def _checked(where: str, build):
@@ -120,7 +119,7 @@ def _cmd_sweep(args) -> int:
     base = _rig_spec(args)
     cfg = _pipeline_config(args)
     rows = sweep(base, rotations, baselines, n_seeds=args.seeds, pipeline_cfg=cfg)
-    fileio.write_sweep_csv(args.output, rows)
+    fileio.write_csv(args.output, fileio.SWEEP_COLUMNS, rows)
     if rows and not any(row["converged"] for row in rows):
         return 2
     return 0
@@ -132,7 +131,7 @@ def _point_list(data: dict, key: str, count: int, exact: bool = False) -> np.nda
     value = data[key]
     if not isinstance(value, list) or len(value) < count or (exact and len(value) > count):
         raise SchemaError(f"{key}: expected {'' if exact else '>= '}{count} points")
-    return fileio._points(value, key)
+    return fileio._array(value, (None, 3), key, fileio.MAX_MAGNITUDE)
 
 
 def _cmd_evaluate_planes(args) -> int:
@@ -151,10 +150,9 @@ def _cmd_evaluate_planes(args) -> int:
     }
     squares = data.get("squares_per_row")
     if squares is not None:
-        squares = fileio._number(squares, "squares_per_row")
-        if squares < 1 or squares != int(squares):
+        squares = fileio._integer(squares, "squares_per_row")
+        if squares < 1:
             raise SchemaError("squares_per_row: expected a positive integer")
-        squares = int(squares)
     inp = PlaneMergeInput(
         target_points=_point_list(data, "target_points", 3),
         source_points=_point_list(data, "source_points", 3),
@@ -196,13 +194,7 @@ def _cmd_pose_errors(args) -> int:
             )
         except (EmptyInput, ValueError) as exc:
             raise SchemaError(f"{where}: {exc}") from exc
-    with open(args.output, "w", newline="") as out:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["group", "vary", "step_index", "error"])
-        writer.writerows(
-            [row["group"], row["vary"], row["step_index"], format(float(row["error"]), ".17g")]
-            for row in rows
-        )
+    fileio.write_csv(args.output, ("group", "vary", "step_index", "error"), rows)
     return 0
 
 

@@ -1,25 +1,29 @@
-"""On-disk formats: canonical JSON documents and the sweep CSV table.
+"""On-disk formats: canonical JSON documents and CSV tables.
 
 Writers emit a canonical byte stream -- fixed field order, no whitespace,
 floats at 17 significant digits -- so identical inputs produce identical
-files and a read/write round trip is byte-exact.  Readers validate against
-the documented schemas and raise SchemaError with the offending field (and
-byte offset, for malformed JSON).
+files and a read/write round trip is byte-exact.  One writer writes every
+table.  Readers validate against the documented schemas and raise
+SchemaError with the offending field (and byte offset, for malformed JSON);
+one reader, :func:`_array`, checks every list of numbers.
 """
 
 from __future__ import annotations
 
 import contextlib
+import csv
 import functools
+import io
 import json
 import math
+import sys
 from dataclasses import asdict, fields
 from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
 
-from .checks import MAX_MAGNITUDE
+from .checks import MAX_MAGNITUDE, MAX_SAMPLES
 from .errors import NearSingularRotation, SchemaError
 from .geometry import CameraIntrinsics, Extrinsics, Line2D, rotation_to_cgr
 from .pipeline import CalibrationReport, LineObservation
@@ -132,12 +136,6 @@ def _integer(value, where: str) -> int:
     return value if isinstance(value, int) else int(number)
 
 
-def _vector(value, n: int, where: str, limit: float = math.inf) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != n:
-        raise SchemaError(f"{where}: expected a list of {n} numbers")
-    return np.array([_number(v, where, limit) for v in value])
-
-
 def _leaves(nodes: list, n: int) -> list | None:
     """The items of ``nodes`` in order when each node is a list of ``n``."""
     if set(map(type, nodes)) <= {list} and set(map(len, nodes)) <= {n}:
@@ -145,32 +143,28 @@ def _leaves(nodes: list, n: int) -> list | None:
     return None
 
 
-def _points(value, where: str) -> np.ndarray:
-    """An ``(n, 3)`` array from a list of lists of 3 numbers, each of
-    magnitude at most ``MAX_MAGNITUDE``.
+def _array(value, shape: tuple, where: str, limit: float = math.inf) -> np.ndarray:
+    """``value``, a list of numbers or a list of lists of them, as a float
+    array of ``shape`` (``(n,)`` or ``(rows, n)``; a None ``rows`` takes any
+    count).  Every number is finite and of magnitude at most ``limit``.
 
-    Shapes, value types and magnitudes are checked in bulk; only when that
-    fails are the points walked one at a time, to name the offending one.
+    The whole list is checked in bulk; only when that fails is it walked,
+    and the error names the innermost list that holds the bad entry.
     """
-    flat = _leaves(value, 3)
+    rows, *cols = shape
+    if not isinstance(value, list) or rows not in (None, len(value)):
+        expected = f"{rows} rows" if cols else f"a list of {rows} numbers"
+        raise SchemaError(f"{where}: expected {expected}")
+    flat = _leaves(value, *cols) if cols else value
     if flat is not None and set(map(type, flat)) <= {float, int}:
         with contextlib.suppress(OverflowError):
-            points = np.fromiter(flat, float, len(flat)).reshape(-1, 3)
-            if (np.abs(points) <= MAX_MAGNITUDE).all():  # False for NaN
-                return points
-    return np.stack(
-        [_vector(p, 3, f"{where}[{j}]", MAX_MAGNITUDE) for j, p in enumerate(value)]
-    )
-
-
-def _matrix(
-    value, rows: int, cols: int, where: str, limit: float = math.inf
-) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != rows:
-        raise SchemaError(f"{where}: expected {rows} rows")
-    return np.stack(
-        [_vector(r, cols, f"{where}[{i}]", limit) for i, r in enumerate(value)]
-    )
+            array = np.fromiter(flat, float, len(flat)).reshape(len(value), *cols)
+            # False for NaN and, as the largest float is the cap, for inf
+            if (np.abs(array) <= min(limit, sys.float_info.max)).all():
+                return array
+    if cols:
+        return np.stack([_array(r, cols, f"{where}[{i}]", limit) for i, r in enumerate(value)])
+    return np.array([_number(v, where, limit) for v in value])
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +193,8 @@ def extrinsics_to_dict(T: Extrinsics) -> dict:
 
 
 def extrinsics_from_dict(data, where: str) -> Extrinsics:
-    R = _matrix(_need(data, "rotation", where), 3, 3, f"{where}.rotation", MAX_MAGNITUDE)
-    t = _vector(
-        _need(data, "translation_m", where), 3, f"{where}.translation_m", MAX_MAGNITUDE
-    )
+    R = _array(_need(data, "rotation", where), (3, 3), f"{where}.rotation", MAX_MAGNITUDE)
+    t = _array(_need(data, "translation_m", where), (3,), f"{where}.translation_m", MAX_MAGNITUDE)
     try:
         return Extrinsics(R, t)
     except ValueError as exc:
@@ -218,9 +210,9 @@ def _line2d_to_dict(line: Line2D) -> dict:
 
 
 def _line2d_from_dict(data, where: str) -> Line2D:
-    coeffs = _vector(_need(data, "coeffs", where), 3, f"{where}.coeffs")
-    endpoints = _matrix(
-        _need(data, "endpoints", where), 2, 2, f"{where}.endpoints", MAX_MAGNITUDE
+    coeffs = _array(_need(data, "coeffs", where), (3,), f"{where}.coeffs")
+    endpoints = _array(
+        _need(data, "endpoints", where), (2, 2), f"{where}.endpoints", MAX_MAGNITUDE
     )
     try:
         return Line2D(coeffs, endpoints)
@@ -262,18 +254,24 @@ def write_observation_file(
     write_json(path, observation_file_dict(target_K, source_K, observations))
 
 
+def _samples(value, where: str, or_null: str) -> np.ndarray | None:
+    """A sample list of 2 to ``MAX_SAMPLES`` points, or None when ``value``
+    is None and ``or_null`` (the words that allow it) is not empty."""
+    if value is None and or_null:
+        return None
+    if not isinstance(value, list) or len(value) < 2:
+        raise SchemaError(f"{where}: expected >= 2 points{or_null}")
+    if len(value) > MAX_SAMPLES:
+        raise SchemaError(f"{where}: expected at most {MAX_SAMPLES} points")
+    return _array(value, (None, 3), where, MAX_MAGNITUDE)
+
+
 def _observation_from_dict(entry, where: str) -> LineObservation:
     """One entry of an observation file, checked field by field."""
-    samples = _need(entry, "source_samples", where)
-    if not isinstance(samples, list) or len(samples) < 2:
-        raise SchemaError(f"{where}.source_samples: expected >= 2 points")
-    src = _points(samples, f"{where}.source_samples")
-    tgt_raw = _need(entry, "target_samples", where)
-    tgt = None
-    if tgt_raw is not None:
-        if not isinstance(tgt_raw, list) or len(tgt_raw) < 2:
-            raise SchemaError(f"{where}.target_samples: expected >= 2 points or null")
-        tgt = _points(tgt_raw, f"{where}.target_samples")
+    src, tgt = (
+        _samples(_need(entry, key, where), f"{where}.{key}", or_null)
+        for key, or_null in (("source_samples", ""), ("target_samples", " or null"))
+    )
     return LineObservation(
         obs_id=_integer(_need(entry, "id", where), f"{where}.id"),
         source_samples=src,
@@ -306,7 +304,7 @@ def _observations_in_bulk(raw: list) -> list[LineObservation] | None:
     except (KeyError, TypeError, SchemaError):
         return None
     lists = src + [t for t in tgt if t is not None]
-    if not set(map(type, lists)) <= {list} or min(map(len, lists), default=2) < 2:
+    if not (set(map(type, lists)) <= {list} and all(2 <= len(x) <= MAX_SAMPLES for x in lists)):
         return None
     points = _leaves(list(chain.from_iterable(lists)), 3)
     ends = None if ends is None else _leaves(ends, 2)
@@ -391,8 +389,8 @@ def read_calibration_file(path: str | Path) -> dict:
     if not isinstance(data, dict):
         raise SchemaError(f"{path}: expected a JSON object")
     out = dict(data)
-    R = _matrix(_need(data, "rotation", "root"), 3, 3, "rotation", MAX_MAGNITUDE)
-    t = _vector(_need(data, "translation_m", "root"), 3, "translation_m", MAX_MAGNITUDE)
+    R = _array(_need(data, "rotation", "root"), (3, 3), "rotation", MAX_MAGNITUDE)
+    t = _array(_need(data, "translation_m", "root"), (3,), "translation_m", MAX_MAGNITUDE)
     try:
         out["extrinsics"] = Extrinsics(R, t)
     except ValueError as exc:
@@ -468,7 +466,7 @@ def write_truth_file(
 
 
 # ---------------------------------------------------------------------------
-# sweep CSV
+# CSV tables
 
 SWEEP_COLUMNS = (
     "rotation_deg",
@@ -480,21 +478,24 @@ SWEEP_COLUMNS = (
 )
 
 
-def sweep_rows_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(SWEEP_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in SWEEP_COLUMNS:
-            v = row[col]
-            if isinstance(v, bool):
-                cells.append("true" if v else "false")
-            elif isinstance(v, (int, np.integer)):
-                cells.append(str(int(v)))
-            else:
-                cells.append(format(float(v), ".17g"))
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+def _cell(value) -> str:
+    """A bool as true or false, an integer in full, a string as it is (the
+    CSV writer quotes it if it must) and any other number at 17 digits."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return value if isinstance(value, str) else format(float(value), ".17g")
 
 
-def write_sweep_csv(path: str | Path, rows: list[dict]) -> None:
-    Path(path).write_text(sweep_rows_to_csv(rows))
+def dumps_csv(columns: tuple[str, ...], rows: list[dict]) -> str:
+    """A header line of ``columns``, then one line per row of ``rows``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([_cell(row[c]) for c in columns] for row in rows)
+    return out.getvalue()
+
+
+def write_csv(path: str | Path, columns: tuple[str, ...], rows: list[dict]) -> None:
+    Path(path).write_text(dumps_csv(columns, rows), newline="")

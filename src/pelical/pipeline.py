@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import MAX_MAGNITUDE, _real  # both still importable from here
+from .checks import MAX_MAGNITUDE, MAX_SAMPLES, _real  # still importable from here
 from .constraints import CaseKind, Correspondence, assemble, classify
 from .errors import (
     CalibrationError,
@@ -97,6 +97,7 @@ class LineObservation:
     between the two views (segment trackers provide this ordering; the
     simulator samples both sides along the same parametrization).
     ``target_samples`` is None when the target camera had no usable depth.
+    Each sample list holds 2 to ``MAX_SAMPLES`` points.
     """
 
     obs_id: int
@@ -106,19 +107,18 @@ class LineObservation:
     target_2d: Line2D
 
     def __post_init__(self) -> None:
-        src = np.asarray(self.source_samples, dtype=float)
-        if src.ndim != 2 or src.shape[1] != 3 or src.shape[0] < 2:
-            raise ValueError("source_samples must be (n >= 2, 3)")
-        if not np.isfinite(src).all():
-            raise ValueError("source_samples must be finite")
-        object.__setattr__(self, "source_samples", src)
-        if self.target_samples is not None:
-            tgt = np.asarray(self.target_samples, dtype=float)
-            if tgt.ndim != 2 or tgt.shape[1] != 3 or tgt.shape[0] < 2:
-                raise ValueError("target_samples must be (n >= 2, 3) or None")
-            if not np.isfinite(tgt).all():
-                raise ValueError("target_samples must be finite")
-            object.__setattr__(self, "target_samples", tgt)
+        for name, or_none in (("source_samples", ""), ("target_samples", " or None")):
+            value = getattr(self, name)
+            if value is None and or_none:
+                continue
+            pts = np.asarray(value, dtype=float)
+            if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 2:
+                raise ValueError(f"{name} must be (n >= 2, 3){or_none}")
+            if len(pts) > MAX_SAMPLES:
+                raise ValueError(f"{name} must hold at most {MAX_SAMPLES} points")
+            if not np.isfinite(pts).all():
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, pts)
 
 
 def _inlier_masks(

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import MAX_MAGNITUDE, _real
+from .checks import MAX_MAGNITUDE, MAX_SAMPLES, _real
 from .errors import InfeasibleSpec
 from .geometry import (
     CameraIntrinsics,
@@ -31,9 +31,9 @@ from .pipeline import LineObservation, PipelineConfig, run
 _MIN_SEGMENT_PX = 10.0
 _MIN_DEPTH = 0.05
 _MAX_REJECTS = 10_000
-#: Most lines per stream and samples per line, and most points per camera:
-#: a stream holds (n_lines x samples_per_line) of them.
-_MAX_COUNT = 10_000
+#: Most lines per stream, and most points per camera: a stream holds
+#: (n_lines x samples_per_line) of them.
+_MAX_LINES = 10_000
 _MAX_POINTS = 100_000
 #: Points along a segment at which its visibility in an image is tested.
 _GRID = np.linspace(0.0, 1.0, 257)
@@ -63,9 +63,9 @@ class RigSpec:
     def __post_init__(self) -> None:
         """Check every field but the three records, which check themselves;
         a bad value raises TypeError or ValueError naming its field."""
-        for name, low in (("n_lines", 1), ("samples_per_line", 2)):
-            if not low <= _real(getattr(self, name), name, integer=True) <= _MAX_COUNT:
-                raise ValueError(f"{name} must lie in [{low}, {_MAX_COUNT}]")
+        for name, low, high in (("n_lines", 1, _MAX_LINES), ("samples_per_line", 2, MAX_SAMPLES)):
+            if not low <= _real(getattr(self, name), name, integer=True) <= high:
+                raise ValueError(f"{name} must lie in [{low}, {high}]")
         if self.n_lines * self.samples_per_line > _MAX_POINTS:
             raise ValueError(f"n_lines x samples_per_line must be at most {_MAX_POINTS}")
         if _real(self.rng_seed, "rng_seed", integer=True) < 0:

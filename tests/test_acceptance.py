@@ -38,7 +38,7 @@ from pelical import (
     transform_line,
 )
 from pelical.constraints import CaseKind
-from pelical.fileio import sweep_rows_to_csv, write_calibration_file
+from pelical.fileio import SWEEP_COLUMNS, dumps_csv, write_calibration_file
 from pelical.pipeline import PipelineState, _candidate_lines
 from pelical.simulator import GroundTruthRecord
 
@@ -346,7 +346,7 @@ class TestAcceptance:
         csvs = []
         for _ in range(2):
             rows = sweep(base, [10.0, 20.0], [0.2, 0.3])
-            csvs.append(sweep_rows_to_csv(rows))
+            csvs.append(dumps_csv(SWEEP_COLUMNS, rows))
         sweep_same = csvs[0] == csvs[1]
 
         ok = calib_same and sweep_same

@@ -445,6 +445,17 @@ class TestCalibrate:
         assert calibrate_edited(tmp_path, path, value) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("count, code", [(10_000, 0), (10_001, 1)])
+    def test_sample_count_is_bounded(self, tmp_path, capsys, count, code):
+        # the line fit's memory grows with the samples, so a file may hold
+        # no more per camera than the simulator writes
+        entry = json.loads(base_documents())["observations"]["observations"][0]
+        a, b = np.array(entry["source_samples"])[[0, -1]]
+        dense = (a + np.linspace(0.0, 1.0, count)[:, None] * (b - a)).tolist()
+        assert calibrate_edited(tmp_path, ("observations", 0, "source_samples"), dense) == code
+        assert capsys.readouterr().err == ("" if code == 0 else (
+            "error: observations[0].source_samples: expected at most 10000 points\n"))
+
     def test_whole_float_integer_is_read(self, tmp_path):
         assert calibrate_edited(tmp_path, ("target_intrinsics", "width"), 640.0) == 0
 
@@ -692,6 +703,9 @@ def board_points(n: int = 10) -> list:
 
 BOARD = {"target_points": board_points(), "source_points": board_points()}
 CORNERS = {"target_corners": board_points(2), "source_corners": board_points(2)}
+#: The calibration file of ``evaluate-planes`` unless a document names its own.
+TRANSFORM = {"rotation": np.eye(3).tolist(), "translation_m": [0.0, 0.0, 0.0],
+             "termination": "converged"}
 
 
 @pytest.mark.parametrize(
@@ -706,7 +720,8 @@ CORNERS = {"target_corners": board_points(2), "source_corners": board_points(2)}
          "source_points[9]"),
         ("evaluate-planes", {**BOARD, "source_points": board_points(2)}, "source_points"),
         ("evaluate-planes", {**BOARD, **CORNERS, "squares_per_row": "x"}, "squares_per_row"),
-        ("evaluate-planes", {**BOARD, **CORNERS, "squares_per_row": 2.5}, "squares_per_row"),
+        ("evaluate-planes", {**BOARD, **CORNERS, "squares_per_row": 2.5},
+         "squares_per_row: expected an integer"),
         ("evaluate-planes", {**BOARD, **CORNERS, "target_corners": board_points(3),
                              "squares_per_row": 6}, "target_corners"),
         ("pose-errors", {"groups": [{"name": "g", "vary": "rotation", "poses": []}]}, "groups[0]"),
@@ -716,16 +731,30 @@ CORNERS = {"target_corners": board_points(2), "source_corners": board_points(2)}
         ("pose-errors", {"groups": [{"name": "g", "poses": [
             {"rotation": np.eye(3).tolist(), "translation_m": [0.0, 1e300, 0.0]}] * 2}]},
          "groups[0].poses[0].translation_m: magnitude exceeds 1e+06"),
+        ("evaluate-planes", {**BOARD, **CORNERS, "squares_per_row": 0},
+         "squares_per_row: expected a positive integer"),
+        ("evaluate-planes", {**BOARD, **CORNERS, "source_corners": [[0.0, 0.0, 1.5], [1.0]]},
+         "source_corners[1]: expected a list of 3 numbers"),
+        ("evaluate-planes",
+         {**BOARD, "transform": {**TRANSFORM, "translation_m": [0.0, float("nan"), 0.0]}},
+         "translation_m: expected a finite number"),
+        ("evaluate-planes", {**BOARD, "transform": {**TRANSFORM, "rotation": [[1.0, 0.0, 0.0]]}},
+         "rotation: expected 3 rows"),
+        ("pose-errors", {"groups": [{"name": "g", "poses": [
+            {"rotation": np.eye(3).tolist(), "translation_m": [0.0, 0.0]}] * 2}]},
+         "groups[0].poses[0].translation_m: expected a list of 3 numbers"),
     ],
     ids=["string-coordinate", "ragged-point", "flat-list", "nan-point", "two-point-plane",
          "string-squares", "fractional-squares", "three-corners", "no-poses", "poses-not-a-list",
-         "huge-point", "huge-translation"],
+         "huge-point", "huge-translation", "zero-squares", "two-value-corner",
+         "nan-calibration-translation", "two-row-calibration-rotation", "two-value-translation"],
 )
 def test_bad_plane_or_pose_input_exits_1(tmp_path, capsys, command, doc, field):
     input_path, calib_path = tmp_path / "input.json", tmp_path / "calib.json"
-    input_path.write_text(json.dumps(doc))  # json.dumps keeps NaN as a literal
-    write_json(calib_path, {"rotation": np.eye(3).tolist(), "translation_m": [0.0, 0.0, 0.0],
-                            "termination": "converged"})
+    doc = dict(doc)
+    # json.dumps keeps NaN as a literal
+    calib_path.write_text(json.dumps(doc.pop("transform", TRANSFORM)))
+    input_path.write_text(json.dumps(doc))
     argv = [command, "--input", str(input_path), "--output", str(tmp_path / "out")]
     if command == "evaluate-planes":
         argv += ["--transform", str(calib_path)]

@@ -29,6 +29,7 @@ from pelical.fileio import (
     _observations_in_bulk,
     calibration_file_dict,
     dumps_canonical,
+    dumps_csv,
     load_json,
     observation_file_dict,
     read_calibration_file,
@@ -36,11 +37,10 @@ from pelical.fileio import (
     read_rig_spec,
     rig_spec_from_dict,
     rig_spec_to_dict,
-    sweep_rows_to_csv,
     write_calibration_file,
+    write_csv,
     write_json,
     write_observation_file,
-    write_sweep_csv,
     write_truth_file,
 )
 from pelical.pipeline import CalibrationReport
@@ -403,10 +403,21 @@ class TestBulkRead:
              "endpoints must lie on the line (within 0.5 px)"),
             ((3, "target_2d", "endpoints", 1, 0), 2e6, "observations[3].target_2d.endpoints[1]",
              "magnitude exceeds 1e+06"),
+            ((3, "target_2d", "endpoints", 1), [1.0], "observations[3].target_2d.endpoints[1]",
+             "expected a list of 2 numbers"),
+            ((0, "source_2d", "endpoints"), [[1.0, 2.0]] * 3,
+             "observations[0].source_2d.endpoints", "expected 2 rows"),
+            ((2, "target_2d", "coeffs"), [0.6, 0.8], "observations[2].target_2d.coeffs",
+             "expected a list of 3 numbers"),
+            ((2, "target_samples"), lambda obs: obs[2]["target_samples"][:1],
+             "observations[2].target_samples", "expected >= 2 points or null"),
+            ((1, "source_samples"), lambda obs: obs[1]["source_samples"][:1] * 10_001,
+             "observations[1].source_samples", "expected at most 10000 points"),
         ],
         ids=["true", "string", "null", "nan", "huge-int", "1e300", "two-element-point",
              "nested-list", "fractional-id", "boolean-id", "nan-coefficient",
-             "unnormalized", "off-line-endpoint", "huge-endpoint"],
+             "unnormalized", "off-line-endpoint", "huge-endpoint", "one-value-endpoint",
+             "three-endpoints", "two-coefficients", "one-target-sample", "10001-samples"],
     )
     def test_bad_leaf_falls_back_to_the_walk(self, path, value, where, message):
         observations = json.loads(observation_text())["observations"]
@@ -626,17 +637,17 @@ class TestSweepCsv:
         ]
 
     def test_header_matches_column_order(self):
-        text = sweep_rows_to_csv(self.rows())
+        text = dumps_csv(SWEEP_COLUMNS, self.rows())
         assert text.splitlines()[0] == ",".join(SWEEP_COLUMNS)
 
     def test_cell_formatting(self):
-        lines = sweep_rows_to_csv(self.rows()).splitlines()
+        lines = dumps_csv(SWEEP_COLUMNS, self.rows()).splitlines()
         assert lines[1] == "20,0.29999999999999999,3,0.10000000000000001,2.5,true"
         assert lines[2] == "40,0.29999999999999999,4,nan,nan,false"
 
     def test_write_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_sweep_csv(a, self.rows())
-        write_sweep_csv(b, self.rows())
+        write_csv(a, SWEEP_COLUMNS, self.rows())
+        write_csv(b, SWEEP_COLUMNS, self.rows())
         assert a.read_bytes() == b.read_bytes()
         assert a.read_text().endswith("\n")

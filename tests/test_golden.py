@@ -1,4 +1,4 @@
-"""Pinned SHA-256 digests of `simulate`, `calibrate` and `sweep` output.
+"""Pinned SHA-256 digests of the files every subcommand writes.
 
 The other determinism tests compare two runs of the same version.  These
 compare against digests recorded before the simulator and the writer were
@@ -8,7 +8,9 @@ its outlier, PnL and axial-noise branches; the 80° yaw one also through the
 penetrating-segment fallback.  The calibration digests pin a converged mixed
 stream, a converged PnL-heavy one, one whose vote never carries, so it
 ends after the stream, and one that converges only after a converged vote
-with a poor cost evicted a pair.
+with a poor cost evicted a pair.  The `pose-errors` table holds a group
+name that CSV must quote, and the `evaluate-planes` metrics come from a
+transform a little off the truth, so none of them is zero.
 """
 
 from __future__ import annotations
@@ -20,7 +22,12 @@ import pytest
 
 from pelical import Extrinsics, RigSpec, generate, rotation_about_y
 from pelical.cli import main
-from pelical.fileio import rig_spec_to_dict, write_json, write_observation_file
+from pelical.fileio import (
+    extrinsics_to_dict,
+    rig_spec_to_dict,
+    write_json,
+    write_observation_file,
+)
 
 from helpers import DEFAULT_K
 
@@ -125,3 +132,47 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
     assert main(argv) == 0
     assert len(table.read_text().splitlines()) == 1 + 2 * 2 * 2
     assert sha256(table) == "70bf99c4befb89facee99e61dac976c4ac1707d7944467e615b70b5b0323d35b"
+
+
+def test_pose_errors_csv_bytes_are_pinned(tmp_path):
+    # "left, wide" holds the delimiter, so the writer must quote it
+    def poses(vary, steps):
+        return [
+            extrinsics_to_dict(
+                Extrinsics(rotation_about_y(s), np.zeros(3)) if vary == "rotation"
+                else Extrinsics(np.eye(3), np.array([s, 0.01 * s, 0.0]))
+            )
+            for s in steps
+        ]
+
+    doc = {"groups": [
+        {"name": "left, wide", "vary": "rotation", "poses": poses("rotation", (0, 19.5, 41))},
+        {"name": "slide", "vary": "translation", "poses": poses("translation", (0, 0.051, 0.1))},
+    ]}
+    poses_path, table = tmp_path / "poses.json", tmp_path / "errors.csv"
+    write_json(poses_path, doc)
+    assert main(["pose-errors", "--input", str(poses_path), "--output", str(table)]) == 0
+    assert table.read_text().splitlines()[1].startswith('"left, wide",rotation,0,')
+    assert sha256(table) == "1a284166f80b96e0698eadb5e8d10e3d2279aedd853a00fce45487f4703b0ac9"
+
+
+def test_evaluate_planes_json_bytes_are_pinned(tmp_path):
+    truth = Extrinsics(rotation_about_y(10.0), np.array([0.2, 0.0, 0.0]))
+    rng = np.random.default_rng(3)
+    target = np.column_stack([rng.uniform(-0.5, 0.5, (40, 2)), rng.normal(1.5, 0.002, 40)])
+    corners = np.array([[0.0, 0.0, 1.5], [0.65, 0.001, 1.5]])
+    off = Extrinsics(rotation_about_y(10.5), np.array([0.203, 0.0, 0.0])).inverse()
+    planes = {
+        "target_points": target.tolist(),
+        "source_points": off.transform_points(target).tolist(),
+        "target_corners": corners.tolist(),
+        "source_corners": off.transform_points(corners).tolist(),
+        "squares_per_row": 6,
+    }
+    planes_path, calib, out = (tmp_path / f"{n}.json" for n in ("planes", "calib", "metrics"))
+    write_json(planes_path, planes)
+    write_json(calib, {**extrinsics_to_dict(truth), "termination": "converged"})
+    argv = ["evaluate-planes", "--input", str(planes_path), "--transform", str(calib),
+            "--output", str(out)]
+    assert main(argv) == 0
+    assert sha256(out) == "5c6188a963f150f735812663c41e1d8d165d6929e1a7ab5e5560f11847be537e"

@@ -29,6 +29,7 @@ from pelical import (
     solve_quadratic_system,
     try_finalize,
 )
+from pelical.checks import MAX_SAMPLES
 from pelical.constraints import CaseKind
 from pelical.pipeline import (
     RANSAC_DISTANCE_M,
@@ -176,6 +177,15 @@ class TestLineObservation:
         samples[3, 1] = np.nan
         with pytest.raises(ValueError, match=f"{side} must be finite"):
             replace(obs, **{side: samples})
+
+    @pytest.mark.parametrize("side", ["source_samples", "target_samples"])
+    def test_sample_count_is_bounded(self, rng, side):
+        # the line fit keeps several (iterations, n) temporaries
+        obs = make_observation(rng, rand_truth(rng), CaseKind.FULL3D)
+        samples = getattr(obs, side)
+        replace(obs, **{side: np.resize(samples, (MAX_SAMPLES, 3))})
+        with pytest.raises(ValueError, match=f"{side} must hold at most 10000 points"):
+            replace(obs, **{side: np.resize(samples, (MAX_SAMPLES + 1, 3))})
 
 
 class TestIngest:
