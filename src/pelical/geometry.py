@@ -304,13 +304,16 @@ def project_so3(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     U, sigma, Vt = np.linalg.svd(M)
     if sigma[1] <= 1e-12 and sigma[2] <= 1e-12:
         raise RankDeficient("two smallest singular values are zero")
-    sign = float(np.linalg.det(U @ Vt))
-    sigma_target = np.array([1.0, 1.0, math.copysign(1.0, sign)])
-    R = U @ np.diag(sigma_target) @ Vt
-    return R, sigma, sigma_target
+    R = U @ Vt
+    # U V^T is orthogonal, so its determinant is +-1 and the cofactor
+    # expansion gets its sign right at a fraction of np.linalg.det's cost
+    (a, b, c), (d, e, f), (g, h, i) = R.tolist()
+    if a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g) > 0.0:
+        return R, sigma, np.ones(3)
+    sigma_target = np.array([1.0, 1.0, -1.0])
+    return (U * sigma_target) @ Vt, sigma, sigma_target
 
 
 def so3_distance(sigma: np.ndarray, sigma_target: np.ndarray) -> float:
     """Frobenius-type distance between a matrix spectrum and its SO(3) projection."""
-    diff = np.asarray(sigma, dtype=float) - np.asarray(sigma_target, dtype=float)
-    return float(np.linalg.norm(diff))
+    return float(np.linalg.norm(sigma - sigma_target))

@@ -41,9 +41,10 @@ from .geometry import CameraIntrinsics, Extrinsics, Line2D, PluckerLine, cross3
 from .selection import (
     _FULL_ROWS,
     EVICTION_FACTOR,
+    GATE_SLACK,
     ROTATION_ROW_COUNT,
     RotationGateState,
-    _solve_state,
+    _solve_normal,
     candidate_from_full3d,
     candidate_from_pnl,
     convergence_voting,
@@ -168,32 +169,29 @@ def ransac_fit_line(
     jj = rng.integers(0, n - 1, size=RANSAC_ITERATIONS)
     jj = jj + (jj >= ii)
     dirs = pts[jj] - pts[ii]
-    norms = np.linalg.norm(dirs, axis=1)
+    # np.linalg.norm's own formula, so the bits are the same
+    norms = np.sqrt(np.add.reduce(dirs * dirs, axis=1))
     valid = norms > 1e-9
+    dirs /= np.where(valid, norms, 1.0)[:, None]
+    masks = _inlier_masks(pts, ii, dirs, RANSAC_DISTANCE_M)
     # Degenerate hypotheses score -1, below any real consensus.
-    safe = np.where(valid, norms, 1.0)[:, None]
-    masks = _inlier_masks(pts, ii, dirs / safe, RANSAC_DISTANCE_M)
-    counts = np.where(valid, masks.sum(axis=1), -1)
+    counts = np.where(valid, np.count_nonzero(masks, axis=1), -1)
     best = int(np.argmax(counts))
     if counts[best] < 2:
         raise DegenerateLine("no two-point hypothesis found a consensus")
-    inlier_mask = masks[best]
-    inliers = pts[inlier_mask]
+    inliers = pts[masks[best]]
 
     centroid = inliers.mean(axis=0)
-    _, _, Vt = np.linalg.svd(inliers - centroid, full_matrices=False)
+    centred = inliers - centroid
+    _, _, Vt = np.linalg.svd(centred, full_matrices=False)
     direction = Vt[0]
-    idx = np.flatnonzero(inlier_mask)
-    span = pts[idx[-1]] - pts[idx[0]]
-    if float(span @ direction) < 0.0:
+    if float((inliers[-1] - inliers[0]) @ direction) < 0.0:
         direction = -direction
 
-    proj = (inliers - centroid) @ direction
-    endpoints = np.stack(
-        [centroid + proj.min() * direction, centroid + proj.max() * direction]
-    )
+    proj = centred @ direction
+    endpoints = centroid + np.array([[proj.min()], [proj.max()]]) * direction
     line = PluckerLine(direction, cross3(centroid, direction))
-    return line, float(inlier_mask.sum()) / n, endpoints
+    return line, float(counts[best]) / n, endpoints
 
 
 class RoundStatus(enum.Enum):
@@ -297,42 +295,53 @@ def _maybe_evict(state: PipelineState) -> list[int | None]:
     Pairs admitted while the gate was still underdetermined can hold the
     least-squares system permanently off the rotation manifold; once they
     are in, the gate never re-examines them.  This greedily peels the pair
-    with the largest linear-system residual, re-solving after each removal,
-    and commits the shortest removal prefix that shrinks the SO(3) distance
-    below ``EVICTION_FACTOR`` times its starting value.  Peeling several
-    pairs per call matters: with two or more bad pairs, removing just one
-    barely moves the distance and a single-step test would deadlock.
-    Peeling stops before the rows would fall under ``_FULL_ROWS`` or the
-    pairs under ``VOTE_MIN_COUNT``, and when the rotation becomes
-    undetermined.  If no prefix reaches the target the store is left
-    untouched.  That does not keep an honest store whole: with few rows,
-    dropping the worst-fitting noisy pair can halve the distance by itself,
-    so an outlier-free stream whose vote never forms keeps losing pairs (20
-    to 36 per 60-line stream at 0.5 px / 3 mm noise).  Returns the evicted
-    ids.
+    with the largest linear-system residual, downdating the gate's normal
+    equations by that pair's 9x9 block and solving them again after each
+    removal, and commits the shortest removal prefix that shrinks the SO(3)
+    distance below ``EVICTION_FACTOR`` times its starting value.  The
+    committed gate is rebuilt from the kept rows, so no downdate round-off
+    stays in the store.  Peeling several pairs per call matters: with two
+    or more bad pairs, removing just one barely moves the distance and a
+    single-step test would deadlock.  Peeling stops before the rows would
+    fall under ``_FULL_ROWS`` or the pairs under ``VOTE_MIN_COUNT``, and
+    when the rotation becomes undetermined.  If no prefix reaches the
+    target the store is left untouched, and so is a store whose distance is
+    within ``GATE_SLACK``: there it is float round-off, which any removal
+    halves or doubles at random.  That does not keep an honest store
+    whole: with few rows, dropping the worst-fitting noisy pair can halve
+    the distance by itself, so an outlier-free stream whose vote never
+    forms keeps losing pairs (20 to 36 per 60-line stream at 0.5 px / 3 mm
+    noise).  Returns the evicted ids.
     """
     orig = state.gate
-    if orig.rotation is None or not 0.0 < orig.distance < math.inf:
+    if orig.rotation is None or not GATE_SLACK < orig.distance < math.inf:
         return []
     sizes = np.array([ROTATION_ROW_COUNT[c.kind] for c in state.correspondences])
     starts = np.cumsum(sizes) - sizes
+    # each pair's block of the normal equations
+    G_pair = np.add.reduceat(orig.C[:, :, None] * orig.C[:, None, :], starts)
+    h_pair = np.add.reduceat(orig.C * orig.b[:, None], starts)
     kept = np.ones(len(sizes), dtype=bool)
-    cur = orig
+    G, h, row_count, rotation = orig.G, orig.h, orig.row_count, orig.rotation
     removed: list[int] = []
-    while cur.rotation is not None:
-        residuals = _pair_residuals(orig.C, orig.b, starts, cur.rotation.reshape(-1))
+    while rotation is not None:
+        residuals = _pair_residuals(orig.C, orig.b, starts, rotation.reshape(-1))
         residuals[~kept] = -np.inf
         worst = int(np.argmax(residuals))
-        too_few_rows = cur.row_count - sizes[worst] < _FULL_ROWS
-        if too_few_rows or kept.sum() - 1 < VOTE_MIN_COUNT:
+        row_count -= sizes[worst]
+        if row_count < _FULL_ROWS or len(sizes) - len(removed) - 1 < VOTE_MIN_COUNT:
             break
         removed.append(worst)
         kept[worst] = False
-        rows = np.repeat(kept, sizes)
-        cur = _solve_state(orig.C[rows], orig.b[rows])
-        if cur.distance < EVICTION_FACTOR * orig.distance:
+        G = G - G_pair[worst]
+        h = h - h_pair[worst]
+        rotation, distance = _solve_normal(G, h)
+        if distance < EVICTION_FACTOR * orig.distance:
             evicted = [state.correspondences[i].obs_id for i in removed]
-            state.gate = cur
+            rows = np.repeat(kept, sizes)
+            C, b = orig.C[rows], orig.b[rows]
+            G, h = C.T @ C, C.T @ b
+            state.gate = RotationGateState(C, b, G, h, *_solve_normal(G, h))
             state.correspondences = [c for c, k in zip(state.correspondences, kept) if k]
             return evicted
     return []

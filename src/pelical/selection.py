@@ -3,9 +3,12 @@
 Every matched pair constrains the rotation linearly (FULL3D pairs map the
 source direction onto the target direction, PNL pairs confine it to the
 back-projection plane of the observed image line).  The gate accumulates
-those rows, solves for the best linear map, and measures how far it sits
-from SO(3): a pair is only kept when it does not push the estimate away
-from the rotation manifold.
+those rows together with their 9x9 normal equations, solves the normal
+equations for the best linear map, and measures how far it sits from
+SO(3): a pair is only kept when it does not push the estimate away from
+the rotation manifold.  Solving a pair therefore costs the same however
+many are stored, and removing one subtracts its block of the normal
+equations.
 
 Independently, each accepted pair pins the translation to a 3D line.  When
 enough of those candidate lines pass near a common point, the translation
@@ -40,6 +43,9 @@ _FULL_ROWS = 9
 #: ``EVICTION_FACTOR`` times its starting value.
 GATE_SLACK = 1e-10
 EVICTION_FACTOR = 0.5
+#: ``lstsq``'s default rank cutoff on a 9x9 system, relative to its largest
+#: singular value (see :func:`_solve_normal`).
+_RANK_CUTOFF = 9 * np.finfo(float).eps
 #: Size bound on the (proposals x lines x 3) float64 distance tensor that
 #: :func:`convergence_voting` evaluates at once.
 VOTE_CHUNK_BYTES = 8 << 20
@@ -50,10 +56,12 @@ class RotationGateState:
     """Accumulated direction constraints and the current rotation estimate.
 
     ``C``/``b`` stack every accepted pair's :func:`rotation_rows` in
-    acceptance order.  ``rotation`` is the SO(3) projection of their
-    unconstrained least-squares solution (reshaped 3x3, row-major; None
-    while the system is too degenerate to project), and ``distance`` the
-    spectrum distance of that solution to SO(3) -- infinity exactly while
+    acceptance order, and ``G = C^T C``, ``h = C^T b`` are their 9x9
+    normal equations, summed one pair at a time.  ``rotation`` is the SO(3)
+    projection of the minimum-norm least-squares solution of ``G x = h``
+    (reshaped 3x3, row-major; None while the system is too degenerate to
+    project; see :func:`_solve_normal`), and ``distance`` the spectrum
+    distance of that solution to SO(3) -- infinity exactly while
     ``rotation`` is None.  Below nine rows the solution is the minimum-norm
     one of an underdetermined system, so the distance is usually finite
     already but not yet used to reject pairs (see :func:`gate_rotation`).
@@ -61,12 +69,14 @@ class RotationGateState:
 
     C: np.ndarray
     b: np.ndarray
+    G: np.ndarray
+    h: np.ndarray
     rotation: np.ndarray | None = None
     distance: float = np.inf
 
     @classmethod
     def empty(cls) -> "RotationGateState":
-        return cls(C=np.zeros((0, 9)), b=np.zeros(0))
+        return cls(C=np.zeros((0, 9)), b=np.zeros(0), G=np.zeros((9, 9)), h=np.zeros(9))
 
     @property
     def row_count(self) -> int:
@@ -98,15 +108,29 @@ def rotation_rows(
     return np.kron(normal, d_s)[None, :], np.zeros(1)
 
 
-def _solve_state(C: np.ndarray, b: np.ndarray) -> RotationGateState:
-    sol, *_ = np.linalg.lstsq(C, b, rcond=None)
-    M = sol.reshape(3, 3)
+def _solve_normal(G: np.ndarray, h: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """``(rotation, distance)`` of the rows whose normal equations are
+    ``G x = h``: the SO(3) projection of their minimum-norm least-squares
+    solution, and its spectrum distance to SO(3).
+
+    That solution is the minimum-norm solution of the 9x9 system itself.
+    ``np.linalg.solve`` finds it while ``G`` is regular.  ``G`` counts as
+    singular where ``lstsq``'s own rank cutoff, ``9 eps`` times its largest
+    singular value, would drop a direction -- always below nine rows, and on
+    stores whose lines share one or two directions -- and then ``lstsq``
+    does.  There ``np.linalg.solve`` rarely raises; it returns an arbitrary
+    solution instead (rotations 50-170 degrees off).
+    """
+    w = np.linalg.eigvalsh(G)  # G is symmetric, so these are its singular values
+    if w[0] > _RANK_CUTOFF * w[-1]:
+        sol = np.linalg.solve(G, h)
+    else:
+        sol = np.linalg.lstsq(G, h, rcond=None)[0]
     try:
-        R, sigma, sigma_target = project_so3(M)
-        dist = so3_distance(sigma, sigma_target)
+        R, sigma, sigma_target = project_so3(sol.reshape(3, 3))
     except RankDeficient:
-        R, dist = None, np.inf
-    return RotationGateState(C=C, b=b, rotation=R, distance=dist)
+        return None, np.inf
+    return R, so3_distance(sigma, sigma_target)
 
 
 def gate_rotation(
@@ -114,6 +138,10 @@ def gate_rotation(
 ) -> tuple[bool, RotationGateState]:
     """Tentatively add a pair's rows; keep them unless the SO(3) distance
     grows past its budget.
+
+    The pair's block ``C_row^T C_row`` joins the normal equations, which are
+    solved as they stand, so the solve costs the same at any store size;
+    only an accepted pair's rows are appended to ``C``/``b``.
 
     While the accumulated system has fewer than nine rows it cannot reject
     anything (the least-squares fit is underdetermined), so early pairs are
@@ -129,14 +157,15 @@ def gate_rotation(
     so doubling still rejects it cleanly.
     """
     C_row, b_row = new_rows
-    C_new = np.vstack([state.C, C_row])
-    b_new = np.concatenate([state.b, b_row])
-    candidate = _solve_state(C_new, b_new)
-    if state.row_count < _FULL_ROWS:
-        return True, candidate
-    if candidate.distance < state.distance / EVICTION_FACTOR + GATE_SLACK:
-        return True, candidate
-    return False, state
+    G = state.G + C_row.T @ C_row
+    h = state.h + C_row.T @ b_row
+    rotation, distance = _solve_normal(G, h)
+    budget = state.distance / EVICTION_FACTOR + GATE_SLACK
+    if state.row_count >= _FULL_ROWS and not distance < budget:
+        return False, state
+    C = np.vstack([state.C, C_row])
+    b = np.concatenate([state.b, b_row])
+    return True, RotationGateState(C, b, G, h, rotation, distance)
 
 
 def candidate_from_full3d(

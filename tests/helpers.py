@@ -5,7 +5,9 @@ The builders construct *algebraically exact* inputs from a known pose
 going through the simulator, so solver/selection tests do not depend on the
 modules they are meant to check.  The references at the end restate, one
 pair or one hypothesis at a time, formulas the package computes batched or
-stacked, so tests can compare the two; ``brute_force_roots`` is a
+stacked, so tests can compare the two; ``reference_evict`` peels the
+store re-solving the gate rows with ``lstsq``, where the package downdates
+their normal equations; ``brute_force_roots`` is a
 grid-search oracle that certifies the closed-form solver, and
 ``canon_walk`` the one-value-at-a-time writer that checks the bulk one.
 ``mutated`` is the hypothesis strategy that breaks valid documents for the
@@ -32,10 +34,12 @@ from pelical import (
     Line2D,
     LineObservation,
     ParallelPlanes,
+    RankDeficient,
     assemble,
     candidate_from_pnl,
     line_projection_matrix,
     plucker_from_points,
+    project_so3,
     transform_line,
 )
 from pelical.constraints import (
@@ -45,7 +49,17 @@ from pelical.constraints import (
     monomial_jacobian,
     monomial_vector,
 )
-from pelical.selection import ROTATION_ROW_COUNT, VotingResult, _line_distances, _proposals
+from pelical.geometry import so3_distance
+from pelical.pipeline import VOTE_MIN_COUNT
+from pelical.selection import (
+    _FULL_ROWS,
+    EVICTION_FACTOR,
+    GATE_SLACK,
+    ROTATION_ROW_COUNT,
+    VotingResult,
+    _line_distances,
+    _proposals,
+)
 from pelical.solver import _stack_residuals, eliminate_translation
 
 DEFAULT_K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
@@ -300,6 +314,51 @@ def reference_pair_residuals(
         out.append(float(np.linalg.norm(C[end : end + n] @ vec - b[end : end + n])))
         end += n
     return np.array(out)
+
+
+def reference_gate_solve(C: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """Rotation and SO(3) distance of the gate rows ``C vec(R) = b`` solved
+    by ``lstsq`` on the rows themselves: the reference for
+    ``selection._solve_normal``, which solves their normal equations."""
+    sol = np.linalg.lstsq(C, b, rcond=None)[0]
+    try:
+        R, sigma, sigma_target = project_so3(sol.reshape(3, 3))
+    except RankDeficient:
+        return None, np.inf
+    return R, so3_distance(sigma, sigma_target)
+
+
+def reference_evict(
+    cs: list[Correspondence],
+    C: np.ndarray,
+    b: np.ndarray,
+    rotation: np.ndarray | None,
+    distance: float,
+) -> list[int | None]:
+    """The ids ``pipeline._maybe_evict`` evicts from the store ``cs`` whose
+    gate holds the rows ``C``/``b`` and the estimate ``rotation``/``distance``,
+    re-solving the kept rows with ``lstsq`` after each removal instead of
+    downdating the normal equations.  Changes nothing."""
+    if rotation is None or not GATE_SLACK < distance < math.inf:
+        return []
+    sizes = np.array([ROTATION_ROW_COUNT[c.kind] for c in cs])
+    kept = np.ones(len(cs), dtype=bool)
+    removed: list[int] = []
+    R = rotation
+    while R is not None:
+        residuals = reference_pair_residuals(C, b, cs, R.reshape(-1))
+        residuals[~kept] = -np.inf
+        worst = int(np.argmax(residuals))
+        too_few_rows = sizes[kept].sum() - sizes[worst] < _FULL_ROWS
+        if too_few_rows or kept.sum() - 1 < VOTE_MIN_COUNT:
+            break
+        removed.append(worst)
+        kept[worst] = False
+        rows = np.repeat(kept, sizes)
+        R, dist = reference_gate_solve(C[rows], b[rows])
+        if dist < EVICTION_FACTOR * distance:
+            return [cs[i].obs_id for i in removed]
+    return []
 
 
 def reference_convergence_voting(

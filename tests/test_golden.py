@@ -8,14 +8,18 @@ its outlier, PnL and axial-noise branches; the 80° yaw one also through the
 penetrating-segment fallback.  The calibration digests pin a converged mixed
 stream, a converged PnL-heavy one, one whose vote never carries, so it
 ends after the stream, and one that converges only after a converged vote
-with a poor cost evicted a pair.  The `pose-errors` table holds a group
-name that CSV must quote, and the `evaluate-planes` metrics come from a
-transform a little off the truth, so none of them is zero.
+with a poor cost evicted a pair.  Next to their bytes, each pins a digest
+of what the run decided (termination, accepted pairs, voting inliers and
+the trace without its float digits), so a change that moves only round-off
+shows as a byte change with the same decisions.  The `pose-errors` table
+holds a group name that CSV must quote, and the `evaluate-planes` metrics
+come from a transform a little off the truth, so none of them is zero.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -58,6 +62,23 @@ def sha256(*paths) -> str:
     return digest.hexdigest()
 
 
+def decision_digest(path) -> str:
+    """SHA-256 of what a calibration file decided: termination, accepted
+    pairs, voting inliers and every trace entry without its float digits
+    (``d_so3`` and ``mean_cost``)."""
+    doc = json.loads(path.read_text())
+    decisions = {
+        "termination": doc["termination"],
+        "accepted_pairs": doc["accepted_pairs"],
+        "voting_inlier_ids": doc["voting_inlier_ids"],
+        "trace": [
+            {k: v for k, v in entry.items() if k not in ("d_so3", "mean_cost")}
+            for entry in doc["trace"]
+        ],
+    }
+    return hashlib.sha256(json.dumps(decisions, sort_keys=True).encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
     "spec, expected",
     [
@@ -85,41 +106,46 @@ def test_simulate_bytes_are_pinned(tmp_path, spec, expected):
 
 
 @pytest.mark.parametrize(
-    "spec, flags, expected",
+    "spec, flags, expected, decisions",
     [
         (
             rig(20.0, outlier_fraction=0.2, pnl_fraction=0.25),
             [],
-            "fe627b9a8f45067727d86fed144a72e9ac9c4b6fe693044cfaf6c3768b52bcce",
+            "ed8f77cc6fe9b1a8970b8d5b9ec7d558da746a0be95681804c800341e2330eda",
+            "74c20392fab93f16f04545ed58aac78d7b9dadae343ea67ce6bae88263c3447c",
         ),
         (
             rig(20.0, pnl_fraction=0.6),
             [],
-            "d0f54c9846fa80c5b3524e8b47afd1a65a2103f9a36de655e626bea842e0aca5",
+            "13c1115b08b197844a1be97b8707d5041011c1dbfdf3d0539e1d3344876a938e",
+            "16432c47e5743fa6a22b0facaa77839148ba733d1af3285fcb1ec07660d0a630",
         ),
         (
             # recorded once the end of the stream stopped repeating the last
             # attempt, whose trace entry the parent digest still held
             rig(20.0, n_lines=20),
             ["--epsilon-d", "1e-5"],
-            "cf445938c470ff1c09ad682c64b07cd24abad4b61a437bdfa4aca196b7d5cebc",
+            "ad5113196cc9dcf54bcd486de86eba3fd8f547a967c7a0de42322493996c51fa",
+            "5fc2e179ecf283ec719434652acc01f3f13e145c34ce9b787f70edcac51e3635",
         ),
         (
             # a converged vote at mean cost 114 evicts a pair; the next
             # attempt converges
             rig(20.0, outlier_fraction=0.4, rng_seed=12),
             [],
-            "3a65e4e3050eb72fa2fb4a7f4a56f6be94fa09e8fbe2653c1722b10e0da044c8",
+            "597edccf578afe6714f209591f34e24b6d273a260b0aaf967805d27efddf1240",
+            "eb981d431542f58200f661f79aca75af8825c2c24688eb2422e50cf66a3d2b6d",
         ),
     ],
     ids=["converged-mixed", "converged-pnl", "end-of-stream", "cost-eviction"],
 )
-def test_calibrate_bytes_are_pinned(tmp_path, spec, flags, expected):
+def test_calibrate_bytes_are_pinned(tmp_path, spec, flags, expected, decisions):
     obs, calib = tmp_path / "obs.json", tmp_path / "calib.json"
     write_observation_file(obs, DEFAULT_K, DEFAULT_K, generate(spec)[0])
     argv = ["calibrate", "--input", str(obs), "--output", str(calib),
             "--cost-threshold", "30", *flags]
     assert main(argv) == (2 if flags else 0)
+    assert decision_digest(calib) == decisions
     assert sha256(calib) == expected
 
 

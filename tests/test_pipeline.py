@@ -51,6 +51,7 @@ from helpers import (
     rand_rotation,
     rand_truth,
     reference_candidate_lines,
+    reference_evict,
     reference_inlier_masks,
     reference_pair_residuals,
 )
@@ -257,10 +258,14 @@ class TestIngest:
 
 
 def assert_gate_holds_store_rows(state):
-    """The gate's stacked system is exactly the accepted pairs' rows, in order."""
+    """The gate's stacked system is exactly the accepted pairs' rows, in
+    order, and its normal equations are theirs to round-off."""
     rows = [rotation_rows(c, DEFAULT_K) for c in state.correspondences]
     np.testing.assert_array_equal(state.gate.C, np.vstack([C for C, _ in rows]))
     np.testing.assert_array_equal(state.gate.b, np.concatenate([b for _, b in rows]))
+    C, b = state.gate.C, state.gate.b
+    assert_allclose(state.gate.G, C.T @ C, rtol=1e-12)
+    assert_allclose(state.gate.h, C.T @ b, rtol=1e-12)
 
 
 class TestEviction:
@@ -410,14 +415,15 @@ class TestRobustnessEnvelope:
         assert rot_deg <= 0.5 and trans_mm <= 15.0
 
 
-def seeded_store(seed, outlier_fraction, pnl_fraction):
-    """The store after ingesting a whole 60-line envelope stream, with no
-    finalize attempt (so nothing is evicted)."""
+def seeded_store(seed, outlier_fraction, pnl_fraction, n_lines=60):
+    """The store after ingesting a whole envelope stream (60 lines unless
+    ``n_lines`` says otherwise), with no finalize attempt (so nothing is
+    evicted)."""
     spec = RigSpec(
         truth=ENVELOPE_TRUTH,
         target_intrinsics=DEFAULT_K,
         source_intrinsics=DEFAULT_K,
-        n_lines=60,
+        n_lines=n_lines,
         pixel_noise_sigma=0.5,
         depth_noise_sigma=0.003,
         outlier_fraction=outlier_fraction,
@@ -486,6 +492,42 @@ class TestBatchedFinalize:
         p0, u, members = _candidate_lines(state.correspondences, truth.rotation, DEFAULT_K)
         assert p0.shape == u.shape == (len(members), 3)
         assert all(c.kind is CaseKind.PNL for c in members)
+
+
+class TestNormalEquations:
+    """The gate and eviction solve 9x9 normal equations and decide as the
+    row-wise ``lstsq`` did."""
+
+    @pytest.mark.parametrize("seed, outlier_fraction, pnl_fraction", STORES)
+    def test_downdates_evict_like_lstsq_reference(
+        self, seed, outlier_fraction, pnl_fraction
+    ):
+        state = seeded_store(seed, outlier_fraction, pnl_fraction)
+        assert_gate_holds_store_rows(state)
+        gate = state.gate
+        expected = reference_evict(
+            state.correspondences, gate.C, gate.b, gate.rotation, gate.distance
+        )
+        assert _maybe_evict(state) == expected
+        assert_gate_holds_store_rows(state)
+
+    def test_gate_and_eviction_solve_only_9x9_systems(self, monkeypatch):
+        shapes = []
+        for name in ("solve", "lstsq"):
+            original = getattr(np.linalg, name)
+
+            def recording(a, *args, _original=original, **kwargs):
+                shapes.append(np.shape(a))
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, recording)
+        state = seeded_store(1001, 0.0, 0.25, n_lines=100)
+        assert len(state.correspondences) > 90
+        assert len(shapes) >= len(state.correspondences)
+        shapes.clear()
+        _maybe_evict(state)
+        assert shapes
+        assert set(shapes) == {(9, 9)}
 
 
 class TestRunDegenerate:

@@ -31,6 +31,7 @@ from helpers import (
     rand_rotation,
     rand_truth,
     reference_convergence_voting,
+    reference_gate_solve,
 )
 
 
@@ -141,6 +142,26 @@ class TestGateRotation:
         bad = make_correspondence(rng, rand_truth(rng), CaseKind.FULL3D)
         ok, _ = gate_rotation(state, rotation_rows(bad, DEFAULT_K))
         assert not ok
+
+
+    @pytest.mark.parametrize("repeats", [3, 4, 9, 10, 30])
+    def test_degenerate_store_matches_row_lstsq(self, rng, repeats):
+        # G is singular up to round-off when every pair repeats one (FULL3D:
+        # rank 3, PNL: rank 1) or two (rank 6) source directions; the gate
+        # must give the minimum-norm answer the rows' own lstsq gives: no
+        # rotation for one direction, the exact rotation for two
+        truth = rand_truth(rng)
+        full = [make_correspondence(rng, truth, CaseKind.FULL3D) for _ in range(2)]
+        pnl = make_correspondence(rng, truth, CaseKind.PNL)
+        for cs in ([full[0]] * repeats, [pnl] * repeats, [full[i % 2] for i in range(repeats)]):
+            _, state = feed(cs)
+            R, distance = reference_gate_solve(state.C, state.b)
+            if R is None:
+                assert state.rotation is None and state.distance == np.inf
+            else:
+                assert_allclose(state.rotation, R, atol=1e-9)
+                assert_allclose(state.rotation, truth.rotation, atol=1e-9)
+                assert state.distance == pytest.approx(distance, abs=1e-9)
 
 
 class TestCandidateLines:
