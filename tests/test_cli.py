@@ -1,12 +1,14 @@
 """End-to-end command line tests driving main() and the console entry point."""
 
 import argparse
+import ast
 import contextlib
 import csv
 import dataclasses
 import functools
 import io
 import json
+import re
 import subprocess
 import sys
 import tempfile
@@ -892,14 +894,28 @@ def test_help_exits_0(capsys, argv):
     assert capsys.readouterr().out.startswith("usage: pelical")
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def declared_dependencies() -> list[str]:
+    """The import names of ``[project] dependencies`` in pyproject.toml."""
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    names = (re.match(r"[A-Za-z0-9_.-]+", req).group() for req in project["dependencies"])
+    return sorted(name.lower().replace("-", "_") for name in names)
+
+
 class TestConsoleScript:
     def test_import_loads_no_scipy(self):
-        # The package depends on numpy only: scipy is a test dependency, and
-        # a faster JSON parser or any other new import must not slip in.
-        # Modules that site loads at start-up (.pth hooks) are not pelical's.
+        # The package loads exactly its declared dependencies: scipy is a
+        # test dependency, and no other new import may slip in.
+        # Modules that site loads at start-up (.pth hooks) are not pelical's,
+        # and the platform's _sysconfigdata_* module (which orjson's import
+        # of uuid loads) is standard library but not in stdlib_module_names.
         package_root = Path(pelical.__file__).resolve().parents[1]
         code = ("import sys; before = set(sys.modules); import pelical, pelical.cli; "
-                "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+                "print(sorted({m.split('.')[0] for m in set(sys.modules) - before"
+                " if not m.startswith('_sysconfigdata_')}"
                 " - set(sys.stdlib_module_names) - {'pelical'}))")
         proc = subprocess.run(
             [sys.executable, "-c", code],
@@ -908,7 +924,22 @@ class TestConsoleScript:
             env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "['numpy']\n"
+        assert proc.stdout == f"{declared_dependencies()}\n"
+
+    def test_every_import_is_declared(self):
+        # Also the imports that run only inside a function: each names the
+        # standard library, pelical itself or a declared dependency.
+        allowed = set(sys.stdlib_module_names) | {"pelical", *declared_dependencies()}
+        for path in sorted((ROOT / "src" / "pelical").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    assert name.split(".")[0] in allowed, f"{path.name}:{node.lineno}: {name}"
 
     def test_module_entry_point(self, tmp_path, monkeypatch):
         spec_path, obs_path = tmp_path / "rig.json", tmp_path / "obs.json"

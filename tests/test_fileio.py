@@ -2,7 +2,12 @@
 
 import functools
 import json
+import math
+import pickle
 import re
+import struct
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pelical
 from pelical import (
     Extrinsics,
     PipelineConfig,
@@ -23,6 +29,7 @@ from pelical import (
 )
 from pelical.constraints import CaseKind
 from pelical.fileio import (
+    _ORJSON_STACK_BYTES,
     SWEEP_COLUMNS,
     _float_block,
     _observation_from_dict,
@@ -66,6 +73,14 @@ FLOATS = st.one_of(
     st.floats(),
     st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -3.0, 2.0**53, 1e16, 0.1]),
     st.integers(-(10**6), 10**6).map(float),
+)
+#: Any finite double: hypothesis's floats, and uniform 64-bit patterns,
+#: whose exponents spread evenly from the subnormals to the largest.
+FINITE_DOUBLES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(0, 2**64 - 1)
+    .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    .filter(math.isfinite),
 )
 #: Lists of equal-length float lists: the shape of sample and endpoint blocks.
 BLOCKS = st.integers(0, 4).flatmap(
@@ -303,6 +318,19 @@ class TestObservationFile:
         with pytest.raises(SchemaError, match="target_intrinsics.*fx"):
             read_observation_file(path)
 
+    @pytest.mark.parametrize("value", [[10**20 + 1], {"x": -(2**63) - 1}],
+                             ids=["list", "object"])
+    def test_bad_intrinsic_is_quoted_as_written(self, tmp_path, observations, value):
+        # the message quotes the value, so a huge integer in it must not
+        # come back as a float
+        path = tmp_path / "obs.json"
+        doc = observation_file_dict(DEFAULT_K, DEFAULT_K, observations)
+        doc["target_intrinsics"]["fx"] = value
+        write_json(path, doc)
+        message = f"target_intrinsics: fx must be a number, got {value!r}"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            read_observation_file(path)
+
 
 @functools.lru_cache(maxsize=None)
 def observation_text() -> str:
@@ -339,17 +367,19 @@ def assert_same_observations(got: list, want: list) -> None:
             if y is None:
                 assert x is None
             else:
-                assert x.dtype == y.dtype and np.array_equal(x, y)
+                assert x.dtype == y.dtype and x.shape == y.shape
+                assert x.tobytes() == y.tobytes()  # the same bits, -0.0 included
 
 
-def read_three_ways(observations: list) -> tuple:
+def read_three_ways(observations: list, dumps=json.dumps) -> tuple:
     """The observation file of :func:`observation_text` with the list
-    ``observations``, read by ``read_observation_file``, by the walk and by
-    the bulk path, each from the same loaded document."""
+    ``observations``, written by ``dumps``, read by ``read_observation_file``,
+    by the walk and by the bulk path, the last two from the document as json
+    loads it."""
     doc = {**json.loads(observation_text()), "observations": observations}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "obs.json"
-        path.write_text(json.dumps(doc))  # keeps NaN and huge integers
+        path.write_text(dumps(doc))  # json.dumps keeps NaN and huge integers
         raw = load_json(path)["observations"]
         read = outcome(lambda: read_observation_file(path)[2])
     return read, outcome(lambda: walk(raw)), _observations_in_bulk(raw)
@@ -429,9 +459,14 @@ class TestBulkRead:
         assert bulk is None
         assert read_error == walk_error == f"{where}: {message}"
 
-    @pytest.mark.parametrize("value", [3.0, 1e300, 10**20], ids=["float", "1e300", "10**20"])
+    @pytest.mark.parametrize(
+        "value",
+        [3.0, 1e300, 10**20, 10**20 + 1, 2**64, -(2**63) - 1],
+        ids=["float", "1e300", "10**20", "10**20+1", "2**64", "-2**63-1"],
+    )
     def test_whole_float_or_large_id_takes_the_bulk_path(self, value):
-        # the walk accepts any whole number as an id, so the bulk path must too
+        # the walk accepts any whole number as an id, so the bulk path must
+        # too; an integer is read exactly, also beyond 64 bits
         observations = json.loads(observation_text())["observations"]
         observations[2]["id"] = value
         (read, _), (walked, error), bulk = read_three_ways(observations)
@@ -450,6 +485,107 @@ class TestBulkRead:
         if walk_error is None:
             assert_same_observations(bulk, walked)
             assert_same_observations(read, walked)
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(values=st.lists(FINITE_DOUBLES, min_size=1, max_size=6),
+           dumps=st.sampled_from([json.dumps, dumps_canonical]))
+    def test_any_double_reads_as_json_reads_it(self, values, dumps):
+        # Sample coordinates written by repr (json.dumps) or at 17 digits
+        # (dumps_canonical): read to the same bits as json, or rejected
+        # with json's message when out of bounds.
+        observations = json.loads(observation_text())["observations"]
+        points = [p for obs in observations for p in obs["source_samples"]]
+        for i, value in enumerate(values):
+            points[i // 3][i % 3] = value
+        (read, read_error), (walked, walk_error), _ = read_three_ways(observations, dumps)
+        assert read_error == walk_error
+        if walk_error is None:
+            assert_same_observations(read, walked)
+
+
+def run_in_child(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a new interpreter that imports this pelical, so that a
+    crash in the parser fails one test instead of the whole run."""
+    package_root = Path(pelical.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(package_root)},
+    )
+
+
+def read_error_in_child(path: Path, thread_stack: int = 0) -> str:
+    """The SchemaError message of ``read_observation_file(path)`` in a child
+    interpreter, read on a thread with a stack of ``thread_stack`` bytes
+    when that is not 0."""
+    proc = run_in_child(
+        "import threading\n"
+        "from pelical.fileio import SchemaError, read_observation_file\n"
+        "def read():\n"
+        "    try:\n"
+        f"        read_observation_file({str(path)!r})\n"
+        "    except SchemaError as exc:\n"
+        "        print(exc)\n"
+        f"if {thread_stack}:\n"
+        f"    threading.stack_size({thread_stack})\n"
+        "    thread = threading.Thread(target=read)\n"
+        "    thread.start()\n"
+        "    thread.join()\n"
+        "else:\n"
+        "    read()\n"
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode()
+
+
+#: A document nested ``n`` levels deep, and the C stack orjson takes a level.
+NESTED = {
+    "lists": (lambda n: "[" * n + "]" * n, 64),
+    "objects": (lambda n: '{"a":' * n + "0" + "}" * n, 160),
+}
+
+
+class TestParserGuards:
+    """orjson parses observation files but has no nesting limit; a file
+    whose brackets could nest too deeply goes to json."""
+
+    @pytest.mark.parametrize("kind", sorted(NESTED))
+    def test_deep_document_is_nested_too_deeply(self, tmp_path, kind):
+        path = tmp_path / "deep.json"
+        path.write_text(NESTED[kind][0](200_000))
+        message = read_error_in_child(path)
+        assert message == f"{path}: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize("levels", [1, 2], ids=["at-bound", "twice-bound"])
+    @pytest.mark.parametrize("kind", sorted(NESTED))
+    def test_deep_document_fits_a_1mib_thread_stack(self, tmp_path, kind, levels):
+        # At the bound orjson parses it and the checks reject it, so json
+        # reads it again; at twice the bound only json reads it, and orjson
+        # would overflow the stack.
+        nest, cost = NESTED[kind]
+        path = tmp_path / "deep.json"
+        path.write_text(nest(levels * _ORJSON_STACK_BYTES // cost))
+        message = read_error_in_child(path, thread_stack=2**20)
+        assert message == f"{path}: invalid JSON: nested too deeply\n"
+
+    def test_large_file_reads_as_json_reads_it(self, tmp_path):
+        rng = np.random.default_rng(11)
+        truth = rand_truth(rng)
+        kinds = [CaseKind.FULL3D, CaseKind.PNL] * 100
+        obs = [make_observation(rng, truth, k, obs_id=i) for i, k in enumerate(kinds)]
+        path = tmp_path / "obs.json"
+        write_observation_file(path, DEFAULT_K, DEFAULT_K, obs)
+        raw = path.read_bytes()
+        assert 64 * raw.count(b"[") + 160 * raw.count(b"{") > _ORJSON_STACK_BYTES
+        proc = run_in_child(
+            "import pickle, sys\n"
+            "from pelical.fileio import read_observation_file\n"
+            f"sys.stdout.buffer.write(pickle.dumps(read_observation_file({str(path)!r})))\n"
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        target_K, source_K, read = pickle.loads(proc.stdout)
+        assert target_K == source_K == DEFAULT_K
+        assert_same_observations(read, walk(load_json(path)["observations"]))
 
 
 class TestCalibrationFile:
