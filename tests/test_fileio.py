@@ -1,5 +1,6 @@
 """File format tests: canonical JSON writers, schema validation, sweep CSV."""
 
+import decimal
 import functools
 import json
 import math
@@ -27,9 +28,12 @@ from pelical import (
     rotation_about_y,
     run,
 )
+from pelical.checks import MAX_MAGNITUDE
 from pelical.constraints import CaseKind
 from pelical.fileio import (
     _ORJSON_STACK_BYTES,
+    _observation_document,
+    _orjson_stack,
     SWEEP_COLUMNS,
     _float_block,
     _observation_from_dict,
@@ -74,14 +78,46 @@ FLOATS = st.one_of(
     st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300, 1.0, -3.0, 2.0**53, 1e16, 0.1]),
     st.integers(-(10**6), 10**6).map(float),
 )
+
+
+def double_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+BITS_OF_MAX = struct.unpack("<Q", struct.pack("<d", MAX_MAGNITUDE))[0]
+
 #: Any finite double: hypothesis's floats, and uniform 64-bit patterns,
-#: whose exponents spread evenly from the subnormals to the largest.
+#: whose exponents spread evenly from the subnormals to the largest, also
+#: below MAX_MAGNITUDE, where a sample is read and not rejected.
 FINITE_DOUBLES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
-    st.integers(0, 2**64 - 1)
-    .map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
-    .filter(math.isfinite),
+    st.integers(0, 2**64 - 1).map(double_from_bits).filter(math.isfinite),
+    st.builds(math.copysign, st.integers(0, BITS_OF_MAX).map(double_from_bits),
+              st.sampled_from([1.0, -1.0])),
 )
+
+
+def spelled(x: float, how: str, digits: int) -> str:
+    """``x`` as JSON text: by ``repr`` (as json.dumps writes it), at 17
+    digits (as dumps_canonical does), as its exact decimal expansion, or as
+    the midpoint between it and the next double, rounded to ``digits``
+    significant digits.  The last two are the long and near-halfway
+    spellings a fast float parser cannot settle on its short path."""
+    if how == "repr":
+        return repr(x)
+    if how == "%.17g":
+        return "%.17g" % x
+    exact = decimal.Decimal(x)
+    if how == "exact":
+        return str(exact)
+    y = math.nextafter(x, math.inf)
+    if math.isinf(y):
+        y = math.nextafter(x, -math.inf)
+    with decimal.localcontext(decimal.Context(prec=2000)):
+        midpoint = (exact + decimal.Decimal(y)) / 2  # exact: both are binary fractions
+    return str(decimal.Context(prec=digits).plus(midpoint))
+
+
 #: Lists of equal-length float lists: the shape of sample and endpoint blocks.
 BLOCKS = st.integers(0, 4).flatmap(
     lambda cols: st.lists(st.lists(FLOATS, min_size=cols, max_size=cols), max_size=6)
@@ -486,17 +522,25 @@ class TestBulkRead:
             assert_same_observations(bulk, walked)
             assert_same_observations(read, walked)
 
-    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
     @given(values=st.lists(FINITE_DOUBLES, min_size=1, max_size=6),
-           dumps=st.sampled_from([json.dumps, dumps_canonical]))
-    def test_any_double_reads_as_json_reads_it(self, values, dumps):
-        # Sample coordinates written by repr (json.dumps) or at 17 digits
-        # (dumps_canonical): read to the same bits as json, or rejected
-        # with json's message when out of bounds.
+           how=st.sampled_from(["midpoint", "exact", "repr", "%.17g"]),
+           digits=st.integers(18, 800))
+    def test_any_double_reads_as_json_reads_it(self, values, how, digits):
+        # Sample coordinates written in any of the spellings of spelled():
+        # read to the same bits as json, or rejected with json's message
+        # when out of bounds.
         observations = json.loads(observation_text())["observations"]
         points = [p for obs in observations for p in obs["source_samples"]]
-        for i, value in enumerate(values):
-            points[i // 3][i % 3] = value
+        for i in range(len(values)):
+            points[i // 3][i % 3] = f"@{i}"
+
+        def dumps(doc):
+            text = json.dumps(doc)
+            for i, value in enumerate(values):
+                text = text.replace(f'"@{i}"', spelled(value, how, digits))
+            return text
+
         (read, read_error), (walked, walk_error), _ = read_three_ways(observations, dumps)
         assert read_error == walk_error
         if walk_error is None:
@@ -539,36 +583,76 @@ def read_error_in_child(path: Path, thread_stack: int = 0) -> str:
 
 
 #: A document nested ``n`` levels deep, and the C stack orjson takes a level.
-NESTED = {
+DEEP = {
     "lists": (lambda n: "[" * n + "]" * n, 64),
     "objects": (lambda n: '{"a":' * n + "0" + "}" * n, 160),
+    "mixed": (lambda n: '[{"a":' * n + "0" + "}]" * n, 64 + 160),
 }
+#: Documents with ``n`` opening brackets that orjson, which stops at the
+#: first error, never nests ``n`` deep, and one it does nest that deep.
+UNNESTED = {
+    "closers-first": lambda n: "]" * n + "[" * n,
+    "mismatched": lambda n: "[" + "}" * n + "[" * n + "]" * n,
+    "unclosed-string": lambda n: '["' + "[" * n,
+    "closers-in-a-string": lambda n: '["' + "]" * n + '",' + "[" * n + "]" * n + "]",
+    "after-an-escaped-quote": lambda n: '["\\"' + "]" * n + '",' + "[" * n + "]" * n + "]",
+}
+
+
+def json_error(path: Path) -> str:
+    """The SchemaError message of reading ``path`` with json alone."""
+    return outcome(lambda: _observation_document(load_json(path)))[1]
 
 
 class TestParserGuards:
     """orjson parses observation files but has no nesting limit; a file
     whose brackets could nest too deeply goes to json."""
 
-    @pytest.mark.parametrize("kind", sorted(NESTED))
+    @pytest.mark.parametrize("kind", sorted(DEEP))
     def test_deep_document_is_nested_too_deeply(self, tmp_path, kind):
         path = tmp_path / "deep.json"
-        path.write_text(NESTED[kind][0](200_000))
+        path.write_text(DEEP[kind][0](200_000))
         message = read_error_in_child(path)
         assert message == f"{path}: invalid JSON: nested too deeply\n"
 
     @pytest.mark.parametrize("levels", [1, 2], ids=["at-bound", "twice-bound"])
-    @pytest.mark.parametrize("kind", sorted(NESTED))
+    @pytest.mark.parametrize("kind", sorted(DEEP))
     def test_deep_document_fits_a_1mib_thread_stack(self, tmp_path, kind, levels):
         # At the bound orjson parses it and the checks reject it, so json
         # reads it again; at twice the bound only json reads it, and orjson
         # would overflow the stack.
-        nest, cost = NESTED[kind]
+        nest, cost = DEEP[kind]
         path = tmp_path / "deep.json"
         path.write_text(nest(levels * _ORJSON_STACK_BYTES // cost))
         message = read_error_in_child(path, thread_stack=2**20)
         assert message == f"{path}: invalid JSON: nested too deeply\n"
 
+    @pytest.mark.parametrize("kind", sorted(UNNESTED))
+    def test_brackets_that_do_not_nest_read_as_json_reads_them(self, tmp_path, kind):
+        # Four times the bound in brackets: the running depth, not their
+        # count, decides, and only the last document nests that deep.
+        path = tmp_path / "odd.json"
+        path.write_text(UNNESTED[kind](4 * _ORJSON_STACK_BYTES // 64))
+        message = read_error_in_child(path, thread_stack=2**20)
+        assert message == json_error(path) + "\n"
+
+    @pytest.mark.parametrize(
+        "text, stack",
+        [
+            ("[" + "[]," * 10**5 + "[]]", 2 * 64),
+            ('{"a":[' + "{}," * 10**5 + "{}]}", 2 * 160 + 64),
+            ('["' + "[" * 10**5 + '"]', 64),
+            ('["\\\\",' + "[]," * 10**5 + "[]]", (10**5 + 2) * 64),
+        ],
+        ids=["lists", "objects", "in-a-string", "with-a-backslash"],
+    )
+    def test_depth_not_count_is_the_stack(self, text, stack):
+        # A file with a backslash counts every bracket: there a quote may
+        # be escaped and not end a string.
+        assert _orjson_stack(text.encode()) == stack
+
     def test_large_file_reads_as_json_reads_it(self, tmp_path):
+        # 200 lines hold more brackets than the bound, nested 6 deep
         rng = np.random.default_rng(11)
         truth = rand_truth(rng)
         kinds = [CaseKind.FULL3D, CaseKind.PNL] * 100
@@ -577,6 +661,7 @@ class TestParserGuards:
         write_observation_file(path, DEFAULT_K, DEFAULT_K, obs)
         raw = path.read_bytes()
         assert 64 * raw.count(b"[") + 160 * raw.count(b"{") > _ORJSON_STACK_BYTES
+        assert _orjson_stack(raw) == 3 * 160 + 3 * 64
         proc = run_in_child(
             "import pickle, sys\n"
             "from pelical.fileio import read_observation_file\n"
