@@ -2,20 +2,13 @@
 
 Observations arrive one matched line pair at a time.  Each is fitted
 (RANSAC on the 3D samples of both cameras), classified by depth quality,
-passed through the rotation gate, and stored on acceptance.  After every
-accepted pair (once a minimum population exists) the pipeline attempts to
-finalize: build candidate translation lines under the current gate
-rotation, run convergence voting, and -- if the vote carries -- solve and
-refine the full pose from the voting inliers only.  A refined mean cost
-under the configured threshold ends the run as Converged.
-
-One recovery mechanism goes beyond the plain gate: pairs accepted while the
-gate was still underdetermined are never re-examined by the gate itself, so
-a single early mismatch can poison the rotation estimate forever.  When a
-vote fails, or converges around a pose whose mean cost is not below the
-threshold, the pipeline therefore tentatively peels the stored pairs with
-the largest direction residuals; the removal is kept only when it collapses
-the SO(3) distance, which is exactly the signature of mismatched pairs.
+and passed through the rotation gate, which stores it on acceptance.
+After every accepted pair (once a minimum population exists) the pipeline
+attempts to finalize: build candidate translation lines under the current
+gate rotation, run convergence voting, and -- if the vote carries -- solve
+and refine the full pose from the voting inliers only.  A refined mean
+cost under the configured threshold ends the run as Converged; any other
+outcome hands the store to the gate's eviction (``selection.evict``).
 """
 
 from __future__ import annotations
@@ -24,6 +17,7 @@ import enum
 import itertools
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,17 +33,15 @@ from .errors import (
 )
 from .geometry import CameraIntrinsics, Extrinsics, Line2D, PluckerLine, cross3
 from .selection import (
-    _FULL_ROWS,
-    EVICTION_FACTOR,
-    GATE_SLACK,
-    ROTATION_ROW_COUNT,
+    VOTE_MIN_COUNT,
     RotationGateState,
-    _solve_normal,
     candidate_from_full3d,
     candidate_from_pnl,
     convergence_voting,
+    evict,
     gate_rotation,
     rotation_rows,
+    vote_threshold,
 )
 from .solver import PoseSolution, refine, solve_quadratic_system
 
@@ -58,11 +50,6 @@ from .solver import PoseSolution, refine, solve_quadratic_system
 RANSAC_DISTANCE_M = 0.01
 RANSAC_ITERATIONS = 200
 RANSAC_MIN_INLIERS = 8
-#: A vote carries with ``max(VOTE_MIN_COUNT, ceil(VOTE_FRACTION * lines))``
-#: agreeing candidate lines, so finalize waits for, and eviction keeps,
-#: ``VOTE_MIN_COUNT`` pairs.
-VOTE_MIN_COUNT = 4
-VOTE_FRACTION = 0.6
 
 
 @dataclass(frozen=True)
@@ -83,11 +70,6 @@ class PipelineConfig:
         if _real(self.rng_seed, "rng_seed", integer=True) < 0:
             raise ValueError("rng_seed must be non-negative")
         _real(self.cost_threshold, "cost_threshold")
-
-
-def vote_threshold(n_lines: int) -> int:
-    """Votes a point needs among ``n_lines`` candidate lines to carry."""
-    return max(VOTE_MIN_COUNT, math.ceil(VOTE_FRACTION * n_lines))
 
 
 @dataclass(frozen=True)
@@ -232,7 +214,6 @@ class PipelineState:
     target_K: CameraIntrinsics
     rng: np.random.Generator
     gate: RotationGateState = field(default_factory=RotationGateState.empty)
-    correspondences: list[Correspondence] = field(default_factory=list)
     trace: list[dict] = field(default_factory=list)
     last_solution: PoseSolution | None = None
 
@@ -244,7 +225,7 @@ class PipelineState:
 def ingest(
     obs: LineObservation, state: PipelineState, cfg: PipelineConfig
 ) -> RoundOutcome:
-    """Fit, classify and gate one observation; store it on acceptance."""
+    """Fit, classify and gate one observation; the gate keeps it on acceptance."""
     try:
         src_line, src_ratio, src_endpoints = ransac_fit_line(obs.source_samples, state.rng)
     except (TooFewSamples, DegenerateLine) as exc:
@@ -281,83 +262,14 @@ def ingest(
     )
 
     rows = rotation_rows(corr, state.target_K)
-    accepted, new_gate = gate_rotation(state.gate, rows)
+    accepted, state.gate = gate_rotation(state.gate, corr, rows)
     if not accepted:
         return RoundOutcome(RoundStatus.GATE_REJECTED, "SO(3) distance grew past its budget")
-    state.gate = new_gate
-    state.correspondences.append(corr)
     return RoundOutcome(RoundStatus.ACCEPTED)
 
 
-def _maybe_evict(state: PipelineState) -> list[int | None]:
-    """Drop the stored pairs most at odds with the rotation estimate.
-
-    Pairs admitted while the gate was still underdetermined can hold the
-    least-squares system permanently off the rotation manifold; once they
-    are in, the gate never re-examines them.  This greedily peels the pair
-    with the largest linear-system residual, downdating the gate's normal
-    equations by that pair's 9x9 block and solving them again after each
-    removal, and commits the shortest removal prefix that shrinks the SO(3)
-    distance below ``EVICTION_FACTOR`` times its starting value.  The
-    committed gate is rebuilt from the kept rows, so no downdate round-off
-    stays in the store.  Peeling several pairs per call matters: with two
-    or more bad pairs, removing just one barely moves the distance and a
-    single-step test would deadlock.  Peeling stops before the rows would
-    fall under ``_FULL_ROWS`` or the pairs under ``VOTE_MIN_COUNT``, and
-    when the rotation becomes undetermined.  If no prefix reaches the
-    target the store is left untouched, and so is a store whose distance is
-    within ``GATE_SLACK``: there it is float round-off, which any removal
-    halves or doubles at random.  That does not keep an honest store
-    whole: with few rows, dropping the worst-fitting noisy pair can halve
-    the distance by itself, so an outlier-free stream whose vote never
-    forms keeps losing pairs (20 to 36 per 60-line stream at 0.5 px / 3 mm
-    noise).  Returns the evicted ids.
-    """
-    orig = state.gate
-    if orig.rotation is None or not GATE_SLACK < orig.distance < math.inf:
-        return []
-    sizes = np.array([ROTATION_ROW_COUNT[c.kind] for c in state.correspondences])
-    starts = np.cumsum(sizes) - sizes
-    # each pair's block of the normal equations
-    G_pair = np.add.reduceat(orig.C[:, :, None] * orig.C[:, None, :], starts)
-    h_pair = np.add.reduceat(orig.C * orig.b[:, None], starts)
-    kept = np.ones(len(sizes), dtype=bool)
-    G, h, row_count, rotation = orig.G, orig.h, orig.row_count, orig.rotation
-    removed: list[int] = []
-    while rotation is not None:
-        residuals = _pair_residuals(orig.C, orig.b, starts, rotation.reshape(-1))
-        residuals[~kept] = -np.inf
-        worst = int(np.argmax(residuals))
-        row_count -= sizes[worst]
-        if row_count < _FULL_ROWS or len(sizes) - len(removed) - 1 < VOTE_MIN_COUNT:
-            break
-        removed.append(worst)
-        kept[worst] = False
-        G = G - G_pair[worst]
-        h = h - h_pair[worst]
-        rotation, distance = _solve_normal(G, h)
-        if distance < EVICTION_FACTOR * orig.distance:
-            evicted = [state.correspondences[i].obs_id for i in removed]
-            rows = np.repeat(kept, sizes)
-            C, b = orig.C[rows], orig.b[rows]
-            G, h = C.T @ C, C.T @ b
-            state.gate = RotationGateState(C, b, G, h, *_solve_normal(G, h))
-            state.correspondences = [c for c, k in zip(state.correspondences, kept) if k]
-            return evicted
-    return []
-
-
-def _pair_residuals(
-    C: np.ndarray, b: np.ndarray, starts: np.ndarray, vec: np.ndarray
-) -> np.ndarray:
-    """``|C_i vec - b_i|`` of each stored pair's rows, in store order; pair
-    ``i``'s rows start at row ``starts[i]``."""
-    e = C @ vec - b
-    return np.sqrt(np.add.reduceat(e * e, starts))
-
-
 def _candidate_lines(
-    cs: list[Correspondence], R: np.ndarray, K_t: CameraIntrinsics
+    cs: Sequence[Correspondence], R: np.ndarray, K_t: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, list[Correspondence]]:
     """Candidate translation lines of the stored pairs under ``R``.
 
@@ -399,16 +311,16 @@ def try_finalize(
 
     Returns a Converged report or None (not ready).  A failed vote, or a
     converged one whose mean refined cost is not below ``cost_threshold``,
-    may evict several stored pairs (see :func:`_maybe_evict`).
+    may evict several stored pairs (see :func:`selection.evict`).
     """
-    entry: dict = {"pairs": len(state.correspondences), "d_so3": state.gate.distance}
+    entry: dict = {"pairs": len(state.gate.pairs), "d_so3": state.gate.distance}
     state.trace.append(entry)
     R = state.gate.rotation
     if R is None:
         entry["note"] = "rotation undetermined"
         return None
 
-    p0, u, members = _candidate_lines(state.correspondences, R, state.target_K)
+    p0, u, members = _candidate_lines(state.gate.pairs, R, state.target_K)
     threshold = vote_threshold(len(members))
     try:
         vote = convergence_voting(p0, u, cfg.epsilon_d_m, threshold)
@@ -437,7 +349,7 @@ def try_finalize(
                 extrinsics=refined.extrinsics,
                 final_cost=mean_cost,
                 termination=TerminationReason.CONVERGED,
-                accepted_pairs=len(state.correspondences),
+                accepted_pairs=len(state.gate.pairs),
                 voting_inlier_ids=ids,
                 trace=state.trace,
                 inlier_correspondences=inlier_cs,
@@ -445,8 +357,8 @@ def try_finalize(
     # Not yet: the vote failed, or it converged around a pose that still
     # fits poorly (e.g. when a mismatched pair slipped into the store
     # early).  Either way the store gets one eviction pass, which may also
-    # drop honest pairs (see _maybe_evict).
-    evicted = _maybe_evict(state)
+    # drop honest pairs (see selection.evict).
+    evicted, state.gate = evict(state.gate)
     if evicted:
         entry["evicted"] = evicted
     return None
@@ -462,10 +374,7 @@ def run(
     state = PipelineState.fresh(cfg, target_K)
     for obs in itertools.islice(stream, cfg.max_pairs):
         outcome = ingest(obs, state, cfg)
-        if (
-            outcome.status is RoundStatus.ACCEPTED
-            and len(state.correspondences) >= VOTE_MIN_COUNT
-        ):
+        if outcome.status is RoundStatus.ACCEPTED and len(state.gate.pairs) >= VOTE_MIN_COUNT:
             report = try_finalize(state, cfg)
             if report is not None:
                 return report
@@ -487,16 +396,12 @@ def run(
         pose = Extrinsics(state.gate.rotation, np.zeros(3))
     else:
         pose = Extrinsics.identity()
-    termination = (
-        TerminationReason.ABORTED
-        if not state.correspondences
-        else TerminationReason.MAX_PAIRS
-    )
+    termination = TerminationReason.MAX_PAIRS if state.gate.pairs else TerminationReason.ABORTED
     return CalibrationReport(
         extrinsics=pose,
         final_cost=math.inf,
         termination=termination,
-        accepted_pairs=len(state.correspondences),
+        accepted_pairs=len(state.gate.pairs),
         voting_inlier_ids=(),
         trace=state.trace,
     )

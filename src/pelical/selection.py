@@ -1,14 +1,22 @@
-"""Streaming pair selection: rotation gating and translation voting.
+"""Streaming pair selection: rotation gating, eviction and translation voting.
 
 Every matched pair constrains the rotation linearly (FULL3D pairs map the
 source direction onto the target direction, PNL pairs confine it to the
-back-projection plane of the observed image line).  The gate accumulates
-those rows together with their 9x9 normal equations, solves the normal
-equations for the best linear map, and measures how far it sits from
-SO(3): a pair is only kept when it does not push the estimate away from
-the rotation manifold.  Solving a pair therefore costs the same however
-many are stored, and removing one subtracts its block of the normal
-equations.
+back-projection plane of the observed image line).  The gate keeps the
+accepted pairs with those rows and their 9x9 normal equations, solves the
+normal equations for the best linear map, and measures how far it sits
+from SO(3): a pair is only kept when it does not push the estimate away
+from the rotation manifold.  Solving a pair therefore costs the same
+however many are stored, and removing one subtracts its block of the
+normal equations.
+
+Pairs accepted while the gate was still underdetermined are never
+re-examined by the gate itself, so a single early mismatch can poison the
+rotation estimate forever.  When a vote fails, or converges around a pose
+whose mean cost is not below the threshold, the gate therefore tentatively
+peels the stored pairs with the largest direction residuals
+(:func:`evict`); the removal is kept only when it collapses the SO(3)
+distance, which is exactly the signature of mismatched pairs.
 
 Independently, each accepted pair pins the translation to a 3D line.  When
 enough of those candidate lines pass near a common point, the translation
@@ -18,13 +26,14 @@ for the true camera offset.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constraints import CaseKind, Correspondence
-from .errors import InsufficientLines, ParallelPlanes, RankDeficient
+from .errors import InsufficientLines, ParallelPlanes, RankDeficient, WrongKind
 from .geometry import (
     CameraIntrinsics,
     cross3,
@@ -53,20 +62,22 @@ VOTE_CHUNK_BYTES = 8 << 20
 
 @dataclass(frozen=True)
 class RotationGateState:
-    """Accumulated direction constraints and the current rotation estimate.
+    """Accepted pairs, their direction constraints and the rotation estimate.
 
-    ``C``/``b`` stack every accepted pair's :func:`rotation_rows` in
-    acceptance order, and ``G = C^T C``, ``h = C^T b`` are their 9x9
-    normal equations, summed one pair at a time.  ``rotation`` is the SO(3)
-    projection of the minimum-norm least-squares solution of ``G x = h``
-    (reshaped 3x3, row-major; None while the system is too degenerate to
-    project; see :func:`_solve_normal`), and ``distance`` the spectrum
+    ``pairs`` holds every accepted pair in acceptance order, ``C``/``b``
+    stack their :func:`rotation_rows` in that order, and ``G = C^T C``,
+    ``h = C^T b`` are the rows' 9x9 normal equations, summed one pair at a
+    time.  ``rotation`` is the SO(3) projection of the minimum-norm
+    least-squares solution of ``G x = h`` (reshaped 3x3, row-major; None
+    while the system is too degenerate to project; see
+    :func:`_solve_normal`), and ``distance`` the spectrum
     distance of that solution to SO(3) -- infinity exactly while
     ``rotation`` is None.  Below nine rows the solution is the minimum-norm
     one of an underdetermined system, so the distance is usually finite
     already but not yet used to reject pairs (see :func:`gate_rotation`).
     """
 
+    pairs: tuple[Correspondence, ...]
     C: np.ndarray
     b: np.ndarray
     G: np.ndarray
@@ -76,7 +87,7 @@ class RotationGateState:
 
     @classmethod
     def empty(cls) -> "RotationGateState":
-        return cls(C=np.zeros((0, 9)), b=np.zeros(0), G=np.zeros((9, 9)), h=np.zeros(9))
+        return cls((), np.zeros((0, 9)), np.zeros(0), np.zeros((9, 9)), np.zeros(9))
 
     @property
     def row_count(self) -> int:
@@ -134,14 +145,15 @@ def _solve_normal(G: np.ndarray, h: np.ndarray) -> tuple[np.ndarray | None, floa
 
 
 def gate_rotation(
-    state: RotationGateState, new_rows: tuple[np.ndarray, np.ndarray]
+    state: RotationGateState, pair: Correspondence, new_rows: tuple[np.ndarray, np.ndarray]
 ) -> tuple[bool, RotationGateState]:
-    """Tentatively add a pair's rows; keep them unless the SO(3) distance
-    grows past its budget.
+    """Tentatively add ``pair`` and its :func:`rotation_rows`; keep them
+    unless the SO(3) distance grows past its budget.
 
     The pair's block ``C_row^T C_row`` joins the normal equations, which are
     solved as they stand, so the solve costs the same at any store size;
-    only an accepted pair's rows are appended to ``C``/``b``.
+    only an accepted pair joins ``pairs`` and its rows ``C``/``b``.  A
+    rejected pair returns ``state`` itself.
 
     While the accumulated system has fewer than nine rows it cannot reject
     anything (the least-squares fit is underdetermined), so early pairs are
@@ -165,7 +177,69 @@ def gate_rotation(
         return False, state
     C = np.vstack([state.C, C_row])
     b = np.concatenate([state.b, b_row])
-    return True, RotationGateState(C, b, G, h, rotation, distance)
+    return True, RotationGateState(state.pairs + (pair,), C, b, G, h, rotation, distance)
+
+
+def evict(state: RotationGateState) -> tuple[list[int | None], RotationGateState]:
+    """Drop the stored pairs most at odds with the rotation estimate.
+
+    Greedily peels the pair with the largest linear-system residual,
+    downdating the normal equations by its 9x9 block and solving them again
+    after each removal, and commits the shortest removal prefix that shrinks
+    the SO(3) distance below ``EVICTION_FACTOR`` times its starting value;
+    the committed gate is rebuilt from the kept rows, so no downdate
+    round-off stays in it.  Peeling several pairs per call matters: with two
+    or more bad pairs, removing just one barely moves the distance and a
+    single-step test would deadlock.  Peeling stops before the rows would
+    fall under ``_FULL_ROWS`` or the pairs under ``VOTE_MIN_COUNT``, and when
+    the rotation becomes undetermined.  The store is left untouched when no
+    prefix reaches the target, and when its distance is within
+    ``GATE_SLACK``: there it is float round-off, which any removal halves or
+    doubles at random.  An honest store still bleeds: with few rows,
+    dropping the worst-fitting noisy pair can halve the distance by itself,
+    so an outlier-free stream whose vote never forms keeps losing pairs (20
+    to 36 per 60-line stream at 0.5 px / 3 mm noise).  Returns the evicted
+    ids and the gate without them, or ``[]`` and ``state`` itself.
+    """
+    if state.rotation is None or not GATE_SLACK < state.distance < math.inf:
+        return [], state
+    sizes = np.array([ROTATION_ROW_COUNT[c.kind] for c in state.pairs])
+    starts = np.cumsum(sizes) - sizes
+    # each pair's block of the normal equations
+    G_pair = np.add.reduceat(state.C[:, :, None] * state.C[:, None, :], starts)
+    h_pair = np.add.reduceat(state.C * state.b[:, None], starts)
+    kept = np.ones(len(sizes), dtype=bool)
+    G, h, row_count, rotation = state.G, state.h, state.row_count, state.rotation
+    removed: list[int] = []
+    while rotation is not None:
+        residuals = _pair_residuals(state.C, state.b, starts, rotation.reshape(-1))
+        residuals[~kept] = -np.inf
+        worst = int(np.argmax(residuals))
+        row_count -= sizes[worst]
+        if row_count < _FULL_ROWS or len(sizes) - len(removed) - 1 < VOTE_MIN_COUNT:
+            break
+        removed.append(worst)
+        kept[worst] = False
+        G = G - G_pair[worst]
+        h = h - h_pair[worst]
+        rotation, distance = _solve_normal(G, h)
+        if distance < EVICTION_FACTOR * state.distance:
+            rows = np.repeat(kept, sizes)
+            C, b = state.C[rows], state.b[rows]
+            G, h = C.T @ C, C.T @ b
+            pairs = tuple(c for c, k in zip(state.pairs, kept) if k)
+            evicted = [state.pairs[i].obs_id for i in removed]
+            return evicted, RotationGateState(pairs, C, b, G, h, *_solve_normal(G, h))
+    return [], state
+
+
+def _pair_residuals(
+    C: np.ndarray, b: np.ndarray, starts: np.ndarray, vec: np.ndarray
+) -> np.ndarray:
+    """``|C_i vec - b_i|`` of each stored pair's rows, in store order; pair
+    ``i``'s rows start at row ``starts[i]``."""
+    e = C @ vec - b
+    return np.sqrt(np.add.reduceat(e * e, starts))
 
 
 def candidate_from_full3d(
@@ -177,10 +251,11 @@ def candidate_from_full3d(
     source direction ``u = R d_s``; the particular solution is
     ``p0 = (R m_s - m_t) x (R d_s)``.  Returns ``(p0, u)``, each ``(k, 3)``
     with unit ``u``.  The pairs are stacked and every product is a stacked
-    matmul, so each row has the bits of the one-pair formula.
+    matmul, so each row has the bits of the one-pair formula.  Raises
+    WrongKind when a pair is not FULL3D.
     """
     if any(c.kind is not CaseKind.FULL3D for c in pairs):
-        raise ParallelPlanes("candidate_from_full3d needs FULL3D pairs")
+        raise WrongKind("candidate_from_full3d needs FULL3D pairs")
     d_s = np.array([c.source_line.d for c in pairs]).reshape(-1, 3, 1)
     m_s = np.array([c.source_line.m for c in pairs]).reshape(-1, 3, 1)
     m_t = np.array([c.target_line_3d.m for c in pairs]).reshape(-1, 3)
@@ -210,11 +285,12 @@ def candidate_from_pnl(
     front of the camera gives the anchor.  The candidate line runs through
     that anchor ``p0`` along the unit ``u = R d_s``; returns ``(p0, u)``.
 
-    Raises ParallelPlanes when the 2D endpoints coincide, the stacked
-    constraints are rank deficient, or both orderings lie behind the camera.
+    Raises WrongKind for a pair that is not PNL, and ParallelPlanes when the
+    2D endpoints coincide, the stacked constraints are rank deficient, or
+    both orderings lie behind the camera.
     """
     if c.kind is not CaseKind.PNL:
-        raise ParallelPlanes("candidate_from_pnl needs a PNL pair")
+        raise WrongKind("candidate_from_pnl needs a PNL pair")
     ep = c.target_line_2d.endpoints
     if np.linalg.norm(ep[0] - ep[1]) < 1e-9:
         raise ParallelPlanes("2D endpoints are coincident")
@@ -280,6 +356,18 @@ def _proposals(p0: np.ndarray, u: np.ndarray) -> np.ndarray:
     q1 = p0[ii[ok]] + s[:, None] * u1
     q2 = p0[jj[ok]] + t[:, None] * u2
     return 0.5 * (q1 + q2)
+
+
+#: A vote carries with ``max(VOTE_MIN_COUNT, ceil(VOTE_FRACTION * lines))``
+#: agreeing candidate lines, so finalize waits for, and eviction keeps,
+#: ``VOTE_MIN_COUNT`` pairs.
+VOTE_MIN_COUNT = 4
+VOTE_FRACTION = 0.6
+
+
+def vote_threshold(n_lines: int) -> int:
+    """Votes a point needs among ``n_lines`` candidate lines to carry."""
+    return max(VOTE_MIN_COUNT, math.ceil(VOTE_FRACTION * n_lines))
 
 
 def convergence_voting(

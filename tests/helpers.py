@@ -26,6 +26,7 @@ import numpy as np
 import scipy.ndimage
 import scipy.optimize
 from hypothesis import strategies as st
+from numpy.testing import assert_allclose
 from scipy.spatial.transform import Rotation
 
 from pelical import (
@@ -40,6 +41,7 @@ from pelical import (
     line_projection_matrix,
     plucker_from_points,
     project_so3,
+    rotation_rows,
     transform_line,
 )
 from pelical.constraints import (
@@ -50,12 +52,13 @@ from pelical.constraints import (
     monomial_vector,
 )
 from pelical.geometry import so3_distance
-from pelical.pipeline import VOTE_MIN_COUNT
 from pelical.selection import (
     _FULL_ROWS,
     EVICTION_FACTOR,
     GATE_SLACK,
     ROTATION_ROW_COUNT,
+    VOTE_MIN_COUNT,
+    RotationGateState,
     VotingResult,
     _line_distances,
     _proposals,
@@ -306,7 +309,7 @@ def reference_pair_residuals(
     C: np.ndarray, b: np.ndarray, cs: list[Correspondence], vec: np.ndarray
 ) -> np.ndarray:
     """``|C_i vec - b_i|`` one pair's block at a time: the reference for
-    ``pipeline._pair_residuals``.  Block ``i`` holds pair ``i``'s
+    ``selection._pair_residuals``.  Block ``i`` holds pair ``i``'s
     ``rotation_rows``, in store order."""
     out, end = [], 0
     for c in cs:
@@ -314,6 +317,16 @@ def reference_pair_residuals(
         out.append(float(np.linalg.norm(C[end : end + n] @ vec - b[end : end + n])))
         end += n
     return np.array(out)
+
+
+def assert_gate_holds_store_rows(gate: RotationGateState) -> None:
+    """The gate's stacked system is exactly its pairs' ``rotation_rows``, in
+    order, and its normal equations are theirs to round-off."""
+    rows = [rotation_rows(c, DEFAULT_K) for c in gate.pairs]
+    np.testing.assert_array_equal(gate.C, np.vstack([C for C, _ in rows]))
+    np.testing.assert_array_equal(gate.b, np.concatenate([b for _, b in rows]))
+    assert_allclose(gate.G, gate.C.T @ gate.C, rtol=1e-12)
+    assert_allclose(gate.h, gate.C.T @ gate.b, rtol=1e-12)
 
 
 def reference_gate_solve(C: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:
@@ -328,23 +341,17 @@ def reference_gate_solve(C: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | Non
     return R, so3_distance(sigma, sigma_target)
 
 
-def reference_evict(
-    cs: list[Correspondence],
-    C: np.ndarray,
-    b: np.ndarray,
-    rotation: np.ndarray | None,
-    distance: float,
-) -> list[int | None]:
-    """The ids ``pipeline._maybe_evict`` evicts from the store ``cs`` whose
-    gate holds the rows ``C``/``b`` and the estimate ``rotation``/``distance``,
-    re-solving the kept rows with ``lstsq`` after each removal instead of
-    downdating the normal equations.  Changes nothing."""
-    if rotation is None or not GATE_SLACK < distance < math.inf:
+def reference_evict(gate: RotationGateState) -> list[int | None]:
+    """The ids ``selection.evict`` evicts from ``gate.pairs``, re-solving
+    the kept rows of ``gate.C``/``gate.b`` with ``lstsq`` after each removal
+    instead of downdating the normal equations.  Changes nothing."""
+    cs, C, b, distance = gate.pairs, gate.C, gate.b, gate.distance
+    if gate.rotation is None or not GATE_SLACK < distance < math.inf:
         return []
     sizes = np.array([ROTATION_ROW_COUNT[c.kind] for c in cs])
     kept = np.ones(len(cs), dtype=bool)
     removed: list[int] = []
-    R = rotation
+    R = gate.rotation
     while R is not None:
         residuals = reference_pair_residuals(C, b, cs, R.reshape(-1))
         residuals[~kept] = -np.inf

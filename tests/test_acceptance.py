@@ -183,7 +183,7 @@ class TestAcceptance:
             axis /= np.linalg.norm(axis)
             poison = Rotation.from_rotvec(np.deg2rad(5.0) * axis).as_matrix()
             R_bad = poison @ spec.truth.rotation
-            p0, u, _ = _candidate_lines(state.correspondences, R_bad, DEFAULT_K)
+            p0, u, _ = _candidate_lines(state.gate.pairs, R_bad, DEFAULT_K)
             threshold = max(4, math.ceil(0.6 * len(p0)))
             try:
                 vote = convergence_voting(p0, u, 0.02, threshold)

@@ -85,3 +85,24 @@ def test_solve_observer_counts_one_candidate_per_returned_solve():
     failed = traced.counts["solve_failed"]
     assert failed == 2 and solves == 5
     assert traced.counts["solve_candidates"] == solves - failed
+
+
+def test_eviction_rebuilds_no_rows_through_the_traced_name():
+    # rotation_rows is traced per ingested pair; eviction keeps the rows the
+    # gate stacked, so the two counts stay equal on a stream that evicts
+    tracer = load_tracer()
+    truth = Extrinsics(rotation_about_y(20.0), np.array([0.30, 0.0, 0.0]))
+    spec = RigSpec(
+        truth=truth,
+        target_intrinsics=DEFAULT_K,
+        source_intrinsics=DEFAULT_K,
+        n_lines=20,
+        pixel_noise_sigma=0.5,
+        depth_noise_sigma=0.003,
+        rng_seed=1,
+    )
+    with tracer.Tracer(MODULES) as traced:
+        report = run(generate(spec)[0], PipelineConfig(epsilon_d_m=1e-5), DEFAULT_K)
+    assert any("evicted" in entry for entry in report.trace)
+    totals = traced.layer_totals()
+    assert totals["selection.rotation_rows"][0] == totals["selection.gate_rotation"][0]

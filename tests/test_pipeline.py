@@ -24,7 +24,6 @@ from pelical import (
     refine,
     rotation_about_y,
     rotation_angle,
-    rotation_rows,
     run,
     solve_quadratic_system,
     try_finalize,
@@ -33,20 +32,24 @@ from pelical.checks import MAX_SAMPLES
 from pelical.constraints import CaseKind
 from pelical.pipeline import (
     RANSAC_DISTANCE_M,
-    VOTE_MIN_COUNT,
     PipelineState,
     RoundStatus,
     _candidate_lines,
     _full3d_weights,
     _inlier_masks,
-    _maybe_evict,
+)
+from pelical.selection import (
+    GATE_SLACK,
+    ROTATION_ROW_COUNT,
+    VOTE_MIN_COUNT,
     _pair_residuals,
+    evict,
     vote_threshold,
 )
-from pelical.selection import ROTATION_ROW_COUNT
 
 from helpers import (
     DEFAULT_K,
+    assert_gate_holds_store_rows,
     make_observation,
     rand_rotation,
     rand_truth,
@@ -196,8 +199,8 @@ class TestIngest:
         state = PipelineState.fresh(cfg, DEFAULT_K)
         out = ingest(make_observation(rng, truth, CaseKind.FULL3D, obs_id=3), state, cfg)
         assert out.status is RoundStatus.ACCEPTED
-        assert len(state.correspondences) == 1
-        stored = state.correspondences[0]
+        assert len(state.gate.pairs) == 1
+        stored = state.gate.pairs[0]
         assert stored.kind is CaseKind.FULL3D
         assert stored.obs_id == 3
         assert stored.target_line_3d is not None
@@ -208,8 +211,8 @@ class TestIngest:
         state = PipelineState.fresh(cfg, DEFAULT_K)
         out = ingest(make_observation(rng, truth, CaseKind.PNL), state, cfg)
         assert out.status is RoundStatus.ACCEPTED
-        assert state.correspondences[0].kind is CaseKind.PNL
-        assert state.correspondences[0].target_line_3d is None
+        assert state.gate.pairs[0].kind is CaseKind.PNL
+        assert state.gate.pairs[0].target_line_3d is None
 
     def test_structureless_samples_rejected(self, rng):
         truth = rand_truth(rng)
@@ -226,7 +229,7 @@ class TestIngest:
         )
         out = ingest(obs, state, cfg)
         assert out.status is RoundStatus.REJECTED
-        assert not state.correspondences
+        assert not state.gate.pairs
 
     @pytest.mark.parametrize("side, kind", [("source", CaseKind.PNL), ("target", CaseKind.FULL3D)])
     def test_fit_with_exactly_the_minimum_inliers_is_kept(self, rng, side, kind):
@@ -243,7 +246,7 @@ class TestIngest:
         state = PipelineState.fresh(cfg, DEFAULT_K)
         out = ingest(obs, state, cfg)
         assert out.status is RoundStatus.ACCEPTED
-        assert state.correspondences[0].kind is kind
+        assert state.gate.pairs[0].kind is kind
 
     def test_mismatch_gate_rejected_once_determined(self, rng):
         truth = rand_truth(rng)
@@ -251,21 +254,29 @@ class TestIngest:
         state = PipelineState.fresh(cfg, DEFAULT_K)
         for i, obs in enumerate(good_stream(rng, truth, 4, 0)):
             assert ingest(obs, state, cfg).status is RoundStatus.ACCEPTED
+        gate = state.gate
         bad = make_observation(rng, rand_truth(rng), CaseKind.FULL3D, obs_id=99)
         out = ingest(bad, state, cfg)
         assert out.status is RoundStatus.GATE_REJECTED
-        assert len(state.correspondences) == 4
+        assert state.gate is gate
+        assert len(state.gate.pairs) == 4
+        assert_gate_holds_store_rows(state.gate)
 
 
-def assert_gate_holds_store_rows(state):
-    """The gate's stacked system is exactly the accepted pairs' rows, in
-    order, and its normal equations are theirs to round-off."""
-    rows = [rotation_rows(c, DEFAULT_K) for c in state.correspondences]
-    np.testing.assert_array_equal(state.gate.C, np.vstack([C for C, _ in rows]))
-    np.testing.assert_array_equal(state.gate.b, np.concatenate([b for _, b in rows]))
-    C, b = state.gate.C, state.gate.b
-    assert_allclose(state.gate.G, C.T @ C, rtol=1e-12)
-    assert_allclose(state.gate.h, C.T @ b, rtol=1e-12)
+def poisoned_store(rng):
+    """A store that took two mismatched pairs while the gate was still
+    underdetermined, then honest FULL3D and PNL pairs."""
+    truth = rand_truth(rng)
+    cfg = PipelineConfig()
+    state = PipelineState.fresh(cfg, DEFAULT_K)
+    poison = [
+        make_observation(rng, rand_truth(rng), CaseKind.FULL3D, obs_id=100 + i)
+        for i in range(2)
+    ]
+    for obs in poison + good_stream(rng, truth, 8, 2):
+        ingest(obs, state, cfg)
+        assert_gate_holds_store_rows(state.gate)
+    return state
 
 
 class TestEviction:
@@ -275,29 +286,29 @@ class TestEviction:
         state = PipelineState.fresh(cfg, DEFAULT_K)
         for obs in good_stream(rng, truth, 6, 0):
             ingest(obs, state, cfg)
-        before = list(state.correspondences)
-        assert _maybe_evict(state) == []
-        assert state.correspondences == before
+        evicted, gate = evict(state.gate)
+        assert evicted == []
+        assert gate is state.gate
+
+    def test_noop_at_gate_slack(self, rng):
+        # a distance at GATE_SLACK counts as round-off, even on a store
+        # that eviction would otherwise clean
+        gate = poisoned_store(rng).gate
+        assert evict(gate)[0]
+        at_slack = replace(gate, distance=GATE_SLACK)
+        evicted, kept = evict(at_slack)
+        assert evicted == []
+        assert kept is at_slack
 
     def test_removes_early_poison(self, rng):
-        truth = rand_truth(rng)
-        cfg = PipelineConfig()
-        state = PipelineState.fresh(cfg, DEFAULT_K)
-        # two mismatched pairs sneak in while the gate is underdetermined
-        poison = [
-            make_observation(rng, rand_truth(rng), CaseKind.FULL3D, obs_id=100 + i)
-            for i in range(2)
-        ]
-        stream = poison + good_stream(rng, truth, 8, 2)
-        for obs in stream:
-            ingest(obs, state, cfg)
-            assert_gate_holds_store_rows(state)
-        assert any(c.obs_id in (100, 101) for c in state.correspondences)
-        assert any(c.kind is CaseKind.PNL for c in state.correspondences)
-        evicted = _maybe_evict(state)
+        gate = poisoned_store(rng).gate
+        assert any(c.obs_id in (100, 101) for c in gate.pairs)
+        assert any(c.kind is CaseKind.PNL for c in gate.pairs)
+        evicted, gate = evict(gate)
         assert set(evicted) == {100, 101}
-        assert state.gate.distance < 1e-9
-        assert_gate_holds_store_rows(state)
+        assert all(c.obs_id not in (100, 101) for c in gate.pairs)
+        assert gate.distance < 1e-9
+        assert_gate_holds_store_rows(gate)
 
 
 class TestRunConverged:
@@ -449,7 +460,7 @@ class TestBatchedFinalize:
         self, seed, outlier_fraction, pnl_fraction
     ):
         state = seeded_store(seed, outlier_fraction, pnl_fraction)
-        cs = list(state.correspondences)
+        cs = list(state.gate.pairs)
         assert {c.kind for c in cs} == {CaseKind.FULL3D, CaseKind.PNL}
         # a PNL pair with coincident image endpoints is dropped in place
         pnl = next(c for c in cs if c.kind is CaseKind.PNL)
@@ -471,7 +482,7 @@ class TestBatchedFinalize:
         self, seed, outlier_fraction, pnl_fraction
     ):
         state = seeded_store(seed, outlier_fraction, pnl_fraction)
-        cs = state.correspondences
+        cs = state.gate.pairs
         sizes = np.array([ROTATION_ROW_COUNT[c.kind] for c in cs])
         starts = np.cumsum(sizes) - sizes
         rng = np.random.default_rng(seed)
@@ -489,7 +500,7 @@ class TestBatchedFinalize:
         state = PipelineState.fresh(cfg, DEFAULT_K)
         for obs in good_stream(rng, truth, 0, 6):
             ingest(obs, state, cfg)
-        p0, u, members = _candidate_lines(state.correspondences, truth.rotation, DEFAULT_K)
+        p0, u, members = _candidate_lines(state.gate.pairs, truth.rotation, DEFAULT_K)
         assert p0.shape == u.shape == (len(members), 3)
         assert all(c.kind is CaseKind.PNL for c in members)
 
@@ -502,14 +513,12 @@ class TestNormalEquations:
     def test_downdates_evict_like_lstsq_reference(
         self, seed, outlier_fraction, pnl_fraction
     ):
-        state = seeded_store(seed, outlier_fraction, pnl_fraction)
-        assert_gate_holds_store_rows(state)
-        gate = state.gate
-        expected = reference_evict(
-            state.correspondences, gate.C, gate.b, gate.rotation, gate.distance
-        )
-        assert _maybe_evict(state) == expected
-        assert_gate_holds_store_rows(state)
+        gate = seeded_store(seed, outlier_fraction, pnl_fraction).gate
+        assert_gate_holds_store_rows(gate)
+        expected = reference_evict(gate)
+        evicted, gate = evict(gate)
+        assert evicted == expected
+        assert_gate_holds_store_rows(gate)
 
     def test_gate_and_eviction_solve_only_9x9_systems(self, monkeypatch):
         shapes = []
@@ -522,10 +531,10 @@ class TestNormalEquations:
 
             monkeypatch.setattr(np.linalg, name, recording)
         state = seeded_store(1001, 0.0, 0.25, n_lines=100)
-        assert len(state.correspondences) > 90
-        assert len(shapes) >= len(state.correspondences)
+        assert len(state.gate.pairs) > 90
+        assert len(shapes) >= len(state.gate.pairs)
         shapes.clear()
-        _maybe_evict(state)
+        evict(state.gate)
         assert shapes
         assert set(shapes) == {(9, 9)}
 
@@ -642,6 +651,6 @@ class TestConfig:
         state = PipelineState.fresh(cfg, DEFAULT_K)
         for obs in good_stream(rng, truth, 3, 0):
             ingest(obs, state, cfg)
-        assert len(state.correspondences) == 3
+        assert len(state.gate.pairs) == 3
         # three candidates can never reach the vote floor of four
         assert try_finalize(state, cfg) is None

@@ -12,6 +12,7 @@ from pelical import (
     Line2D,
     ParallelPlanes,
     PluckerLine,
+    WrongKind,
     candidate_from_full3d,
     candidate_from_pnl,
     convergence_voting,
@@ -24,6 +25,7 @@ from pelical.selection import VOTE_CHUNK_BYTES, RotationGateState
 
 from helpers import (
     DEFAULT_K,
+    assert_gate_holds_store_rows,
     equidistant_point,
     make_correspondence,
     noisy_correspondences,
@@ -54,7 +56,7 @@ def feed(correspondences):
     state = RotationGateState.empty()
     flags = []
     for c in correspondences:
-        ok, state = gate_rotation(state, rotation_rows(c, DEFAULT_K))
+        ok, state = gate_rotation(state, c, rotation_rows(c, DEFAULT_K))
         flags.append(ok)
     return flags, state
 
@@ -121,6 +123,8 @@ class TestGateRotation:
         cs += [make_correspondence(rng, truth, CaseKind.PNL) for _ in range(4)]
         flags, state = feed(cs)
         assert all(flags)
+        assert state.pairs == tuple(cs)
+        assert_gate_holds_store_rows(state)
         assert state.distance < 1e-9
         assert_allclose(state.rotation, truth.rotation, atol=1e-9)
 
@@ -129,7 +133,7 @@ class TestGateRotation:
         cs = [make_correspondence(rng, truth, CaseKind.FULL3D) for _ in range(5)]
         _, state = feed(cs)
         bad = make_correspondence(rng, rand_truth(rng), CaseKind.FULL3D)
-        ok, after = gate_rotation(state, rotation_rows(bad, DEFAULT_K))
+        ok, after = gate_rotation(state, bad, rotation_rows(bad, DEFAULT_K))
         assert not ok
         assert after is state
 
@@ -140,7 +144,7 @@ class TestGateRotation:
         _, state = feed(noisy_correspondences(rng, cs))
         assert state.distance > 1e-6
         bad = make_correspondence(rng, rand_truth(rng), CaseKind.FULL3D)
-        ok, _ = gate_rotation(state, rotation_rows(bad, DEFAULT_K))
+        ok, _ = gate_rotation(state, bad, rotation_rows(bad, DEFAULT_K))
         assert not ok
 
 
@@ -255,14 +259,19 @@ class TestCandidateLines:
                 candidate_from_pnl(c, truth.rotation, DEFAULT_K)
             assert linalg_calls == {"lstsq": 2, "svd": 0}
 
+    # a pair of the wrong kind is a caller's error, not the degenerate
+    # geometry (ParallelPlanes) that _candidate_lines drops silently
     def test_kind_mismatch_raises(self, rng):
         truth = rand_truth(rng)
         full = make_correspondence(rng, truth, CaseKind.FULL3D)
         pnl = make_correspondence(rng, truth, CaseKind.PNL)
-        with pytest.raises(ParallelPlanes):
+        with pytest.raises(WrongKind, match="candidate_from_full3d needs FULL3D pairs"):
             candidate_from_full3d([full, pnl], truth.rotation)
-        with pytest.raises(ParallelPlanes):
-            candidate_from_pnl(full, truth.rotation, DEFAULT_K)
+
+    def test_pnl_kind_mismatch_raises(self, rng):
+        full = make_correspondence(rng, rand_truth(rng), CaseKind.FULL3D)
+        with pytest.raises(WrongKind, match="candidate_from_pnl needs a PNL pair"):
+            candidate_from_pnl(full, np.eye(3), DEFAULT_K)
 
     def test_coincident_endpoints_raise(self, rng):
         truth = rand_truth(rng)
