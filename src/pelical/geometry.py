@@ -23,6 +23,10 @@ from .checks import MAX_MAGNITUDE, _real
 from .errors import DegenerateLine, NearSingularRotation, RankDeficient
 
 _UNIT_TOL = 1e-9
+#: Line2D's other bounds: the smallest norm of ``(a, b)`` that is not
+#: degenerate, and how far (px) an endpoint may lie off the line.
+_LINE_NORM_MIN = 1e-12
+_ENDPOINT_TOL_PX = 0.5
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -106,17 +110,20 @@ class PluckerLine:
     m: np.ndarray
 
     def __post_init__(self) -> None:
-        d = np.asarray(self.d, dtype=float).reshape(3)
-        m = np.asarray(self.m, dtype=float).reshape(3)
-        # Each check is written so that NaN fails it.
-        if not abs(np.linalg.norm(d) - 1.0) <= _UNIT_TOL:
+        d = _readonly(self.d).reshape(3)
+        m = _readonly(self.m).reshape(3)
+        # The checks run on Python floats: numpy is slow on single 3-vectors.
+        # Each is written so that NaN fails it.
+        d0, d1, d2 = d.tolist()
+        m0, m1, m2 = m.tolist()
+        if not abs(math.sqrt(d0 * d0 + d1 * d1 + d2 * d2) - 1.0) <= _UNIT_TOL:
             raise ValueError("direction must be unit length")
-        if not np.isfinite(m).all():
+        if not (math.isfinite(m0) and math.isfinite(m1) and math.isfinite(m2)):
             raise ValueError("moment must be finite")
-        if not abs(float(d @ m)) <= _UNIT_TOL:
+        if not abs(d0 * m0 + d1 * m1 + d2 * m2) <= _UNIT_TOL:
             raise ValueError("moment must be orthogonal to direction")
-        object.__setattr__(self, "d", _readonly(d))
-        object.__setattr__(self, "m", _readonly(m))
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "m", m)
 
     def distance_to_point(self, p: np.ndarray) -> float:
         """Orthogonal distance from a point to the line."""
@@ -141,12 +148,12 @@ class Line2D:
         # Each is written so that NaN fails it.
         a, b, c = l.tolist()
         n = math.hypot(a, b)
-        if not n >= 1e-12:
+        if not n >= _LINE_NORM_MIN:
             raise ValueError("line coefficients are degenerate")
-        if not abs(n - 1.0) <= 1e-9:
+        if not abs(n - 1.0) <= _UNIT_TOL:
             raise ValueError("line coefficients must be normalized")
         for u, v in ep.tolist():
-            if not abs(a * u + b * v + c) < 0.5:
+            if not abs(a * u + b * v + c) < _ENDPOINT_TOL_PX:
                 raise ValueError("endpoints must lie on the line (within 0.5 px)")
         object.__setattr__(self, "coeffs", l)
         object.__setattr__(self, "endpoints", ep)
@@ -161,6 +168,25 @@ class Line2D:
         if n < 1e-12:
             raise ValueError("endpoints coincide; no unique image line")
         return cls(l / n, np.stack([p1, p2]))
+
+
+def lines_2d_hold(coeffs: np.ndarray, endpoints: np.ndarray) -> bool:
+    """Whether ``Line2D(coeffs[i], endpoints[i])`` passes its checks for
+    every ``i``, for ``(k, 3)`` coefficients and ``(k, 2, 2)`` endpoints.
+
+    The same tolerances and the same arithmetic, so the same verdict to the
+    last bit: the norm is ``math.hypot``'s, which ``np.hypot`` differs from
+    in the last place on about one pair in 200, and each residual is summed
+    in the same order.  NaN fails every check.
+    """
+    a, b, c = (x[:, None] for x in coeffs.T)
+    norm = np.array(list(map(math.hypot, coeffs[:, 0].tolist(), coeffs[:, 1].tolist())))
+    residual = a * endpoints[..., 0] + b * endpoints[..., 1] + c
+    return bool(
+        (norm >= _LINE_NORM_MIN).all()
+        and (np.abs(norm - 1.0) <= _UNIT_TOL).all()
+        and (np.abs(residual) < _ENDPOINT_TOL_PX).all()
+    )
 
 
 @dataclass(frozen=True)

@@ -5,14 +5,16 @@ The builders construct *algebraically exact* inputs from a known pose
 going through the simulator, so solver/selection tests do not depend on the
 modules they are meant to check.  The references at the end restate, one
 pair or one hypothesis at a time, formulas the package computes batched or
-stacked, so tests can compare the two; ``reference_evict`` peels the
-store re-solving the gate rows with ``lstsq``, where the package downdates
-their normal equations; ``brute_force_roots`` is a
-grid-search oracle that certifies the closed-form solver, and
-``canon_walk`` the one-value-at-a-time writer that checks the bulk one.
-``mutated`` is the hypothesis strategy that breaks valid documents for the
-reader fuzzes, and ``odd_rig_spec`` the one that makes odd but valid rig
-specs.
+stacked, so tests can compare the two; ``reference_ransac_fit_line``
+scores every line hypothesis in one call, where the package stops early;
+``reference_evict`` peels the store re-solving the gate rows with
+``lstsq``, where the package downdates their normal equations;
+``brute_force_roots`` is a grid-search oracle that certifies the
+closed-form solver, and ``canon_walk`` the one-value-at-a-time writer that
+checks the bulk one.  ``mutated`` is the hypothesis strategy that breaks
+valid documents for the reader fuzzes, and ``odd_rig_spec`` the one that
+makes odd but valid rig specs.  ``LINE2D_BOUNDARY_ROWS`` holds image lines
+on either side of each of ``Line2D``'s bounds.
 """
 
 from __future__ import annotations
@@ -51,7 +53,8 @@ from pelical.constraints import (
     monomial_jacobian,
     monomial_vector,
 )
-from pelical.geometry import so3_distance
+from pelical.geometry import PluckerLine, cross3, so3_distance
+from pelical.pipeline import RANSAC_DISTANCE_M, RANSAC_ITERATIONS
 from pelical.selection import (
     _FULL_ROWS,
     EVICTION_FACTOR,
@@ -249,6 +252,49 @@ def reference_inlier_masks(
     perp = diff - along[..., None] * d[:, None, :]
     dist = np.linalg.norm(perp, axis=2)
     return dist < threshold, dist
+
+
+def reference_ransac_fit_line(
+    samples: np.ndarray, rng: np.random.Generator
+) -> tuple[PluckerLine, float, np.ndarray]:
+    """``pipeline.ransac_fit_line`` as it was before it scored in slices: all
+    200 hypotheses in one call, the winner by ``argmax`` and the refit on a
+    copy of the winner's inliers.  The reference the sliced fit must match
+    bit for bit."""
+    pts = np.asarray(samples, dtype=float)
+    n = len(pts)
+    ii = rng.integers(0, n, size=RANSAC_ITERATIONS)
+    jj = rng.integers(0, n - 1, size=RANSAC_ITERATIONS)
+    jj = jj + (jj >= ii)
+    dirs = pts[jj] - pts[ii]
+    norms = np.sqrt(np.add.reduce(dirs * dirs, axis=1))
+    valid = norms > 1e-9
+    dirs /= np.where(valid, norms, 1.0)[:, None]
+    q = pts - pts.mean(axis=0)
+    sq = np.einsum("nj,nj->n", q, q)
+    qi = q[ii]
+    along = dirs @ q.T
+    along -= np.einsum("ij,ij->i", dirs, qi)[:, None]
+    dist2 = qi @ q.T
+    dist2 *= -2.0
+    dist2 += sq
+    dist2 += sq[ii][:, None]
+    dist2 -= np.square(along, out=along)
+    masks = dist2 < RANSAC_DISTANCE_M * RANSAC_DISTANCE_M
+    counts = np.where(valid, np.count_nonzero(masks, axis=1), -1)
+    best = int(np.argmax(counts))
+    assert counts[best] >= 2
+    inliers = pts[masks[best]]
+    centroid = inliers.mean(axis=0)
+    centred = inliers - centroid
+    _, _, Vt = np.linalg.svd(centred, full_matrices=False)
+    direction = Vt[0]
+    if float((inliers[-1] - inliers[0]) @ direction) < 0.0:
+        direction = -direction
+    proj = centred @ direction
+    endpoints = centroid + np.array([[proj.min()], [proj.max()]]) * direction
+    line = PluckerLine(direction, cross3(centroid, direction))
+    return line, float(counts[best]) / n, endpoints
 
 
 def point_line_distance(p0: np.ndarray, u: np.ndarray, p: np.ndarray) -> float:
@@ -609,3 +655,48 @@ def odd_rig_spec(draw, doc):
     for name in names:
         doc[name] = draw(ODD_RIG_FIELDS[name])
     return doc
+
+
+#: ``Line2D`` coefficients and endpoints on either side of each of its
+#: bounds, and the message of the check that refuses them (None: accepted).
+#: The norm rows hold pairs whose ``math.hypot`` is the largest (or
+#: smallest) norm within 1e-9 of 1, or one ulp past it, and whose
+#: ``np.hypot`` is the double next to that: only ``math.hypot`` gives
+#: ``Line2D``'s verdict on them.  The first residual row sums to exactly
+#: 0.5 px as ``a * u + b * v + c``, and to another value in any other order.
+LINE2D_BOUNDARY_ROWS = {
+    "norm-largest-above-1": (
+        [float.fromhex("0x1.307d3fa4290aap-2"), float.fromhex("0x1.e8d74f329d079p-1"), 0.0],
+        [[0.0, 0.0], [0.0, 0.0]],
+        None,
+    ),
+    "norm-one-ulp-past-1+1e-9": (
+        [float.fromhex("0x1.6291118226715p-1"), float.fromhex("0x1.715c0b3e43427p-1"), 0.0],
+        [[0.0, 0.0], [0.0, 0.0]],
+        "line coefficients must be normalized",
+    ),
+    "norm-smallest-below-1": (
+        [float.fromhex("0x1.141ef3c4e61fdp-1"), float.fromhex("0x1.af29a47252e92p-1"), 0.0],
+        [[0.0, 0.0], [0.0, 0.0]],
+        None,
+    ),
+    "norm-one-ulp-past-1-1e-9": (
+        [float.fromhex("0x1.bc2306eed438ep-1"), float.fromhex("0x1.fd74dcfb86e23p-2"), 0.0],
+        [[0.0, 0.0], [0.0, 0.0]],
+        "line coefficients must be normalized",
+    ),
+    "norm-below-1e-12": ([1e-13, 0.0, 0.0], [[0.0, 0.0], [0.0, 0.0]],
+                         "line coefficients are degenerate"),
+    "residual-at-half-px": (
+        [0.6, 0.8, float.fromhex("-0x1.0e486c67595d8p+9")],
+        [[float.fromhex("0x1.710c719c5938fp+6"), float.fromhex("0x1.2f915cda87578p+9")]] * 2,
+        "endpoints must lie on the line (within 0.5 px)",
+    ),
+    "residual-one-ulp-below-half-px": (
+        [1.0, 0.0, 0.0], [[0.0, 7.0], [math.nextafter(0.5, 0.0), 3.0]], None
+    ),
+    "nan-offset": ([1.0, 0.0, math.nan], [[0.0, 0.0], [0.0, 0.0]],
+                   "endpoints must lie on the line (within 0.5 px)"),
+    "nan-endpoint": ([1.0, 0.0, 0.0], [[0.0, 0.0], [math.nan, 0.0]],
+                     "endpoints must lie on the line (within 0.5 px)"),
+}

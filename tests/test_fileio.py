@@ -2,6 +2,7 @@
 
 import decimal
 import functools
+import gc
 import json
 import math
 import pickle
@@ -30,6 +31,7 @@ from pelical import (
 )
 from pelical.checks import MAX_MAGNITUDE
 from pelical.constraints import CaseKind
+from pelical import fileio
 from pelical.fileio import (
     _ORJSON_STACK_BYTES,
     _observation_document,
@@ -56,7 +58,14 @@ from pelical.fileio import (
 )
 from pelical.pipeline import CalibrationReport
 
-from helpers import DEFAULT_K, canon_walk, make_observation, mutated, rand_truth
+from helpers import (
+    DEFAULT_K,
+    LINE2D_BOUNDARY_ROWS,
+    canon_walk,
+    make_observation,
+    mutated,
+    rand_truth,
+)
 
 
 @pytest.fixture(scope="module")
@@ -511,6 +520,31 @@ class TestBulkRead:
         assert_same_observations(bulk, walked)
         assert_same_observations(read, walked)
 
+    @pytest.mark.parametrize("row", sorted(LINE2D_BOUNDARY_ROWS))
+    def test_line_bounds_read_as_the_walk_reads_them(self, row):
+        # Line2D's bounds, one ulp inside and outside: the bulk check of all
+        # lines at once gives each line's own verdict
+        coeffs, endpoints, message = LINE2D_BOUNDARY_ROWS[row]
+        observations = json.loads(observation_text())["observations"]
+        observations[1]["target_2d"] = {"coeffs": coeffs, "endpoints": endpoints}
+        (read, read_error), (walked, walk_error), bulk = read_three_ways(observations)
+        assert (bulk is None) == (walk_error is not None) == (message is not None)
+        assert read_error == walk_error
+        if message is None:
+            assert_same_observations(bulk, walked)
+            assert_same_observations(read, walked)
+        elif not any(map(math.isnan, coeffs + endpoints[0] + endpoints[1])):
+            assert walk_error == f"observations[1].target_2d: {message}"
+
+    def test_bulk_records_hold_read_only_views(self):
+        (read, _), _, _ = read_three_ways(json.loads(observation_text())["observations"])
+        for obs in read:
+            for array in (obs.source_samples, obs.target_samples, obs.source_2d.coeffs,
+                          obs.source_2d.endpoints, obs.target_2d.coeffs, obs.target_2d.endpoints):
+                if array is not None:
+                    with pytest.raises(ValueError):
+                        array.setflags(write=True)
+
     @settings(derandomize=True, database=None, max_examples=300, deadline=None)
     @given(data=st.data())
     def test_fuzzed_observations_read_as_the_walk_reads_them(self, data):
@@ -545,6 +579,62 @@ class TestBulkRead:
         assert read_error == walk_error
         if walk_error is None:
             assert_same_observations(read, walked)
+
+
+def collector_states(read, enabled: bool) -> tuple[bool, set, str | None]:
+    """``read()`` run with the garbage collector ``enabled`` or not: whether
+    the collector is in that state again afterwards, the states it was in
+    whenever the document was read, and the message of the SchemaError
+    ``read`` raised, if any."""
+    during = set()
+    document = fileio._observation_document
+
+    def spy(data):
+        during.add(gc.isenabled())
+        return document(data)
+
+    was = gc.isenabled()
+    fileio._observation_document = spy
+    try:
+        gc.enable() if enabled else gc.disable()
+        _, error = outcome(read)
+        return gc.isenabled() is enabled, during, error
+    finally:
+        fileio._observation_document = document
+        gc.enable() if was else gc.disable()
+
+
+def collector_case(case: str) -> str:
+    """The observation file of :func:`observation_text`: as it is, read in
+    bulk; with a bad sample the walk names; with a lone surrogate, which
+    orjson refuses and json reads; or with a NaN sample, which orjson
+    refuses and the checks reject."""
+    doc = json.loads(observation_text())
+    if case == "walk-error":
+        doc["observations"][1]["source_samples"][2][0] = True
+    elif case == "orjson-refusal":
+        doc["note"] = "\ud800"
+    elif case == "nan-sample":
+        doc["observations"][0]["source_samples"][0][1] = math.nan
+    return json.dumps(doc)
+
+
+class TestCollectorPause:
+    """The garbage collector is off while a document is parsed and read,
+    and as it was before once the read returns or raises."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize(
+        "case, fails",
+        [("bulk", False), ("walk-error", True), ("orjson-refusal", False), ("nan-sample", True)],
+    )
+    def test_collector_state_is_restored(self, tmp_path, case, fails, enabled):
+        path = tmp_path / "obs.json"
+        path.write_text(collector_case(case))
+        restored, during, error = collector_states(lambda: read_observation_file(path), enabled)
+        assert restored
+        assert during == {False}
+        assert (error is not None) == fails
 
 
 def run_in_child(code: str) -> subprocess.CompletedProcess:
@@ -626,6 +716,24 @@ class TestParserGuards:
         path.write_text(nest(levels * _ORJSON_STACK_BYTES // cost))
         message = read_error_in_child(path, thread_stack=2**20)
         assert message == f"{path}: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    def test_deep_file_read_by_json_restores_the_collector(self, tmp_path, enabled):
+        # twice the bound: json alone reads it and finds it nested too deeply
+        path = tmp_path / "deep.json"
+        path.write_text(DEEP["lists"][0](2 * _ORJSON_STACK_BYTES // 64))
+        proc = run_in_child(
+            "import gc\n"
+            "from pelical.fileio import SchemaError, read_observation_file\n"
+            f"gc.enable() if {enabled} else gc.disable()\n"
+            "try:\n"
+            f"    read_observation_file({str(path)!r})\n"
+            "except SchemaError as exc:\n"
+            "    print(exc)\n"
+            "print(gc.isenabled())\n"
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert proc.stdout.decode() == f"{path}: invalid JSON: nested too deeply\n{enabled}\n"
 
     @pytest.mark.parametrize("kind", sorted(UNNESTED))
     def test_brackets_that_do_not_nest_read_as_json_reads_them(self, tmp_path, kind):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -20,9 +22,9 @@ from pelical import (
     rotation_to_cgr,
     transform_line,
 )
-from pelical.geometry import cross3, row_norms, skew, so3_distance
+from pelical.geometry import cross3, lines_2d_hold, row_norms, skew, so3_distance
 
-from helpers import rand_rotation, rand_truth
+from helpers import LINE2D_BOUNDARY_ROWS, rand_rotation, rand_truth
 
 
 class TestSmallVectorForms:
@@ -324,6 +326,31 @@ class TestSmallTypes:
     def test_line2d_rejects_non_finite(self, coeffs, endpoints, message):
         with pytest.raises(ValueError, match=message):
             Line2D(coeffs, endpoints)
+
+    @pytest.mark.parametrize("row", sorted(LINE2D_BOUNDARY_ROWS))
+    def test_bulk_line_rules_give_each_line_its_verdict(self, row):
+        coeffs, endpoints, message = LINE2D_BOUNDARY_ROWS[row]
+        if message is None:
+            Line2D(coeffs, endpoints)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                Line2D(coeffs, endpoints)
+        # alone, and among valid lines
+        good = Line2D.from_endpoints(np.array([1.0, 2.0]), np.array([30.0, 4.0]))
+        lines = [(good.coeffs, good.endpoints), (coeffs, endpoints)]
+        for rows in ([1], [0, 1], [0, 1, 0]):
+            c = np.array([lines[i][0] for i in rows])
+            e = np.array([lines[i][1] for i in rows])
+            assert lines_2d_hold(c, e) is (message is None)
+
+    def test_plucker_stores_read_only_copies(self):
+        d, m = np.array([0.0, 0.0, 1.0]), np.array([0.5, 0.0, 0.0])
+        line = PluckerLine(d, m)
+        d[0], m[0] = 1.0, 9.0
+        assert line.d.tolist() == [0.0, 0.0, 1.0] and line.m.tolist() == [0.5, 0.0, 0.0]
+        for array in (line.d, line.m):
+            with pytest.raises(ValueError):
+                array.setflags(write=True)
 
     @pytest.mark.parametrize(
         "field, value, error, message",

@@ -3,6 +3,7 @@ module attributes the code calls through, and reads counts from the wrapped
 calls' arguments.  The test command collects ``tests/`` only, so these
 checks keep those hooks working from here."""
 
+import functools
 import importlib.util
 import sys
 from pathlib import Path
@@ -24,7 +25,8 @@ from pelical.constraints import CaseKind
 
 from helpers import DEFAULT_K, make_observation, rand_truth
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 MODULES = {"cli": cli, "fileio": fileio, "pipeline": pipeline}
 
 
@@ -106,3 +108,40 @@ def test_eviction_rebuilds_no_rows_through_the_traced_name():
     assert any("evicted" in entry for entry in report.trace)
     totals = traced.layer_totals()
     assert totals["selection.rotation_rows"][0] == totals["selection.gate_rotation"][0]
+
+
+def test_smoke_pass_counts_one_fit_per_fit_and_one_read_per_file(tmp_path, monkeypatch):
+    # A traced smoke pass of the benchmark: the per-layer counts stay
+    # comparable across changes that reshape a layer's insides, as long as
+    # each fit and each file read is one call of the traced name.  A fit is
+    # counted here from each ingested observation: its source side always,
+    # its target side when it has depth and the source fit was kept.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import harness
+
+    outcomes = []
+    ingest = pipeline.ingest
+
+    @functools.wraps(ingest)
+    def recording(obs, state, cfg):
+        outcome = ingest(obs, state, cfg)
+        outcomes.append((obs, outcome))
+        return outcome
+
+    monkeypatch.setattr(pipeline, "ingest", recording)
+    workload = harness.WORKLOADS["calibrate60_mixed"]
+    bench = harness.Bench("calibrate60_mixed", workload, 1, harness.SMOKE_FILES, 1, tmp_path)
+    bench.setup(0)
+    with harness.Tracer(MODULES) as traced:
+        results = bench.run_pass(0, whole_cycles=True, cycles=1)
+    assert [r.problem for r in results] == [None] * harness.SMOKE_FILES
+    source_refused = ("source fit failed", "too few source fit inliers")
+    fits = sum(
+        1 + (obs.target_samples is not None
+             and not (outcome.reason or "").startswith(source_refused))
+        for obs, outcome in outcomes
+    )
+    totals = traced.layer_totals()
+    assert totals["pipeline.ransac_fit_line"][0] == fits > 0
+    assert totals["pipeline.ingest"][0] == len(outcomes)
+    assert totals["fileio.read_observation_file"][0] == harness.SMOKE_FILES == 2

@@ -28,14 +28,17 @@ from pelical import (
     solve_quadratic_system,
     try_finalize,
 )
+from pelical import pipeline
 from pelical.checks import MAX_SAMPLES
 from pelical.constraints import CaseKind
 from pelical.pipeline import (
     RANSAC_DISTANCE_M,
+    RANSAC_FIRST_SLICE,
     PipelineState,
     RoundStatus,
     _candidate_lines,
     _full3d_weights,
+    _hypothesis_products,
     _inlier_masks,
 )
 from pelical.selection import (
@@ -57,6 +60,7 @@ from helpers import (
     reference_evict,
     reference_inlier_masks,
     reference_pair_residuals,
+    reference_ransac_fit_line,
 )
 
 
@@ -157,7 +161,9 @@ class TestRansacFitLine:
 
         threshold = RANSAC_DISTANCE_M
         ref, dist = reference_inlier_masks(pts, ii, dirs, threshold)
-        new = _inlier_masks(pts, ii, dirs, threshold)
+        q = pts - pts.mean(axis=0)
+        sq = np.einsum("nj,nj->n", q, q)
+        new = _inlier_masks(sq, ii, *_hypothesis_products(q, ii, dirs), threshold)
         # both round the same real distance: only a sample on the threshold may flip
         decided = np.abs(dist - threshold) > 1e-9
         assert np.array_equal(new[decided], ref[decided])
@@ -171,6 +177,101 @@ class TestRansacFitLine:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
+
+
+def assert_same_fit(got, want) -> None:
+    """Two ``ransac_fit_line`` results hold the same bits."""
+    (line, ratio, ends), (ref_line, ref_ratio, ref_ends) = got, want
+    assert line.d.tobytes() == ref_line.d.tobytes()
+    assert line.m.tobytes() == ref_line.m.tobytes()
+    assert ratio == ref_ratio
+    assert ends.tobytes() == ref_ends.tobytes()
+
+
+def stream_samples(model: str, sigma: float, seed: int) -> list[np.ndarray]:
+    """Every sample list of one 60-line stream of the rig's mixed mix."""
+    spec = RigSpec(
+        truth=Extrinsics(rotation_about_y(20.0), np.array([0.30, 0.0, 0.0])),
+        target_intrinsics=DEFAULT_K,
+        source_intrinsics=DEFAULT_K,
+        n_lines=60,
+        pixel_noise_sigma=0.5,
+        depth_noise_sigma=sigma,
+        depth_noise_model=model,
+        outlier_fraction=0.2,
+        pnl_fraction=0.25,
+        rng_seed=seed,
+    )
+    observations, _ = generate(spec)
+    return [
+        pts
+        for obs in observations
+        for pts in (obs.source_samples, obs.target_samples)
+        if pts is not None
+    ]
+
+
+class TestRansacEarlyStop:
+    """Scoring stops once a hypothesis holds every sample, and the result is
+    that of scoring all of them in one call."""
+
+    @pytest.mark.parametrize(
+        "model, sigma", [("isotropic", 0.003), ("axial_z2", 0.0015), ("axial_z2", 0.003)]
+    )
+    def test_fit_matches_one_call_reference(self, model, sigma):
+        full = 0
+        fits = 0
+        for seed in (1, 2):
+            for i, pts in enumerate(stream_samples(model, sigma, seed)):
+                if i % 2:  # also in an order whose column sums round differently
+                    pts = np.asfortranarray(pts)
+                got = ransac_fit_line(pts, np.random.default_rng(i))
+                want = reference_ransac_fit_line(pts, np.random.default_rng(i))
+                assert_same_fit(got, want)
+                full += got[1] == 1.0
+                fits += 1
+        # both branches ran: fits that stop early and fits that score all
+        assert 0 < full < fits
+
+    def test_tie_across_slices_keeps_the_first(self):
+        # Two 10-sample segments, far apart: a hypothesis on either holds 10
+        # samples.  With seed 0 the first slice's best lies on one segment
+        # and the second slice's first best on the other.
+        t = np.linspace(0.0, 1.0, 10)[:, None]
+        pts = np.vstack([t * [1.0, 0.0, 0.0] + [0.0, 0.0, 2.0],
+                         t * [0.0, 1.0, 0.0] + [0.5, 0.5, 2.0]])
+        rng = np.random.default_rng(0)
+        ii = rng.integers(0, 20, size=200)
+        jj = rng.integers(0, 19, size=200)
+        jj = jj + (jj >= ii)
+        on_first = (ii < 10) & (jj < 10)
+        on_second = (ii >= 10) & (jj >= 10)
+        k = RANSAC_FIRST_SLICE
+        first_best = int(np.argmax(on_first | on_second))
+        second_best = k + int(np.argmax((on_first | on_second)[k:]))
+        assert first_best < k and on_first[first_best] and on_second[second_best]
+
+        fit = ransac_fit_line(pts, np.random.default_rng(0))
+        assert fit[1] == 0.5
+        assert abs(fit[0].d @ [1.0, 0.0, 0.0]) == pytest.approx(1.0)
+        assert_same_fit(fit, reference_ransac_fit_line(pts, np.random.default_rng(0)))
+
+    def test_full_consensus_in_the_first_slice_scores_only_it(self, monkeypatch):
+        rows = []
+
+        def counting(sq, ii, along, gram, threshold):
+            rows.append(len(ii))
+            return _inlier_masks(sq, ii, along, gram, threshold)
+
+        monkeypatch.setattr(pipeline, "_inlier_masks", counting)
+        pts, _, _ = segment_samples(np.random.default_rng(3), n=40)
+        assert ransac_fit_line(pts, np.random.default_rng(4))[1] == 1.0
+        assert rows == [RANSAC_FIRST_SLICE]
+        # with no full consensus every hypothesis is scored
+        rows.clear()
+        pts, _, _ = segment_samples(np.random.default_rng(3), n=40, outliers=5)
+        assert ransac_fit_line(pts, np.random.default_rng(4))[1] < 1.0
+        assert sum(rows) == 200
 
 
 class TestLineObservation:
