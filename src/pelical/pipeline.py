@@ -17,7 +17,6 @@ import enum
 import itertools
 import math
 import sys
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,8 +30,17 @@ from .errors import (
     ParallelPlanes,
     TooFewSamples,
 )
-from .geometry import CameraIntrinsics, Extrinsics, Line2D, PluckerLine, cross3
+from .geometry import (
+    CameraIntrinsics,
+    Extrinsics,
+    Line2D,
+    PluckerLine,
+    _readonly,
+    axis_norms,
+    cross3,
+)
 from .selection import (
+    ROTATION_ROW_COUNT,
     VOTE_MIN_COUNT,
     RotationGateState,
     candidate_from_full3d,
@@ -86,7 +94,9 @@ class LineObservation:
     between the two views (segment trackers provide this ordering; the
     simulator samples both sides along the same parametrization).
     ``target_samples`` is None when the target camera had no usable depth.
-    Each sample list holds 2 to ``MAX_SAMPLES`` points.
+    Each sample list holds 2 to ``MAX_SAMPLES`` points and is stored as a
+    read-only copy, so editing the caller's array leaves the observation as
+    it was.
     """
 
     obs_id: int
@@ -100,7 +110,7 @@ class LineObservation:
             value = getattr(self, name)
             if value is None and or_none:
                 continue
-            pts = np.asarray(value, dtype=float)
+            pts = _readonly(value)
             if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 2:
                 raise ValueError(f"{name} must be (n >= 2, 3){or_none}")
             if len(pts) > MAX_SAMPLES:
@@ -180,8 +190,7 @@ def ransac_fit_line(
     jj = rng.integers(0, n - 1, size=RANSAC_ITERATIONS)
     jj = jj + (jj >= ii)
     dirs = pts[jj] - pts[ii]
-    # np.linalg.norm's own formula, so the bits are the same
-    norms = np.sqrt(np.add.reduce(dirs * dirs, axis=1))
+    norms = axis_norms(dirs, axis=1)
     valid = norms > 1e-9
     dirs /= np.where(valid, norms, 1.0)[:, None]
     centroid = pts.mean(axis=0)
@@ -310,27 +319,31 @@ def ingest(
 
 
 def _candidate_lines(
-    cs: Sequence[Correspondence], R: np.ndarray, K_t: CameraIntrinsics
+    gate: RotationGateState, R: np.ndarray, K_t: CameraIntrinsics
 ) -> tuple[np.ndarray, np.ndarray, list[Correspondence]]:
-    """Candidate translation lines of the stored pairs under ``R``.
+    """Candidate translation lines of the gate's stored pairs under ``R``.
 
-    The FULL3D lines come from one batched call, the PNL lines one pair at
-    a time; PNL pairs with degenerate endpoint planes are dropped.  Returns
+    The FULL3D lines come from one stacked call on the candidate inputs the
+    gate stored at acceptance, the PNL lines one pair at a time; PNL pairs
+    with degenerate endpoint planes are dropped.  Returns
     ``(p0, u, members)``: ``(n, 3)`` arrays in store order and the pairs
     they belong to.
     """
-    full = np.array([c.kind is CaseKind.FULL3D for c in cs], dtype=bool)
-    p0 = np.empty((len(cs), 3))
-    u = np.empty((len(cs), 3))
-    p0[full], u[full] = candidate_from_full3d([c for c, f in zip(cs, full) if f], R)
+    # a pair's row count tells its kind
+    full = gate.sizes == ROTATION_ROW_COUNT[CaseKind.FULL3D]
+    p0 = np.empty((len(full), 3))
+    u = np.empty((len(full), 3))
+    p0[full], u[full] = candidate_from_full3d(
+        gate.d_s[full], gate.m_s[full], gate.m_t[full], R
+    )
     keep = full.copy()
     for i in np.flatnonzero(~full):
         try:
-            p0[i], u[i] = candidate_from_pnl(cs[i], R, K_t)
+            p0[i], u[i] = candidate_from_pnl(gate.pairs[i], R, K_t)
             keep[i] = True
         except ParallelPlanes:
             continue
-    return p0[keep], u[keep], [c for c, k in zip(cs, keep) if k]
+    return p0[keep], u[keep], [c for c, k in zip(gate.pairs, keep) if k]
 
 
 def _full3d_weights(
@@ -361,7 +374,7 @@ def try_finalize(
         entry["note"] = "rotation undetermined"
         return None
 
-    p0, u, members = _candidate_lines(state.gate.pairs, R, state.target_K)
+    p0, u, members = _candidate_lines(state.gate, R, state.target_K)
     threshold = vote_threshold(len(members))
     try:
         vote = convergence_voting(p0, u, cfg.epsilon_d_m, threshold)

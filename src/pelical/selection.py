@@ -8,7 +8,11 @@ normal equations for the best linear map, and measures how far it sits
 from SO(3): a pair is only kept when it does not push the estimate away
 from the rotation manifold.  Solving a pair therefore costs the same
 however many are stored, and removing one subtracts its block of the
-normal equations.
+normal equations.  What else a stored pair contributes -- its row count,
+that block, and the inputs of its FULL3D candidate translation line -- is
+made once, when the gate accepts it, and stacked next to the stored pairs,
+so finalize attempts and evictions read arrays instead of rebuilding them
+from the pairs each time.
 
 Pairs accepted while the gate was still underdetermined are never
 re-examined by the gate itself, so a single early mismatch can poison the
@@ -27,7 +31,6 @@ for the true camera offset.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +39,9 @@ from .constraints import CaseKind, Correspondence
 from .errors import InsufficientLines, ParallelPlanes, RankDeficient, WrongKind
 from .geometry import (
     CameraIntrinsics,
+    axis_norms,
     cross3,
+    cross_rows,
     line_projection_matrix,
     project_so3,
     row_norms,
@@ -67,7 +72,13 @@ class RotationGateState:
     ``pairs`` holds every accepted pair in acceptance order, ``C``/``b``
     stack their :func:`rotation_rows` in that order, and ``G = C^T C``,
     ``h = C^T b`` are the rows' 9x9 normal equations, summed one pair at a
-    time.  ``rotation`` is the SO(3) projection of the minimum-norm
+    time.  The per-pair arrays are made once, when the gate accepts a pair,
+    and stacked in the same order: ``sizes`` holds each pair's row count,
+    ``G_pair``/``h_pair`` its block of the normal equations (see
+    :func:`_pair_block`; :func:`evict` downdates by them), and ``d_s``,
+    ``m_s``, ``m_t`` its :func:`candidate_from_full3d` inputs: the source
+    line's direction and moment and the target line's moment, which is zero
+    for PNL pairs.  ``rotation`` is the SO(3) projection of the minimum-norm
     least-squares solution of ``G x = h`` (reshaped 3x3, row-major; None
     while the system is too degenerate to project; see
     :func:`_solve_normal`), and ``distance`` the spectrum
@@ -82,12 +93,22 @@ class RotationGateState:
     b: np.ndarray
     G: np.ndarray
     h: np.ndarray
+    sizes: np.ndarray
+    G_pair: np.ndarray
+    h_pair: np.ndarray
+    d_s: np.ndarray
+    m_s: np.ndarray
+    m_t: np.ndarray
     rotation: np.ndarray | None = None
     distance: float = np.inf
 
     @classmethod
     def empty(cls) -> "RotationGateState":
-        return cls((), np.zeros((0, 9)), np.zeros(0), np.zeros((9, 9)), np.zeros(9))
+        return cls(
+            (), np.zeros((0, 9)), np.zeros(0), np.zeros((9, 9)), np.zeros(9),
+            np.zeros(0, dtype=np.intp), np.zeros((0, 9, 9)), np.zeros((0, 9)),
+            np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)),
+        )
 
     @property
     def row_count(self) -> int:
@@ -117,6 +138,17 @@ def rotation_rows(
     normal = K_t.camera_matrix.T @ c.target_line_2d.coeffs
     normal = normal / np.linalg.norm(normal)
     return np.kron(normal, d_s)[None, :], np.zeros(1)
+
+
+def _pair_block(C_row: np.ndarray, b_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A pair's block ``(C^T C, C^T b)`` of the normal equations, shaped
+    ``(1, 9, 9)`` and ``(1, 9)``: the products of its rows added one row
+    after the other, as ``reduceat`` adds them (``np.add.reduce`` would add
+    the last two rows first, which rounds differently)."""
+    return (
+        np.add.reduceat(C_row[:, :, None] * C_row[:, None, :], [0]),
+        np.add.reduceat(C_row * b_row[:, None], [0]),
+    )
 
 
 def _solve_normal(G: np.ndarray, h: np.ndarray) -> tuple[np.ndarray | None, float]:
@@ -152,8 +184,9 @@ def gate_rotation(
 
     The pair's block ``C_row^T C_row`` joins the normal equations, which are
     solved as they stand, so the solve costs the same at any store size;
-    only an accepted pair joins ``pairs`` and its rows ``C``/``b``.  A
-    rejected pair returns ``state`` itself.
+    only an accepted pair joins ``pairs``, its rows ``C``/``b`` and the
+    per-pair arrays, which are made here, once.  A rejected pair returns
+    ``state`` itself.
 
     While the accumulated system has fewer than nine rows it cannot reject
     anything (the least-squares fit is underdetermined), so early pairs are
@@ -175,62 +208,93 @@ def gate_rotation(
     budget = state.distance / EVICTION_FACTOR + GATE_SLACK
     if state.row_count >= _FULL_ROWS and not distance < budget:
         return False, state
-    C = np.vstack([state.C, C_row])
-    b = np.concatenate([state.b, b_row])
-    return True, RotationGateState(state.pairs + (pair,), C, b, G, h, rotation, distance)
+    G_pair, h_pair = _pair_block(C_row, b_row)
+    # a PNL pair has no target line; it stores a zero target moment
+    m_t = pair.target_line_3d.m if pair.kind is CaseKind.FULL3D else np.zeros(3)
+    return True, RotationGateState(
+        state.pairs + (pair,),
+        np.concatenate([state.C, C_row]),
+        np.concatenate([state.b, b_row]),
+        G,
+        h,
+        np.concatenate([state.sizes, [len(C_row)]]),
+        np.concatenate([state.G_pair, G_pair]),
+        np.concatenate([state.h_pair, h_pair]),
+        np.concatenate([state.d_s, pair.source_line.d[None]]),
+        np.concatenate([state.m_s, pair.source_line.m[None]]),
+        np.concatenate([state.m_t, m_t[None]]),
+        rotation,
+        distance,
+    )
 
 
 def evict(state: RotationGateState) -> tuple[list[int | None], RotationGateState]:
     """Drop the stored pairs most at odds with the rotation estimate.
 
     Greedily peels the pair with the largest linear-system residual,
-    downdating the normal equations by its 9x9 block and solving them again
-    after each removal, and commits the shortest removal prefix that shrinks
-    the SO(3) distance below ``EVICTION_FACTOR`` times its starting value;
-    the committed gate is rebuilt from the kept rows, so no downdate
-    round-off stays in it.  Peeling several pairs per call matters: with two
-    or more bad pairs, removing just one barely moves the distance and a
-    single-step test would deadlock.  Peeling stops before the rows would
-    fall under ``_FULL_ROWS`` or the pairs under ``VOTE_MIN_COUNT``, and when
-    the rotation becomes undetermined.  The store is left untouched when no
-    prefix reaches the target, and when its distance is within
-    ``GATE_SLACK``: there it is float round-off, which any removal halves or
-    doubles at random.  An honest store still bleeds: with few rows,
-    dropping the worst-fitting noisy pair can halve the distance by itself,
-    so an outlier-free stream whose vote never forms keeps losing pairs (20
-    to 36 per 60-line stream at 0.5 px / 3 mm noise).  Returns the evicted
-    ids and the gate without them, or ``[]`` and ``state`` itself.
+    downdating the normal equations by its stored 9x9 block and solving them
+    again after each removal, and commits the shortest removal prefix that
+    shrinks the SO(3) distance below ``EVICTION_FACTOR`` times its starting
+    value; the committed gate rebuilds its normal equations from the kept
+    rows, so no downdate round-off stays in them, and keeps the kept pairs'
+    per-pair arrays as the gate made them.  Peeling several pairs per call
+    matters: with two or more bad pairs, removing just one barely moves the
+    distance and a single-step test would deadlock.  Peeling stops before
+    the rows would fall under ``_FULL_ROWS`` or the pairs under
+    ``VOTE_MIN_COUNT``, and when the rotation becomes undetermined.  The
+    store is left untouched when no prefix reaches the target, and when its
+    distance is within ``GATE_SLACK``: there it is float round-off, which
+    any removal halves or doubles at random.  An honest store still bleeds:
+    with few rows, dropping the worst-fitting noisy pair can halve the
+    distance by itself, so an outlier-free stream whose vote never forms
+    keeps losing pairs (20 to 36 per 60-line stream at 0.5 px / 3 mm
+    noise).  Returns the evicted ids and the gate without them, or ``[]``
+    and ``state`` itself.
     """
     if state.rotation is None or not GATE_SLACK < state.distance < math.inf:
         return [], state
-    sizes = np.array([ROTATION_ROW_COUNT[c.kind] for c in state.pairs])
+    sizes = state.sizes
     starts = np.cumsum(sizes) - sizes
-    # each pair's block of the normal equations
-    G_pair = np.add.reduceat(state.C[:, :, None] * state.C[:, None, :], starts)
-    h_pair = np.add.reduceat(state.C * state.b[:, None], starts)
-    kept = np.ones(len(sizes), dtype=bool)
     G, h, row_count, rotation = state.G, state.h, state.row_count, state.rotation
     removed: list[int] = []
-    while rotation is not None:
+    while rotation is not None and len(sizes) - len(removed) > VOTE_MIN_COUNT:
         residuals = _pair_residuals(state.C, state.b, starts, rotation.reshape(-1))
-        residuals[~kept] = -np.inf
+        residuals[removed] = -np.inf
         worst = int(np.argmax(residuals))
-        row_count -= sizes[worst]
-        if row_count < _FULL_ROWS or len(sizes) - len(removed) - 1 < VOTE_MIN_COUNT:
+        row_count -= int(sizes[worst])
+        if row_count < _FULL_ROWS:
             break
         removed.append(worst)
-        kept[worst] = False
-        G = G - G_pair[worst]
-        h = h - h_pair[worst]
+        G = G - state.G_pair[worst]
+        h = h - state.h_pair[worst]
         rotation, distance = _solve_normal(G, h)
         if distance < EVICTION_FACTOR * state.distance:
-            rows = np.repeat(kept, sizes)
-            C, b = state.C[rows], state.b[rows]
-            G, h = C.T @ C, C.T @ b
-            pairs = tuple(c for c, k in zip(state.pairs, kept) if k)
-            evicted = [state.pairs[i].obs_id for i in removed]
-            return evicted, RotationGateState(pairs, C, b, G, h, *_solve_normal(G, h))
+            return [state.pairs[i].obs_id for i in removed], _without(state, removed)
     return [], state
+
+
+def _without(state: RotationGateState, removed: list[int]) -> RotationGateState:
+    """``state`` without the pairs at the indices ``removed``: the kept rows
+    and per-pair arrays, and normal equations rebuilt from those rows."""
+    kept = np.ones(len(state.pairs), dtype=bool)
+    kept[removed] = False
+    rows = np.repeat(kept, state.sizes)
+    C, b = state.C[rows], state.b[rows]
+    G, h = C.T @ C, C.T @ b
+    return RotationGateState(
+        tuple(c for c, k in zip(state.pairs, kept) if k),
+        C,
+        b,
+        G,
+        h,
+        state.sizes[kept],
+        state.G_pair[kept],
+        state.h_pair[kept],
+        state.d_s[kept],
+        state.m_s[kept],
+        state.m_t[kept],
+        *_solve_normal(G, h),
+    )
 
 
 def _pair_residuals(
@@ -243,24 +307,21 @@ def _pair_residuals(
 
 
 def candidate_from_full3d(
-    pairs: Sequence[Correspondence], R: np.ndarray
+    d_s: np.ndarray, m_s: np.ndarray, m_t: np.ndarray, R: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Translation loci of FULL3D pairs given the rotation.
 
-    The moment transport equation leaves ``t`` free only along the rotated
-    source direction ``u = R d_s``; the particular solution is
+    Pair ``i`` has the source line ``(d_s[i], m_s[i])`` and the target
+    moment ``m_t[i]``, each array ``(k, 3)`` (a gate stores them for its
+    pairs, see :class:`RotationGateState`).  The moment transport equation
+    leaves ``t`` free only along the rotated source direction
+    ``u = R d_s``; the particular solution is
     ``p0 = (R m_s - m_t) x (R d_s)``.  Returns ``(p0, u)``, each ``(k, 3)``
-    with unit ``u``.  The pairs are stacked and every product is a stacked
-    matmul, so each row has the bits of the one-pair formula.  Raises
-    WrongKind when a pair is not FULL3D.
+    with unit ``u``.  Every product is a stacked matmul, so each row has the
+    bits of the one-pair formula.
     """
-    if any(c.kind is not CaseKind.FULL3D for c in pairs):
-        raise WrongKind("candidate_from_full3d needs FULL3D pairs")
-    d_s = np.array([c.source_line.d for c in pairs]).reshape(-1, 3, 1)
-    m_s = np.array([c.source_line.m for c in pairs]).reshape(-1, 3, 1)
-    m_t = np.array([c.target_line_3d.m for c in pairs]).reshape(-1, 3)
-    Rd = (R @ d_s)[..., 0]
-    p0 = np.cross((R @ m_s)[..., 0] - m_t, Rd)
+    Rd = (R @ d_s[:, :, None])[..., 0]
+    p0 = cross_rows((R @ m_s[:, :, None])[..., 0] - m_t, Rd)
     return p0, Rd / row_norms(Rd)[:, None]
 
 
@@ -331,30 +392,40 @@ class VotingResult:
 
 def _line_distances(pts: np.ndarray, p0: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``(k, n)`` distances of points ``pts`` to the lines ``(p0, u)``."""
-    diff = pts[:, None, :] - p0[None, :, :]  # (k, n, 3)
-    along = np.einsum("knj,nj->kn", diff, u)
-    perp = diff - along[..., None] * u[None, :, :]
-    return np.linalg.norm(perp, axis=2)
+    perp = pts[:, None, :] - p0[None, :, :]  # (k, n, 3)
+    along = np.einsum("knj,nj->kn", perp, u)
+    perp -= along[..., None] * u[None, :, :]
+    return axis_norms(perp, axis=2)
+
+
+def _pair_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(n, k=1)``, the pairs ``i < j`` in row-major order,
+    from the pair counts per row rather than an ``n x n`` mask."""
+    ii = np.repeat(np.arange(n - 1), np.arange(n - 1, 0, -1))
+    # row i's pairs start at position i (2n - i - 1) / 2
+    jj = np.arange(len(ii)) - ii * (2 * n - 1 - ii) // 2 + ii + 1
+    return ii, jj
 
 
 def _proposals(p0: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Common-perpendicular midpoints of every non-parallel pair of the lines
     ``(p0, u)``, batched, in ``triu_indices`` order."""
-    ii, jj = np.triu_indices(len(p0), k=1)
+    ii, jj = _pair_indices(len(p0))
     u1, u2 = u[ii], u[jj]
-    ok = np.linalg.norm(np.cross(u1, u2), axis=1) >= 1e-9
-    if not np.any(ok):
+    ok = axis_norms(cross_rows(u1, u2), axis=1) >= 1e-9
+    if not ok.any():
         raise InsufficientLines("no non-parallel candidate line pair")
-    u1, u2 = u1[ok], u2[ok]
-    w0 = p0[ii[ok]] - p0[jj[ok]]
+    ii, jj, u1, u2 = ii[ok], jj[ok], u1[ok], u2[ok]
+    q1, q2 = p0[ii], p0[jj]
+    w0 = q1 - q2
     b = np.einsum("ij,ij->i", u1, u2)
     d = np.einsum("ij,ij->i", u1, w0)
     e = np.einsum("ij,ij->i", u2, w0)
     denom = 1.0 - b * b
     s = (b * e - d) / denom
     t = (e - b * d) / denom
-    q1 = p0[ii[ok]] + s[:, None] * u1
-    q2 = p0[jj[ok]] + t[:, None] * u2
+    q1 += s[:, None] * u1
+    q2 += t[:, None] * u2
     return 0.5 * (q1 + q2)
 
 
@@ -382,9 +453,10 @@ def convergence_voting(
     ``(n, 3)``).  Every non-parallel pair of lines proposes the midpoint of
     its common perpendicular; the proposal whose ``epsilon_d``-neighborhood
     captures the most lines wins (ties by the smaller summed inlier
-    distance).  The vote converges when the winning set reaches
-    ``vote_threshold``.  Proposals are scored a chunk at a time, so no
-    distance tensor exceeds ``VOTE_CHUNK_BYTES``; the proposals themselves
+    distance, then by the earlier proposal).  The vote converges when the
+    winning set reaches ``vote_threshold``.  Proposals are scored a chunk at
+    a time, so no distance tensor exceeds ``VOTE_CHUNK_BYTES``, and the
+    winner's inliers are those its chunk found; the proposals themselves
     take O(n^2) memory.
     """
     n = len(p0)
@@ -395,18 +467,22 @@ def convergence_voting(
     # each distance depends on its own proposal and line only, so chunking
     # changes no bit of counts, sums or their lexsort order
     chunk = max(1, VOTE_CHUNK_BYTES // (n * 3 * 8))
-    counts = np.empty(len(pts), dtype=np.intp)
-    sums = np.empty(len(pts))
+    best = None
     for lo in range(0, len(pts), chunk):
         dist = _line_distances(pts[lo : lo + chunk], p0, u)
         member = dist < epsilon_d
-        counts[lo : lo + chunk] = member.sum(axis=1)
-        sums[lo : lo + chunk] = np.where(member, dist, 0.0).sum(axis=1)
-    best = np.lexsort((sums, -counts))[0]
-    member = _line_distances(pts[best : best + 1], p0, u)[0] < epsilon_d
-    inliers = tuple(int(i) for i in np.flatnonzero(member))
+        counts = member.sum(axis=1)
+        sums = np.where(member, dist, 0.0).sum(axis=1)
+        i = np.lexsort((sums, -counts))[0]
+        # a later chunk's leader wins only with more votes, or as many at a
+        # strictly smaller sum, as the lexsort of all proposals would rank it
+        score = (int(counts[i]), -float(sums[i]))
+        if best is None or score > best[0]:
+            best = score, lo + i, member[i]
+    _, winner, member = best
+    inliers = tuple(np.flatnonzero(member).tolist())
     return VotingResult(
         converged=len(inliers) >= vote_threshold,
         inlier_indices=inliers,
-        convergence_point=pts[best],
+        convergence_point=pts[winner],
     )

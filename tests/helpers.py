@@ -5,10 +5,13 @@ The builders construct *algebraically exact* inputs from a known pose
 going through the simulator, so solver/selection tests do not depend on the
 modules they are meant to check.  The references at the end restate, one
 pair or one hypothesis at a time, formulas the package computes batched or
-stacked, so tests can compare the two; ``reference_ransac_fit_line``
+stacked, so tests can compare the two (``reference_gate`` builds a gate
+holding given pairs from those formulas); ``reference_ransac_fit_line``
 scores every line hypothesis in one call, where the package stops early;
 ``reference_evict`` peels the store re-solving the gate rows with
 ``lstsq``, where the package downdates their normal equations;
+``reference_convergence_voting`` scores every proposal at once with the
+generic numpy helpers, where the package scores them a chunk at a time;
 ``brute_force_roots`` is a grid-search oracle that certifies the
 closed-form solver, and ``canon_walk`` the one-value-at-a-time writer that
 checks the bulk one.  ``mutated`` is the hypothesis strategy that breaks
@@ -34,6 +37,7 @@ from scipy.spatial.transform import Rotation
 from pelical import (
     CameraIntrinsics,
     Extrinsics,
+    InsufficientLines,
     Line2D,
     LineObservation,
     ParallelPlanes,
@@ -63,8 +67,6 @@ from pelical.selection import (
     VOTE_MIN_COUNT,
     RotationGateState,
     VotingResult,
-    _line_distances,
-    _proposals,
 )
 from pelical.solver import _stack_residuals, eliminate_translation
 
@@ -365,14 +367,66 @@ def reference_pair_residuals(
     return np.array(out)
 
 
+def full3d_inputs(cs: list[Correspondence]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(d_s, m_s, m_t)`` of FULL3D pairs, one row per pair: the arguments
+    of ``candidate_from_full3d`` before the rotation."""
+    assert all(c.kind is CaseKind.FULL3D for c in cs)
+    return (
+        np.array([c.source_line.d for c in cs]).reshape(-1, 3),
+        np.array([c.source_line.m for c in cs]).reshape(-1, 3),
+        np.array([c.target_line_3d.m for c in cs]).reshape(-1, 3),
+    )
+
+
+def reference_pair_arrays(cs: list[Correspondence]) -> dict[str, np.ndarray]:
+    """The gate's per-pair arrays of ``cs``, one pair at a time: each pair's
+    row count, its normal-equation block summed row by row over its
+    ``rotation_rows`` (outer products added in row order), and its source
+    direction and moment and target moment (zero for PNL pairs)."""
+    sizes, G_pair, h_pair, d_s, m_s, m_t = [], [], [], [], [], []
+    for c in cs:
+        C, b = rotation_rows(c, DEFAULT_K)
+        G, h = np.outer(C[0], C[0]), C[0] * b[0]
+        for r, v in zip(C[1:], b[1:]):
+            G, h = G + np.outer(r, r), h + r * v
+        sizes.append(len(C))
+        G_pair.append(G)
+        h_pair.append(h)
+        d_s.append(c.source_line.d)
+        m_s.append(c.source_line.m)
+        m_t.append(c.target_line_3d.m if c.kind is CaseKind.FULL3D else np.zeros(3))
+    return {
+        "sizes": np.array(sizes, dtype=np.intp),
+        "G_pair": np.array(G_pair).reshape(-1, 9, 9),
+        "h_pair": np.array(h_pair).reshape(-1, 9),
+        "d_s": np.array(d_s).reshape(-1, 3),
+        "m_s": np.array(m_s).reshape(-1, 3),
+        "m_t": np.array(m_t).reshape(-1, 3),
+    }
+
+
+def reference_gate(cs: list[Correspondence]) -> RotationGateState:
+    """A gate holding exactly ``cs``, whatever the gate would have decided,
+    built from the one-pair formulas (no rotation estimate)."""
+    rows = [rotation_rows(c, DEFAULT_K) for c in cs]
+    C = np.vstack([C for C, _ in rows])
+    b = np.concatenate([b for _, b in rows])
+    return RotationGateState(tuple(cs), C, b, C.T @ C, C.T @ b, **reference_pair_arrays(cs))
+
+
 def assert_gate_holds_store_rows(gate: RotationGateState) -> None:
     """The gate's stacked system is exactly its pairs' ``rotation_rows``, in
-    order, and its normal equations are theirs to round-off."""
+    order, its normal equations are theirs to round-off, and its per-pair
+    arrays are, bit for bit, those of ``reference_pair_arrays``."""
     rows = [rotation_rows(c, DEFAULT_K) for c in gate.pairs]
     np.testing.assert_array_equal(gate.C, np.vstack([C for C, _ in rows]))
     np.testing.assert_array_equal(gate.b, np.concatenate([b for _, b in rows]))
     assert_allclose(gate.G, gate.C.T @ gate.C, rtol=1e-12)
     assert_allclose(gate.h, gate.C.T @ gate.b, rtol=1e-12)
+    for name, expected in reference_pair_arrays(list(gate.pairs)).items():
+        got = getattr(gate, name)
+        np.testing.assert_array_equal(got, expected, err_msg=name, strict=True)
+        assert got.tobytes() == expected.tobytes(), name  # -0.0 included
 
 
 def reference_gate_solve(C: np.ndarray, b: np.ndarray) -> tuple[np.ndarray | None, float]:
@@ -414,14 +468,42 @@ def reference_evict(gate: RotationGateState) -> list[int | None]:
     return []
 
 
+def reference_proposals(p0: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Common-perpendicular midpoints of every non-parallel pair of the lines
+    ``(p0, u)`` in ``triu_indices`` order, with ``np.cross`` and
+    ``np.linalg.norm``; raises InsufficientLines when every pair is
+    parallel."""
+    ii, jj = np.triu_indices(len(p0), k=1)
+    u1, u2 = u[ii], u[jj]
+    ok = np.linalg.norm(np.cross(u1, u2), axis=1) >= 1e-9
+    if not np.any(ok):
+        raise InsufficientLines("no non-parallel candidate line pair")
+    u1, u2 = u1[ok], u2[ok]
+    w0 = p0[ii[ok]] - p0[jj[ok]]
+    b = np.einsum("ij,ij->i", u1, u2)
+    d = np.einsum("ij,ij->i", u1, w0)
+    e = np.einsum("ij,ij->i", u2, w0)
+    denom = 1.0 - b * b
+    s = (b * e - d) / denom
+    t = (e - b * d) / denom
+    q1 = p0[ii[ok]] + s[:, None] * u1
+    q2 = p0[jj[ok]] + t[:, None] * u2
+    return 0.5 * (q1 + q2)
+
+
 def reference_convergence_voting(
     p0: np.ndarray, u: np.ndarray, epsilon_d: float, vote_threshold: int
 ) -> VotingResult:
     """``convergence_voting`` scoring every proposal against every line at
-    once, in one ``(proposals, n, 3)`` tensor: the reference for its chunked
-    scoring.  Memory grows as n^3 (about 1.3 GB at 300 lines)."""
-    pts = _proposals(p0, u)
-    dist = _line_distances(pts, p0, u)
+    once, in one ``(proposals, n, 3)`` tensor, with the generic numpy
+    helpers: the reference for its chunked scoring.  Memory grows as n^3
+    (about 1.3 GB at 300 lines)."""
+    if len(p0) < 2:
+        raise InsufficientLines("voting needs at least two candidate lines")
+    pts = reference_proposals(p0, u)
+    diff = pts[:, None, :] - p0[None, :, :]
+    along = np.einsum("knj,nj->kn", diff, u)
+    dist = np.linalg.norm(diff - along[..., None] * u[None, :, :], axis=2)
     member = dist < epsilon_d
     counts = member.sum(axis=1)
     sums = np.where(member, dist, 0.0).sum(axis=1)

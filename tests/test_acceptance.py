@@ -47,6 +47,7 @@ from helpers import (
     brute_force_roots,
     consistent_correspondences,
     consistent_system,
+    full3d_inputs,
     jacobian_check,
     make_correspondence,
     point_line_distance,
@@ -183,7 +184,7 @@ class TestAcceptance:
             axis /= np.linalg.norm(axis)
             poison = Rotation.from_rotvec(np.deg2rad(5.0) * axis).as_matrix()
             R_bad = poison @ spec.truth.rotation
-            p0, u, _ = _candidate_lines(state.gate.pairs, R_bad, DEFAULT_K)
+            p0, u, _ = _candidate_lines(state.gate, R_bad, DEFAULT_K)
             threshold = max(4, math.ceil(0.6 * len(p0)))
             try:
                 vote = convergence_voting(p0, u, 0.02, threshold)
@@ -260,7 +261,7 @@ class TestAcceptance:
             kind = CaseKind.FULL3D if i % 2 == 0 else CaseKind.PNL
             c = make_correspondence(rng, truth, kind)
             if kind is CaseKind.FULL3D:
-                p0, u = (a[0] for a in candidate_from_full3d([c], truth.rotation))
+                p0, u = (a[0] for a in candidate_from_full3d(*full3d_inputs([c]), truth.rotation))
             else:
                 p0, u = candidate_from_pnl(c, truth.rotation, DEFAULT_K)
             worst_containment = max(

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from pelical import (
     Extrinsics,
@@ -145,3 +146,55 @@ def test_smoke_pass_counts_one_fit_per_fit_and_one_read_per_file(tmp_path, monke
     assert totals["pipeline.ransac_fit_line"][0] == fits > 0
     assert totals["pipeline.ingest"][0] == len(outcomes)
     assert totals["fileio.read_observation_file"][0] == harness.SMOKE_FILES == 2
+
+
+# Every traced call count of a smoke pass (seed 1, one pass over the two
+# files) of each workload.  The benchmark compares per-layer metrics across
+# changes, so a change that moves work between layers must not move these.
+SMOKE_CALLS = {
+    "calibrate60_mixed": (2, 15, 26, 9, 16, 2),
+    "calibrate60_pnl50": (2, 12, 21, 6, 12, 2),
+    "stream60_novote": (2, 120, 240, 79, 0, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SMOKE_CALLS))
+def test_smoke_pass_call_counts_stay_put(name, tmp_path, monkeypatch):
+    # (files, ingests, fits, attempts, PnL candidate lines, solves); each
+    # attempt that builds candidate lines makes one stacked FULL3D call
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import harness
+
+    builds = []
+    candidate_lines = pipeline._candidate_lines
+
+    @functools.wraps(candidate_lines)
+    def counting(*args):
+        builds.append(None)
+        return candidate_lines(*args)
+
+    monkeypatch.setattr(pipeline, "_candidate_lines", counting)
+    bench = harness.Bench(name, harness.WORKLOADS[name], 1, harness.SMOKE_FILES, 1, tmp_path)
+    bench.setup(0)
+    with harness.Tracer(MODULES) as traced:
+        bench.run_pass(0, whole_cycles=True, cycles=1)
+    calls = {layer: n for layer, (n, _) in traced.layer_totals().items()}
+    files, ingests, fits, attempts, pnl_lines, solves = SMOKE_CALLS[name]
+    assert calls == {
+        "cli.main": files,
+        "fileio.read_observation_file": files,
+        "fileio.write_calibration_file": files,
+        "pipeline.run": files,
+        "pipeline.ingest": ingests,
+        "pipeline.ransac_fit_line": fits,
+        "selection.rotation_rows": ingests,
+        "selection.gate_rotation": ingests,
+        "pipeline.try_finalize": attempts,
+        "selection.candidate_from_full3d": attempts,
+        "selection.candidate_from_pnl": pnl_lines,
+        "selection.convergence_voting": attempts,
+        "constraints.assemble": solves,
+        "solver.solve_quadratic_system": solves,
+        "solver.refine": solves,
+    }
+    assert len(builds) == calls["selection.candidate_from_full3d"]

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -28,7 +29,7 @@ from pelical import (
     solve_quadratic_system,
     try_finalize,
 )
-from pelical import pipeline
+from pelical import fileio, pipeline, simulator
 from pelical.checks import MAX_SAMPLES
 from pelical.constraints import CaseKind
 from pelical.pipeline import (
@@ -58,6 +59,7 @@ from helpers import (
     rand_truth,
     reference_candidate_lines,
     reference_evict,
+    reference_gate,
     reference_inlier_masks,
     reference_pair_residuals,
     reference_ransac_fit_line,
@@ -292,6 +294,62 @@ class TestLineObservation:
         with pytest.raises(ValueError, match=f"{side} must hold at most 10000 points"):
             replace(obs, **{side: np.resize(samples, (MAX_SAMPLES + 1, 3))})
 
+    @staticmethod
+    def assert_edits_miss(observations, made):
+        """Editing every sample array in ``made`` after construction leaves
+        ``observations`` as they were, and their own arrays refuse edits."""
+        sides = ("source_samples", "target_samples")
+        before = [[getattr(o, s).copy() for s in sides if getattr(o, s) is not None]
+                  for o in observations]
+        assert made
+        for pts in made:
+            pts[...] = 99.0
+        for obs, kept in zip(observations, before):
+            stored = [getattr(obs, s) for s in sides if getattr(obs, s) is not None]
+            for got, want in zip(stored, kept, strict=True):
+                assert not got.flags.writeable
+                assert got.tobytes() == want.tobytes()
+
+    def test_simulator_samples_are_copied(self, monkeypatch):
+        made = []
+        noisy_view = simulator._noisy_view
+
+        def recording(*args):
+            pts, line = noisy_view(*args)
+            made.append(pts)
+            return pts, line
+
+        monkeypatch.setattr(simulator, "_noisy_view", recording)
+        spec = RigSpec(
+            truth=ENVELOPE_TRUTH,
+            target_intrinsics=DEFAULT_K,
+            source_intrinsics=DEFAULT_K,
+            n_lines=8,
+            pnl_fraction=0.25,
+            rng_seed=5,
+        )
+        observations, _ = generate(spec)
+        self.assert_edits_miss(observations, made)
+
+    def test_walked_samples_are_copied(self, rng, monkeypatch):
+        made = []
+        samples = fileio._samples
+
+        def recording(*args):
+            pts = samples(*args)
+            if pts is not None:
+                made.append(pts)
+            return pts
+
+        stream = good_stream(rng, rand_truth(rng), 3, 1)
+        raw = json.loads(fileio.dumps_canonical(
+            fileio.observation_file_dict(DEFAULT_K, DEFAULT_K, stream)
+        ))["observations"]
+        monkeypatch.setattr(fileio, "_samples", recording)
+        walked = [fileio._observation_from_dict(e, f"observations[{i}]")
+                  for i, e in enumerate(raw)]
+        self.assert_edits_miss(walked, made)
+
 
 class TestIngest:
     def test_full3d_accepted_and_stored(self, rng):
@@ -390,6 +448,7 @@ class TestEviction:
         evicted, gate = evict(state.gate)
         assert evicted == []
         assert gate is state.gate
+        assert_gate_holds_store_rows(gate)
 
     def test_noop_at_gate_slack(self, rng):
         # a distance at GATE_SLACK counts as round-off, even on a store
@@ -571,7 +630,7 @@ class TestBatchedFinalize:
         cs.insert(len(cs) // 2, bad)
         rng = np.random.default_rng(seed)
         for R in (state.gate.rotation, rand_rotation(rng)):
-            p0, u, members = _candidate_lines(cs, R, DEFAULT_K)
+            p0, u, members = _candidate_lines(reference_gate(cs), R, DEFAULT_K)
             ref_p0, ref_u, ref_members = reference_candidate_lines(cs, R, DEFAULT_K)
             assert np.array_equal(p0, ref_p0)
             assert np.array_equal(u, ref_u)
@@ -601,7 +660,7 @@ class TestBatchedFinalize:
         state = PipelineState.fresh(cfg, DEFAULT_K)
         for obs in good_stream(rng, truth, 0, 6):
             ingest(obs, state, cfg)
-        p0, u, members = _candidate_lines(state.gate.pairs, truth.rotation, DEFAULT_K)
+        p0, u, members = _candidate_lines(state.gate, truth.rotation, DEFAULT_K)
         assert p0.shape == u.shape == (len(members), 3)
         assert all(c.kind is CaseKind.PNL for c in members)
 

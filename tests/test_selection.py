@@ -21,12 +21,14 @@ from pelical import (
     rotation_rows,
 )
 from pelical.constraints import CaseKind, Correspondence
+from pelical import selection
 from pelical.selection import VOTE_CHUNK_BYTES, RotationGateState
 
 from helpers import (
     DEFAULT_K,
     assert_gate_holds_store_rows,
     equidistant_point,
+    full3d_inputs,
     make_correspondence,
     noisy_correspondences,
     point_line_distance,
@@ -136,6 +138,7 @@ class TestGateRotation:
         ok, after = gate_rotation(state, bad, rotation_rows(bad, DEFAULT_K))
         assert not ok
         assert after is state
+        assert_gate_holds_store_rows(after)
 
     def test_growth_budget_still_rejects_gross_outliers(self, rng):
         # on a noisy store the budget doubles a distance far above round-off
@@ -181,7 +184,7 @@ class TestCandidateLines:
             target_line_3d=tgt,
             target_endpoints=np.array([[1.0, 0, 0], [1, 0, 1]]),
         )
-        p0, u = candidate_from_full3d([c], np.eye(3))
+        p0, u = candidate_from_full3d(*full3d_inputs([c]), np.eye(3))
         assert p0.shape == u.shape == (1, 3)
         assert_allclose(p0[0], [1.0, 0.0, 0.0], atol=1e-12)
         assert_allclose(np.abs(u[0]), [0.0, 0.0, 1.0], atol=1e-12)
@@ -190,7 +193,7 @@ class TestCandidateLines:
     def test_zero_translation_passes_through_origin(self, rng):
         truth = Extrinsics(rand_rotation(rng), np.zeros(3))
         c = make_correspondence(rng, truth, CaseKind.FULL3D)
-        p0, u = candidate_from_full3d([c], truth.rotation)
+        p0, u = candidate_from_full3d(*full3d_inputs([c]), truth.rotation)
         assert point_line_distance(p0[0], u[0], np.zeros(3)) < 1e-9
 
     def test_full3d_contains_truth_sweep(self):
@@ -198,7 +201,7 @@ class TestCandidateLines:
         for _ in range(1000):
             truth = rand_truth(rng)
             c = make_correspondence(rng, truth, CaseKind.FULL3D)
-            p0, u = candidate_from_full3d([c], truth.rotation)
+            p0, u = candidate_from_full3d(*full3d_inputs([c]), truth.rotation)
             assert point_line_distance(p0[0], u[0], truth.translation) < 1e-9
 
     def test_pnl_contains_truth_sweep(self):
@@ -261,13 +264,6 @@ class TestCandidateLines:
 
     # a pair of the wrong kind is a caller's error, not the degenerate
     # geometry (ParallelPlanes) that _candidate_lines drops silently
-    def test_kind_mismatch_raises(self, rng):
-        truth = rand_truth(rng)
-        full = make_correspondence(rng, truth, CaseKind.FULL3D)
-        pnl = make_correspondence(rng, truth, CaseKind.PNL)
-        with pytest.raises(WrongKind, match="candidate_from_full3d needs FULL3D pairs"):
-            candidate_from_full3d([full, pnl], truth.rotation)
-
     def test_pnl_kind_mismatch_raises(self, rng):
         full = make_correspondence(rng, rand_truth(rng), CaseKind.FULL3D)
         with pytest.raises(WrongKind, match="candidate_from_pnl needs a PNL pair"):
@@ -350,8 +346,9 @@ class TestConvergenceVoting:
             Rotation.from_rotvec(np.deg2rad(5.0) * np.array([0, 1, 0])).as_matrix()
             @ truth.rotation
         )
-        good = convergence_voting(*candidate_from_full3d(cs, truth.rotation), 0.02, 6)
-        bad = convergence_voting(*candidate_from_full3d(cs, wrong), 0.02, 6)
+        inputs = full3d_inputs(cs)
+        good = convergence_voting(*candidate_from_full3d(*inputs, truth.rotation), 0.02, 6)
+        bad = convergence_voting(*candidate_from_full3d(*inputs, wrong), 0.02, 6)
         assert good.converged
         assert not bad.converged
 
@@ -421,6 +418,46 @@ class TestConvergenceVoting:
             assert got.inlier_indices == ref.inlier_indices
             assert got.converged == ref.converged
             assert np.array_equal(got.convergence_point, ref.convergence_point)
+
+    @pytest.mark.parametrize("parallel", [False, True], ids=["skew", "parallel"])
+    @pytest.mark.parametrize("n", [2, 3, 13, 89, 90, 120])
+    def test_matches_reference_bit_for_bit(self, n, parallel):
+        # up to 89 lines every proposal is scored in one chunk, from 90 in
+        # several; with parallel pairs, each random line 4k + 1 runs along
+        # line 4k (both of n = 2, so no proposal is left)
+        p0, u = self.random_lines(n, 40 + n)
+        tensor_bytes = n * (n - 1) // 2 * n * 3 * 8
+        assert (tensor_bytes <= VOTE_CHUNK_BYTES) == (n <= 89)
+        if parallel:
+            k = n - n // 3
+            u[1:k:4] = u[0:k:4][: len(u[1:k:4])]
+        for eps in (1e-6, 0.05, 0.5):
+            try:
+                ref = reference_convergence_voting(p0, u, eps, 4)
+            except InsufficientLines:
+                assert n == 2 and parallel
+                with pytest.raises(InsufficientLines):
+                    convergence_voting(p0, u, eps, 4)
+                continue
+            got = convergence_voting(p0, u, eps, 4)
+            assert got.inlier_indices == ref.inlier_indices
+            assert got.converged == ref.converged
+            assert got.convergence_point.tobytes() == ref.convergence_point.tobytes()
+
+    @pytest.mark.parametrize("chunk_bytes", [VOTE_CHUNK_BYTES, 4 * 3 * 8])
+    def test_exact_tie_goes_to_the_earlier_proposal(self, monkeypatch, chunk_bytes):
+        # Two crossings, at the origin and at (0, 0, 1), each hold two of the
+        # four lines at distance 0: the vote ties on count and sum, and the
+        # first proposal wins, also when every proposal is its own chunk.
+        monkeypatch.setattr(selection, "VOTE_CHUNK_BYTES", chunk_bytes)
+        p0 = np.array([[0.0, 0, 0], [0, 0, 0], [0, 0, 1], [0, 0, 1]])
+        u = np.array([[1.0, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0]])
+        res = convergence_voting(p0, u, 0.4, 2)
+        assert res.inlier_indices == (0, 1)
+        assert res.convergence_point.tolist() == [0.0, 0.0, 0.0]
+        ref = reference_convergence_voting(p0, u, 0.4, 2)
+        assert ref.inlier_indices == res.inlier_indices
+        assert ref.convergence_point.tobytes() == res.convergence_point.tobytes()
 
     def test_memory_bounded_at_300_lines(self):
         # unchunked, one vote over 300 lines peaked at about 1.3 GB
