@@ -19,6 +19,7 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from . import fileio
+from .checks import MAX_MAGNITUDE
 from .errors import EmptyInput, IllConditionedPlane, InfeasibleSpec, SchemaError
 from .metrics import PlaneMergeInput, plane_merge_metrics, pose_variation_errors
 from .pipeline import PipelineConfig, TerminationReason, run as run_pipeline
@@ -39,14 +40,14 @@ def _env_seed() -> int | None:
 
 def _float_list(text: str, flag: str) -> list[float]:
     """The comma-separated numbers of ``flag``, at least one, each finite and
-    of magnitude at most ``fileio.MAX_MAGNITUDE``."""
+    of magnitude at most ``MAX_MAGNITUDE``."""
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise SchemaError(f"{flag}: expected comma-separated numbers, got {text!r}") from exc
     if not values:
         raise SchemaError(f"{flag}: expected at least one number")
-    return fileio._array(values, (None,), flag, fileio.MAX_MAGNITUDE).tolist()
+    return fileio._array(values, (None,), flag, MAX_MAGNITUDE).tolist()
 
 
 def _checked(where: str, build):
@@ -131,7 +132,7 @@ def _point_list(data: dict, key: str, count: int, exact: bool = False) -> np.nda
     value = data[key]
     if not isinstance(value, list) or len(value) < count or (exact and len(value) > count):
         raise SchemaError(f"{key}: expected {'' if exact else '>= '}{count} points")
-    return fileio._array(value, (None, 3), key, fileio.MAX_MAGNITUDE)
+    return fileio._array(value, (None, 3), key, MAX_MAGNITUDE)
 
 
 def _cmd_evaluate_planes(args) -> int:

@@ -473,7 +473,7 @@ def calibration_file_dict(report: CalibrationReport) -> dict:
         "termination": report.termination.value,
         "accepted_pairs": report.accepted_pairs,
         "voting_inlier_ids": list(report.voting_inlier_ids),
-        "trace": report.trace,
+        "trace": [attempt.as_dict() for attempt in report.trace],
     }
 
 

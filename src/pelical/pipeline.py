@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import MAX_MAGNITUDE, MAX_SAMPLES, _real  # still importable from here
+from .checks import MAX_SAMPLES, _real
 from .constraints import CaseKind, Correspondence, assemble, classify
 from .errors import (
     CalibrationError,
@@ -245,6 +245,30 @@ class TerminationReason(enum.Enum):
 
 
 @dataclass
+class FinalizeAttempt:
+    """One :func:`try_finalize` call's trace entry, its fields in file order:
+    the store's size and SO(3) distance at the start, the vote (inliers,
+    votes needed, carried), why the attempt stopped early, the refined cost
+    per inlier, and the ids evicted.  Unset fields stay None or empty."""
+
+    pairs: int
+    d_so3: float
+    vote_size: int | None = None
+    vote_threshold: int | None = None
+    vote_converged: bool | None = None
+    note: str | None = None
+    mean_cost: float | None = None
+    evicted: list[int | None] = field(default_factory=list)
+
+    def as_dict(self) -> dict:
+        """The entry as the calibration file writes it: its set fields."""
+        entry = {name: value for name, value in vars(self).items() if value is not None}
+        if not self.evicted:
+            del entry["evicted"]
+        return entry
+
+
+@dataclass
 class CalibrationReport:
     """Final (or best-effort) calibration result with an audit trail."""
 
@@ -253,7 +277,7 @@ class CalibrationReport:
     termination: TerminationReason
     accepted_pairs: int
     voting_inlier_ids: tuple[int, ...]
-    trace: list[dict]
+    trace: list[FinalizeAttempt]
     inlier_correspondences: list[Correspondence] = field(default_factory=list)
 
 
@@ -264,7 +288,7 @@ class PipelineState:
     target_K: CameraIntrinsics
     rng: np.random.Generator
     gate: RotationGateState = field(default_factory=RotationGateState.empty)
-    trace: list[dict] = field(default_factory=list)
+    trace: list[FinalizeAttempt] = field(default_factory=list)
     last_solution: PoseSolution | None = None
 
     @classmethod
@@ -346,18 +370,6 @@ def _candidate_lines(
     return p0[keep], u[keep], [c for c, k in zip(gate.pairs, keep) if k]
 
 
-def _full3d_weights(
-    cs: list[Correspondence], K_t: CameraIntrinsics
-) -> np.ndarray:
-    """Pixel-equivalent weights: 3D residuals scaled by fx over mean depth."""
-    w = np.ones(len(cs))
-    for i, c in enumerate(cs):
-        if c.kind is CaseKind.FULL3D:
-            z = float(np.mean(np.abs(c.target_endpoints[:, 2])))
-            w[i] = K_t.fx / max(z, 1e-6)
-    return w
-
-
 def try_finalize(
     state: PipelineState, cfg: PipelineConfig
 ) -> CalibrationReport | None:
@@ -365,13 +377,14 @@ def try_finalize(
 
     Returns a Converged report or None (not ready).  A failed vote, or a
     converged one whose mean refined cost is not below ``cost_threshold``,
-    may evict several stored pairs (see :func:`selection.evict`).
+    may evict several stored pairs (see :func:`selection.evict`).  The
+    attempt's :class:`FinalizeAttempt` is appended to ``state.trace``.
     """
-    entry: dict = {"pairs": len(state.gate.pairs), "d_so3": state.gate.distance}
-    state.trace.append(entry)
+    attempt = FinalizeAttempt(len(state.gate.pairs), state.gate.distance)
+    state.trace.append(attempt)
     R = state.gate.rotation
     if R is None:
-        entry["note"] = "rotation undetermined"
+        attempt.note = "rotation undetermined"
         return None
 
     p0, u, members = _candidate_lines(state.gate, R, state.target_K)
@@ -379,29 +392,26 @@ def try_finalize(
     try:
         vote = convergence_voting(p0, u, cfg.epsilon_d_m, threshold)
     except InsufficientLines as exc:
-        entry["note"] = f"voting failed: {exc}"
+        attempt.note = f"voting failed: {exc}"
         return None
-    entry["vote_size"] = len(vote.inlier_indices)
-    entry["vote_threshold"] = threshold
-    entry["vote_converged"] = vote.converged
+    attempt.vote_size = len(vote.inlier_indices)
+    attempt.vote_threshold = threshold
+    attempt.vote_converged = vote.converged
     if vote.converged:
         inlier_cs = [members[i] for i in vote.inlier_indices]
         try:
-            system = assemble(inlier_cs, state.target_K)
-            solution = solve_quadratic_system(system)
-            weights = _full3d_weights(inlier_cs, state.target_K)
-            refined = refine(solution, inlier_cs, state.target_K, weights)
+            solution = solve_quadratic_system(assemble(inlier_cs, state.target_K))
+            refined = refine(solution, inlier_cs, state.target_K)
         except CalibrationError as exc:
-            entry["note"] = f"solve failed: {exc}"
+            attempt.note = f"solve failed: {exc}"
             return None
         state.last_solution = refined
-        mean_cost = refined.refined_cost / len(inlier_cs)
-        entry["mean_cost"] = mean_cost
-        if mean_cost < cfg.cost_threshold:  # a NaN cost never converges
+        attempt.mean_cost = refined.refined_cost / len(inlier_cs)
+        if attempt.mean_cost < cfg.cost_threshold:  # a NaN cost never converges
             ids = tuple(c.obs_id for c in inlier_cs if c.obs_id is not None)
             return CalibrationReport(
                 extrinsics=refined.extrinsics,
-                final_cost=mean_cost,
+                final_cost=attempt.mean_cost,
                 termination=TerminationReason.CONVERGED,
                 accepted_pairs=len(state.gate.pairs),
                 voting_inlier_ids=ids,
@@ -412,9 +422,7 @@ def try_finalize(
     # fits poorly (e.g. when a mismatched pair slipped into the store
     # early).  Either way the store gets one eviction pass, which may also
     # drop honest pairs (see selection.evict).
-    evicted, state.gate = evict(state.gate)
-    if evicted:
-        entry["evicted"] = evicted
+    attempt.evicted, state.gate = evict(state.gate)
     return None
 
 
@@ -424,7 +432,8 @@ def run(
     target_K: CameraIntrinsics,
 ) -> CalibrationReport:
     """Drive the pipeline over an observation stream until it converges,
-    the stream ends, or ``max_pairs`` observations were ingested."""
+    the stream ends, or ``max_pairs`` observations were ingested; the
+    report's trace holds every finalize attempt."""
     state = PipelineState.fresh(cfg, target_K)
     for obs in itertools.islice(stream, cfg.max_pairs):
         outcome = ingest(obs, state, cfg)
@@ -437,9 +446,8 @@ def run(
     # pairs while the gate was still underdetermined; re-vote while the last
     # attempt evicted pairs, so a poisoned store can still recover.  Without
     # an eviction the store is as that attempt left it, and a deterministic
-    # re-vote would only repeat it.  The trace key "evicted", which
-    # try_finalize sets, drives this loop.
-    while state.trace and "evicted" in state.trace[-1]:
+    # re-vote would only repeat it.
+    while state.trace and state.trace[-1].evicted:
         report = try_finalize(state, cfg)
         if report is not None:
             return report

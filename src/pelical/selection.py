@@ -74,8 +74,8 @@ class RotationGateState:
     ``h = C^T b`` are the rows' 9x9 normal equations, summed one pair at a
     time.  The per-pair arrays are made once, when the gate accepts a pair,
     and stacked in the same order: ``sizes`` holds each pair's row count,
-    ``G_pair``/``h_pair`` its block of the normal equations (see
-    :func:`_pair_block`; :func:`evict` downdates by them), and ``d_s``,
+    ``G_pair``/``h_pair`` its block ``(C_row^T C_row, C_row^T b_row)`` of
+    the normal equations (:func:`evict` downdates by them), and ``d_s``,
     ``m_s``, ``m_t`` its :func:`candidate_from_full3d` inputs: the source
     line's direction and moment and the target line's moment, which is zero
     for PNL pairs.  ``rotation`` is the SO(3) projection of the minimum-norm
@@ -140,17 +140,6 @@ def rotation_rows(
     return np.kron(normal, d_s)[None, :], np.zeros(1)
 
 
-def _pair_block(C_row: np.ndarray, b_row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A pair's block ``(C^T C, C^T b)`` of the normal equations, shaped
-    ``(1, 9, 9)`` and ``(1, 9)``: the products of its rows added one row
-    after the other, as ``reduceat`` adds them (``np.add.reduce`` would add
-    the last two rows first, which rounds differently)."""
-    return (
-        np.add.reduceat(C_row[:, :, None] * C_row[:, None, :], [0]),
-        np.add.reduceat(C_row * b_row[:, None], [0]),
-    )
-
-
 def _solve_normal(G: np.ndarray, h: np.ndarray) -> tuple[np.ndarray | None, float]:
     """``(rotation, distance)`` of the rows whose normal equations are
     ``G x = h``: the SO(3) projection of their minimum-norm least-squares
@@ -182,11 +171,11 @@ def gate_rotation(
     """Tentatively add ``pair`` and its :func:`rotation_rows`; keep them
     unless the SO(3) distance grows past its budget.
 
-    The pair's block ``C_row^T C_row`` joins the normal equations, which are
-    solved as they stand, so the solve costs the same at any store size;
-    only an accepted pair joins ``pairs``, its rows ``C``/``b`` and the
-    per-pair arrays, which are made here, once.  A rejected pair returns
-    ``state`` itself.
+    The pair's block ``(C_row^T C_row, C_row^T b_row)`` joins the normal
+    equations, which are solved as they stand, so the solve costs the same
+    at any store size; only an accepted pair joins ``pairs``, its rows
+    ``C``/``b`` and the per-pair arrays, that block among them, which are
+    made here, once.  A rejected pair returns ``state`` itself.
 
     While the accumulated system has fewer than nine rows it cannot reject
     anything (the least-squares fit is underdetermined), so early pairs are
@@ -202,13 +191,12 @@ def gate_rotation(
     so doubling still rejects it cleanly.
     """
     C_row, b_row = new_rows
-    G = state.G + C_row.T @ C_row
-    h = state.h + C_row.T @ b_row
+    G_pair, h_pair = C_row.T @ C_row, C_row.T @ b_row
+    G, h = state.G + G_pair, state.h + h_pair
     rotation, distance = _solve_normal(G, h)
     budget = state.distance / EVICTION_FACTOR + GATE_SLACK
     if state.row_count >= _FULL_ROWS and not distance < budget:
         return False, state
-    G_pair, h_pair = _pair_block(C_row, b_row)
     # a PNL pair has no target line; it stores a zero target moment
     m_t = pair.target_line_3d.m if pair.kind is CaseKind.FULL3D else np.zeros(3)
     return True, RotationGateState(
@@ -218,8 +206,8 @@ def gate_rotation(
         G,
         h,
         np.concatenate([state.sizes, [len(C_row)]]),
-        np.concatenate([state.G_pair, G_pair]),
-        np.concatenate([state.h_pair, h_pair]),
+        np.concatenate([state.G_pair, G_pair[None]]),
+        np.concatenate([state.h_pair, h_pair[None]]),
         np.concatenate([state.d_s, pair.source_line.d[None]]),
         np.concatenate([state.m_s, pair.source_line.m[None]]),
         np.concatenate([state.m_t, m_t[None]]),

@@ -190,13 +190,13 @@ def _stack_residuals(
     K_t: CameraIntrinsics,
     R: np.ndarray,
     t: np.ndarray,
-    weights: np.ndarray,
+    weights: list[float],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual vector and its Jacobian at ``(R, t)``.
 
     The pose is charted as ``R(delta) = R Exp(delta)``, ``t + dt``; Jacobians
-    are taken at ``delta = 0``.  FULL3D residuals may carry a per-pair weight
-    (used by the pipeline to express them in pixel-equivalent units).
+    are taken at ``delta = 0``.  Pair ``i``'s FULL3D residuals are scaled by
+    ``weights[i]`` (see :func:`refine`); PNL pairs ignore theirs.
     """
     P_line = line_projection_matrix(K_t)
     res: list[np.ndarray] = []
@@ -237,21 +237,21 @@ def refine(
     initial: PoseSolution,
     correspondences: list[Correspondence],
     K_t: CameraIntrinsics,
-    weights: np.ndarray | None = None,
 ) -> PoseSolution:
     """Levenberg-Marquardt polish of a pose against the geometric cost.
 
     Minimizes the summed squared 3D point-to-line residuals (FULL3D pairs)
-    plus squared 2D reprojection residuals (PNL pairs).  Each rotation
+    plus squared 2D reprojection residuals (PNL pairs).  A FULL3D pair's
+    residuals are put in pixel-equivalent units: scaled by ``fx`` over the
+    mean depth of its target endpoints, floored at 1e-6 m.  Each rotation
     update composes a small rotation onto the estimate and re-orthonormalizes
     it.  The best iterate is returned, with ``lm_converged=False`` when the
     iteration cap ran out first (see :func:`_levenberg_marquardt`).
     """
     if not correspondences:
         raise EmptyInput("nothing to refine")
-    w = np.ones(len(correspondences)) if weights is None else np.asarray(weights, float)
-    if w.shape != (len(correspondences),):
-        raise ValueError("weights must match the correspondence count")
+    w = [K_t.fx / max(float(np.mean(np.abs(c.target_endpoints[:, 2]))), 1e-6)
+         if c.kind is CaseKind.FULL3D else 1.0 for c in correspondences]
 
     def step(pose, delta):
         R, t = pose

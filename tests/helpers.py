@@ -380,18 +380,15 @@ def full3d_inputs(cs: list[Correspondence]) -> tuple[np.ndarray, np.ndarray, np.
 
 def reference_pair_arrays(cs: list[Correspondence]) -> dict[str, np.ndarray]:
     """The gate's per-pair arrays of ``cs``, one pair at a time: each pair's
-    row count, its normal-equation block summed row by row over its
-    ``rotation_rows`` (outer products added in row order), and its source
-    direction and moment and target moment (zero for PNL pairs)."""
+    row count, its normal-equation block ``(C^T C, C^T b)`` of its
+    ``rotation_rows``, and its source direction and moment and target
+    moment (zero for PNL pairs)."""
     sizes, G_pair, h_pair, d_s, m_s, m_t = [], [], [], [], [], []
     for c in cs:
         C, b = rotation_rows(c, DEFAULT_K)
-        G, h = np.outer(C[0], C[0]), C[0] * b[0]
-        for r, v in zip(C[1:], b[1:]):
-            G, h = G + np.outer(r, r), h + r * v
         sizes.append(len(C))
-        G_pair.append(G)
-        h_pair.append(h)
+        G_pair.append(C.T @ C)
+        h_pair.append(C.T @ b)
         d_s.append(c.source_line.d)
         m_s.append(c.source_line.m)
         m_t.append(c.target_line_3d.m if c.kind is CaseKind.FULL3D else np.zeros(3))

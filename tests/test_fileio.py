@@ -56,7 +56,7 @@ from pelical.fileio import (
     write_observation_file,
     write_truth_file,
 )
-from pelical.pipeline import CalibrationReport
+from pelical.pipeline import CalibrationReport, FinalizeAttempt
 
 from helpers import (
     DEFAULT_K,
@@ -817,6 +817,28 @@ class TestCalibrationFile:
             trace=[],
         )
         assert calibration_file_dict(rep)["cgr"] is None
+
+    def test_trace_entries_write_their_set_fields(self):
+        # None fields and an empty eviction are left out; a False flag, a
+        # NaN cost, an infinite distance and a None id are written
+        trace = [
+            FinalizeAttempt(5, np.inf, vote_size=2, vote_threshold=4,
+                            vote_converged=False, mean_cost=np.nan),
+            FinalizeAttempt(4, 0.25, note="rotation undetermined", evicted=[None]),
+        ]
+        rep = CalibrationReport(
+            extrinsics=Extrinsics.identity(),
+            final_cost=np.inf,
+            termination=TerminationReason.MAX_PAIRS,
+            accepted_pairs=5,
+            voting_inlier_ids=(),
+            trace=trace,
+        )
+        assert dumps_canonical(calibration_file_dict(rep)["trace"]) == (
+            '[{"pairs":5,"d_so3":null,"vote_size":2,"vote_threshold":4,'
+            '"vote_converged":false,"mean_cost":null},'
+            '{"pairs":4,"d_so3":0.25,"note":"rotation undetermined","evicted":[null]}]\n'
+        )
 
     def test_unknown_termination_rejected(self, tmp_path, report):
         path = tmp_path / "calib.json"

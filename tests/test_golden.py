@@ -8,9 +8,12 @@ its outlier, PnL and axial-noise branches; the 80° yaw one also through the
 penetrating-segment fallback.  The calibration digests pin a converged mixed
 stream, a converged PnL-heavy one, one whose vote never carries, so it
 ends after the stream, and one that converges only after a converged vote
-with a poor cost evicted a pair.  Next to their bytes, each pins a digest
-of what the run decided (termination, accepted pairs, voting inliers and
-the trace without its float digits), so a change that moves only round-off
+with a poor cost evicted a pair; two PnL-heavy streams add the trace's
+notes: a converged vote whose solve fails, and attempts under a rotation
+the gate cannot yet determine followed by failed votes that evict.  Next
+to their bytes, each pins a digest of what the run decided (termination,
+accepted pairs, voting inliers and the trace without its float digits),
+so a change that moves only round-off
 shows as a byte change with the same decisions.  The `pose-errors` table
 holds a group name that CSV must quote, and the `evaluate-planes` metrics
 come from a transform a little off the truth, so none of them is zero.
@@ -136,8 +139,24 @@ def test_simulate_bytes_are_pinned(tmp_path, spec, expected):
             "597edccf578afe6714f209591f34e24b6d273a260b0aaf967805d27efddf1240",
             "eb981d431542f58200f661f79aca75af8825c2c24688eb2422e50cf66a3d2b6d",
         ),
+        (
+            # a converged vote whose solve fails, noted in the trace
+            rig(20.0, n_lines=60, pnl_fraction=0.75, rng_seed=1013),
+            [],
+            "850196f601a830f7e3aed8f9207fbb2c1952e41b0bbadf50c4f09dc00683fe4e",
+            "d333aa663cc198ac619b0618991ce3c31347958e5578bd52d0affd6b37dd025c",
+        ),
+        (
+            # four attempts under an undetermined rotation, then failed
+            # votes that evict pairs
+            rig(20.0, n_lines=60, pnl_fraction=0.75, rng_seed=1018),
+            [],
+            "1a5f73c9ab940690ade0ade75ef9fc61ed02a2657db88f9dca2f9158dad08dc6",
+            "e4f535d3116994b1a6b9f08e61b739bd0629c5290c9df88e00d95ffbfdcafc48",
+        ),
     ],
-    ids=["converged-mixed", "converged-pnl", "end-of-stream", "cost-eviction"],
+    ids=["converged-mixed", "converged-pnl", "end-of-stream", "cost-eviction",
+         "solve-failed-note", "undetermined-notes-and-evictions"],
 )
 def test_calibrate_bytes_are_pinned(tmp_path, spec, flags, expected, decisions):
     obs, calib = tmp_path / "obs.json", tmp_path / "calib.json"

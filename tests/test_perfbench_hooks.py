@@ -57,7 +57,7 @@ def test_voting_observer_reads_the_line_count(rng):
     ]
     with tracer.Tracer(MODULES) as traced:
         report = run(stream, PipelineConfig(epsilon_d_m=1e-9), DEFAULT_K)
-    votes = [entry["pairs"] for entry in report.trace if "vote_size" in entry]
+    votes = [entry.pairs for entry in report.trace if entry.vote_size is not None]
     assert len(votes) >= 2
     assert traced.layer_totals()["selection.convergence_voting"][0] == len(votes)
     assert traced.counts["voting_lines_max"] == max(votes)
@@ -106,7 +106,7 @@ def test_eviction_rebuilds_no_rows_through_the_traced_name():
     )
     with tracer.Tracer(MODULES) as traced:
         report = run(generate(spec)[0], PipelineConfig(epsilon_d_m=1e-5), DEFAULT_K)
-    assert any("evicted" in entry for entry in report.trace)
+    assert any(entry.evicted for entry in report.trace)
     totals = traced.layer_totals()
     assert totals["selection.rotation_rows"][0] == totals["selection.gate_rotation"][0]
 

@@ -35,10 +35,10 @@ from pelical.constraints import CaseKind
 from pelical.pipeline import (
     RANSAC_DISTANCE_M,
     RANSAC_FIRST_SLICE,
+    FinalizeAttempt,
     PipelineState,
     RoundStatus,
     _candidate_lines,
-    _full3d_weights,
     _hypothesis_products,
     _inlier_masks,
 )
@@ -54,6 +54,7 @@ from pelical.selection import (
 from helpers import (
     DEFAULT_K,
     assert_gate_holds_store_rows,
+    make_correspondence,
     make_observation,
     rand_rotation,
     rand_truth,
@@ -523,8 +524,7 @@ class TestRunConverged:
         assert report.termination is TerminationReason.CONVERGED
         system = assemble(report.inlier_correspondences, DEFAULT_K)
         solution = solve_quadratic_system(system)
-        weights = _full3d_weights(report.inlier_correspondences, DEFAULT_K)
-        replay = refine(solution, report.inlier_correspondences, DEFAULT_K, weights)
+        replay = refine(solution, report.inlier_correspondences, DEFAULT_K)
         assert np.max(
             np.abs(replay.extrinsics.rotation - report.extrinsics.rotation)
         ) < 1e-12
@@ -536,11 +536,11 @@ class TestRunConverged:
         truth = rand_truth(rng)
         report = run(good_stream(rng, truth, 6, 2), PipelineConfig(), DEFAULT_K)
         assert report.trace
-        for entry in report.trace:
-            assert "pairs" in entry and "d_so3" in entry
+        assert all(isinstance(entry, FinalizeAttempt) for entry in report.trace)
         last = report.trace[-1]
-        assert last["vote_converged"] is True
-        assert last["mean_cost"] == report.final_cost
+        assert last.vote_converged is True
+        assert last.mean_cost == report.final_cost
+        assert last.note is None and last.evicted == []
 
     def test_bit_identical_reruns(self, rng):
         truth = rand_truth(rng)
@@ -742,7 +742,7 @@ class TestRunDegenerate:
         cfg = PipelineConfig(epsilon_d_m=1e-5, cost_threshold=30.0)
         report = run(stream(), cfg, DEFAULT_K)
         assert report.termination is TerminationReason.MAX_PAIRS
-        assert "evicted" not in report.trace[-1]
+        assert not report.trace[-1].evicted
         assert report.trace[-1] != report.trace[-2]
         assert calls == {"in stream": len(report.trace), "after": 0}
 
@@ -814,3 +814,23 @@ class TestConfig:
         assert len(state.gate.pairs) == 3
         # three candidates can never reach the vote floor of four
         assert try_finalize(state, cfg) is None
+
+    def test_failed_vote_notes_why_and_keeps_the_store(self, rng):
+        # a single stored pair gives one candidate line, too few to vote on;
+        # the attempt ends with a note, before any eviction
+        truth = rand_truth(rng)
+        gate = replace(
+            reference_gate([make_correspondence(rng, truth, CaseKind.FULL3D, obs_id=0)]),
+            rotation=truth.rotation,
+            distance=0.0,
+        )
+        cfg = PipelineConfig()
+        state = PipelineState.fresh(cfg, DEFAULT_K)
+        state.gate = gate
+        assert try_finalize(state, cfg) is None
+        assert state.gate is gate
+        assert state.trace[-1].as_dict() == {
+            "pairs": 1,
+            "d_so3": 0.0,
+            "note": "voting failed: voting needs at least two candidate lines",
+        }

@@ -506,14 +506,19 @@ class TestRefine:
         assert calls["cgr_to_rotation"] > 1
         assert calls["_stack_residuals"] == 1 + calls["cgr_to_rotation"]
 
-    def test_weights_scale_residuals(self, rng):
+    def test_full3d_residuals_weigh_fx_over_mean_depth(self, rng):
+        # the refined cost is the sum of squares of the residuals with each
+        # FULL3D pair weighed by fx over its target endpoints' mean depth,
+        # and each PNL pair by one
         truth = rand_truth(rng)
-        cs = consistent_correspondences(rng, truth, 3, 1)
-        s = rotation_to_cgr(truth.rotation).s
-        start = PoseSolution(extrinsics=truth, s=CGRParams(s), algebraic_residual=0.0)
-        w = np.array([2.0, 2.0, 2.0, 1.0])
-        out = refine(start, cs, DEFAULT_K, weights=w)
-        assert out.refined_cost < 1e-15
+        cs = noisy_correspondences(rng, consistent_correspondences(rng, truth, 3, 1))
+        out = refine(solve_quadratic_system(assemble(cs, DEFAULT_K)), cs, DEFAULT_K)
+        depths = [np.mean(np.abs(c.target_endpoints[:, 2])) for c in cs[:3]]
+        w = [DEFAULT_K.fx / z for z in depths] + [1.0]
+        pose = (out.extrinsics.rotation, out.extrinsics.translation)
+        e, _ = solver._stack_residuals(cs, DEFAULT_K, *pose, w)
+        assert out.refined_cost == float(e @ e)
+        assert min(w[:3]) > 100.0  # so unit weights would not pass above
 
     def test_iteration_cap_flags_nonconvergence(self, rng, monkeypatch):
         truth = rand_truth(rng)
