@@ -50,14 +50,6 @@ def _float_list(text: str, flag: str) -> list[float]:
     return fileio._array(values, (None,), flag, MAX_MAGNITUDE).tolist()
 
 
-def _checked(where: str, build):
-    """Build a config; a bad field value becomes a SchemaError naming it."""
-    try:
-        return build()
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
-
-
 def _pipeline_config(args) -> PipelineConfig:
     cfg = PipelineConfig()
     # Each field's flag stores under the field's own name.
@@ -67,16 +59,16 @@ def _pipeline_config(args) -> PipelineConfig:
         if getattr(args, f.name, None) is not None
     }
     if overrides:
-        cfg = _checked("command line", lambda: replace(cfg, **overrides))
+        cfg = fileio._checked("command line", replace, cfg, **overrides)
     config_path = getattr(args, "config", None)
     if config_path:
         data = fileio.load_json(config_path)
         if not isinstance(data, dict):
             raise SchemaError(f"{config_path}: config must be a JSON object")
-        cfg = _checked(config_path, lambda: replace(cfg, **data))
+        cfg = fileio._checked(config_path, replace, cfg, **data)
     env = _env_seed()
     if env is not None:
-        cfg = _checked(_ENV_SEED, lambda: replace(cfg, rng_seed=env))
+        cfg = fileio._checked(_ENV_SEED, replace, cfg, rng_seed=env)
     return cfg
 
 
@@ -85,7 +77,7 @@ def _rig_spec(args):
     spec = fileio.read_rig_spec(args.spec)
     env = _env_seed()
     if env is not None:
-        spec = _checked(_ENV_SEED, lambda: replace(spec, rng_seed=env))
+        spec = fileio._checked(_ENV_SEED, replace, spec, rng_seed=env)
     return spec
 
 

@@ -48,7 +48,7 @@ import orjson
 
 from .checks import MAX_MAGNITUDE, MAX_SAMPLES
 from .errors import NearSingularRotation, SchemaError
-from .geometry import CameraIntrinsics, Extrinsics, Line2D, lines_2d_hold, rotation_to_cgr
+from .geometry import CameraIntrinsics, Extrinsics, Line2D, line_2d_fault, rotation_to_cgr
 from .pipeline import CalibrationReport, LineObservation
 from .simulator import GroundTruthRecord, RigSpec
 
@@ -138,6 +138,15 @@ def load_json(path: str | Path):
     return _parse_json(path, _read_bytes(path))
 
 
+def _checked(where: str, build, /, *args, **kwargs):
+    """``build(*args, **kwargs)``, with the TypeError or ValueError by which
+    a record refuses a value turned into a SchemaError naming ``where``."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
 def _need(data: dict, key: str, where: str):
     if not isinstance(data, dict) or key not in data:
         raise SchemaError(f"{where}: missing field '{key}'")
@@ -210,10 +219,7 @@ def intrinsics_from_dict(data, where: str) -> CameraIntrinsics:
         int(v) if f.type == "int" and type(v) is float and v.is_integer() else v
         for f, v in zip(fields(CameraIntrinsics), values)
     ]
-    try:
-        return CameraIntrinsics(*values)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    return _checked(where, CameraIntrinsics, *values)
 
 
 def extrinsics_to_dict(T: Extrinsics) -> dict:
@@ -226,10 +232,7 @@ def extrinsics_to_dict(T: Extrinsics) -> dict:
 def extrinsics_from_dict(data, where: str) -> Extrinsics:
     R = _array(_need(data, "rotation", where), (3, 3), f"{where}.rotation", MAX_MAGNITUDE)
     t = _array(_need(data, "translation_m", where), (3,), f"{where}.translation_m", MAX_MAGNITUDE)
-    try:
-        return Extrinsics(R, t)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    return _checked(where, Extrinsics, R, t)
 
 
 # ---------------------------------------------------------------------------
@@ -245,10 +248,7 @@ def _line2d_from_dict(data, where: str) -> Line2D:
     endpoints = _array(
         _need(data, "endpoints", where), (2, 2), f"{where}.endpoints", MAX_MAGNITUDE
     )
-    try:
-        return Line2D(coeffs, endpoints)
-    except ValueError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    return _checked(where, Line2D, coeffs, endpoints)
 
 
 def observation_file_dict(
@@ -323,9 +323,9 @@ def _observations_in_bulk(raw: list) -> list[LineObservation] | None:
 
     It accepts exactly the documents the walk accepts and returns equal
     values: each kind of leaf gets one type test, every sample and
-    endpoint is converted and bounded in one array, and the lines' rules
-    are checked by :func:`geometry.lines_2d_hold`.  The records' arrays are
-    read-only views of two read-only arrays.
+    endpoint is converted and bounded in one array, and each line is checked
+    by :func:`geometry.line_2d_fault`, as ``Line2D`` checks itself.  The
+    records' arrays are read-only views of two read-only arrays.
     """
     try:
         ids = [_integer(e["id"], "id") for e in raw]
@@ -358,15 +358,15 @@ def _observations_in_bulk(raw: list) -> list[LineObservation] | None:
     xyz = bounded[: len(points)].reshape(-1, 3)
     ends = bounded[len(points) :].reshape(-1, 2, 2)
     coeffs = coeffs.reshape(-1, 3)
-    if not lines_2d_hold(coeffs, ends):
+    if any(map(line_2d_fault, coeffs.tolist(), ends.tolist())):
         return None
-    lines = [_checked(Line2D, coeffs=c, endpoints=e) for c, e in zip(coeffs, ends)]
+    lines = [_prechecked(Line2D, coeffs=c, endpoints=e) for c, e in zip(coeffs, ends)]
     offsets = list(accumulate(map(len, lists), initial=0))
     arrays = iter([xyz[a:b] for a, b in zip(offsets, offsets[1:])])
     src = [next(arrays) for _ in src]
     tgt = [None if t is None else next(arrays) for t in tgt]
     return [
-        _checked(
+        _prechecked(
             LineObservation,
             obs_id=obs_id,
             source_samples=s,
@@ -378,7 +378,7 @@ def _observations_in_bulk(raw: list) -> list[LineObservation] | None:
     ]
 
 
-def _checked(cls, **values):
+def _prechecked(cls, **values):
     """A ``cls`` record of ``values``, which have already passed every
     check of ``cls.__post_init__``; it is not run again."""
     record = object.__new__(cls)
@@ -488,10 +488,7 @@ def read_calibration_file(path: str | Path) -> dict:
     out = dict(data)
     R = _array(_need(data, "rotation", "root"), (3, 3), "rotation", MAX_MAGNITUDE)
     t = _array(_need(data, "translation_m", "root"), (3,), "translation_m", MAX_MAGNITUDE)
-    try:
-        out["extrinsics"] = Extrinsics(R, t)
-    except ValueError as exc:
-        raise SchemaError(f"rotation: {exc}") from exc
+    out["extrinsics"] = _checked("rotation", Extrinsics, R, t)
     if _need(data, "termination", "root") not in ("converged", "max_pairs", "aborted"):
         raise SchemaError("termination: unknown value")
     return out
@@ -529,10 +526,7 @@ def rig_spec_from_dict(data) -> RigSpec:
         _need(data, "source_intrinsics", where), "source_intrinsics"
     )
     kwargs = {key: value for key, value in data.items() if key not in _RIG_RECORDS}
-    try:
-        return RigSpec(truth, target_K, source_K, **kwargs)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+    return _checked(where, RigSpec, truth, target_K, source_K, **kwargs)
 
 
 def read_rig_spec(path: str | Path) -> RigSpec:

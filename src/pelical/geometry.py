@@ -70,16 +70,6 @@ def axis_norms(x: np.ndarray, axis: int) -> np.ndarray:
     return np.sqrt(np.add.reduce(x * x, axis=axis))
 
 
-def row_norms(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of a ``(k, n)`` array.
-
-    Taken as stacked ``(1, n) @ (n, 1)`` products, which round exactly like
-    ``np.linalg.norm`` of each row on its own; ``np.linalg.norm(x, axis=1)``
-    and ``np.einsum`` do not.
-    """
-    return np.sqrt(x[:, None, :] @ x[:, :, None]).reshape(-1)
-
-
 @dataclass(frozen=True)
 class CameraIntrinsics:
     """Pinhole intrinsics of one camera."""
@@ -162,17 +152,8 @@ class Line2D:
     def __post_init__(self) -> None:
         l = _readonly(self.coeffs).reshape(3)
         ep = _readonly(self.endpoints).reshape(2, 2)
-        # The checks run on Python floats: numpy is slow on single 3-vectors.
-        # Each is written so that NaN fails it.
-        a, b, c = l.tolist()
-        n = math.hypot(a, b)
-        if not n >= _LINE_NORM_MIN:
-            raise ValueError("line coefficients are degenerate")
-        if not abs(n - 1.0) <= _UNIT_TOL:
-            raise ValueError("line coefficients must be normalized")
-        for u, v in ep.tolist():
-            if not abs(a * u + b * v + c) < _ENDPOINT_TOL_PX:
-                raise ValueError("endpoints must lie on the line (within 0.5 px)")
+        if (fault := line_2d_fault(l.tolist(), ep.tolist())) is not None:
+            raise ValueError(fault)
         object.__setattr__(self, "coeffs", l)
         object.__setattr__(self, "endpoints", ep)
 
@@ -188,23 +169,23 @@ class Line2D:
         return cls(l / n, np.stack([p1, p2]))
 
 
-def lines_2d_hold(coeffs: np.ndarray, endpoints: np.ndarray) -> bool:
-    """Whether ``Line2D(coeffs[i], endpoints[i])`` passes its checks for
-    every ``i``, for ``(k, 3)`` coefficients and ``(k, 2, 2)`` endpoints.
+def line_2d_fault(coeffs: list[float], endpoints: list[list[float]]) -> str | None:
+    """Why ``Line2D(coeffs, endpoints)`` is refused, or None when it is not;
+    ``coeffs`` is ``[a, b, c]`` and ``endpoints`` ``[[u, v], [u, v]]``.
 
-    The same tolerances and the same arithmetic, so the same verdict to the
-    last bit: the norm is ``math.hypot``'s, which ``np.hypot`` differs from
-    in the last place on about one pair in 200, and each residual is summed
-    in the same order.  NaN fails every check.
+    The checks run on Python floats: numpy is slow on single 3-vectors.
+    Each is written so that NaN fails it.
     """
-    a, b, c = (x[:, None] for x in coeffs.T)
-    norm = np.array(list(map(math.hypot, coeffs[:, 0].tolist(), coeffs[:, 1].tolist())))
-    residual = a * endpoints[..., 0] + b * endpoints[..., 1] + c
-    return bool(
-        (norm >= _LINE_NORM_MIN).all()
-        and (np.abs(norm - 1.0) <= _UNIT_TOL).all()
-        and (np.abs(residual) < _ENDPOINT_TOL_PX).all()
-    )
+    a, b, c = coeffs
+    n = math.hypot(a, b)
+    if not n >= _LINE_NORM_MIN:
+        return "line coefficients are degenerate"
+    if not abs(n - 1.0) <= _UNIT_TOL:
+        return "line coefficients must be normalized"
+    for u, v in endpoints:
+        if not abs(a * u + b * v + c) < _ENDPOINT_TOL_PX:
+            return "endpoints must lie on the line (within 0.5 px)"
+    return None
 
 
 @dataclass(frozen=True)

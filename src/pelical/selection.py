@@ -3,16 +3,15 @@
 Every matched pair constrains the rotation linearly (FULL3D pairs map the
 source direction onto the target direction, PNL pairs confine it to the
 back-projection plane of the observed image line).  The gate keeps the
-accepted pairs with those rows and their 9x9 normal equations, solves the
-normal equations for the best linear map, and measures how far it sits
-from SO(3): a pair is only kept when it does not push the estimate away
-from the rotation manifold.  Solving a pair therefore costs the same
-however many are stored, and removing one subtracts its block of the
-normal equations.  What else a stored pair contributes -- its row count,
-that block, and the inputs of its FULL3D candidate translation line -- is
-made once, when the gate accepts it, and stacked next to the stored pairs,
-so finalize attempts and evictions read arrays instead of rebuilding them
-from the pairs each time.
+accepted pairs with those rows and the rows' summed 9x9 normal equations,
+solves the normal equations for the best linear map, and measures how far
+it sits from SO(3): a pair is only kept when it does not push the estimate
+away from the rotation manifold.  Solving a pair therefore costs the same
+however many are stored, and removing one subtracts the block its own rows
+make.  What else a stored pair contributes -- its row count and the inputs
+of its FULL3D candidate translation line -- is made once, when the gate
+accepts it, and stacked next to the stored pairs, so finalize attempts and
+evictions read arrays instead of rebuilding them from the pairs each time.
 
 Pairs accepted while the gate was still underdetermined are never
 re-examined by the gate itself, so a single early mismatch can poison the
@@ -44,7 +43,6 @@ from .geometry import (
     cross_rows,
     line_projection_matrix,
     project_so3,
-    row_norms,
     skew,
     so3_distance,
 )
@@ -73,12 +71,11 @@ class RotationGateState:
     stack their :func:`rotation_rows` in that order, and ``G = C^T C``,
     ``h = C^T b`` are the rows' 9x9 normal equations, summed one pair at a
     time.  The per-pair arrays are made once, when the gate accepts a pair,
-    and stacked in the same order: ``sizes`` holds each pair's row count,
-    ``G_pair``/``h_pair`` its block ``(C_row^T C_row, C_row^T b_row)`` of
-    the normal equations (:func:`evict` downdates by them), and ``d_s``,
-    ``m_s``, ``m_t`` its :func:`candidate_from_full3d` inputs: the source
-    line's direction and moment and the target line's moment, which is zero
-    for PNL pairs.  ``rotation`` is the SO(3) projection of the minimum-norm
+    and stacked in the same order: ``sizes`` holds each pair's row count
+    (:func:`evict` finds a pair's rows by them), and ``d_s``, ``m_s``,
+    ``m_t`` its :func:`candidate_from_full3d` inputs: the source line's
+    direction and moment and the target line's moment, which is zero for
+    PNL pairs.  ``rotation`` is the SO(3) projection of the minimum-norm
     least-squares solution of ``G x = h`` (reshaped 3x3, row-major; None
     while the system is too degenerate to project; see
     :func:`_solve_normal`), and ``distance`` the spectrum
@@ -94,8 +91,6 @@ class RotationGateState:
     G: np.ndarray
     h: np.ndarray
     sizes: np.ndarray
-    G_pair: np.ndarray
-    h_pair: np.ndarray
     d_s: np.ndarray
     m_s: np.ndarray
     m_t: np.ndarray
@@ -106,8 +101,7 @@ class RotationGateState:
     def empty(cls) -> "RotationGateState":
         return cls(
             (), np.zeros((0, 9)), np.zeros(0), np.zeros((9, 9)), np.zeros(9),
-            np.zeros(0, dtype=np.intp), np.zeros((0, 9, 9)), np.zeros((0, 9)),
-            np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)),
+            np.zeros(0, dtype=np.intp), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)),
         )
 
     @property
@@ -174,8 +168,8 @@ def gate_rotation(
     The pair's block ``(C_row^T C_row, C_row^T b_row)`` joins the normal
     equations, which are solved as they stand, so the solve costs the same
     at any store size; only an accepted pair joins ``pairs``, its rows
-    ``C``/``b`` and the per-pair arrays, that block among them, which are
-    made here, once.  A rejected pair returns ``state`` itself.
+    ``C``/``b`` and the per-pair arrays, which are made here, once.  A
+    rejected pair returns ``state`` itself.
 
     While the accumulated system has fewer than nine rows it cannot reject
     anything (the least-squares fit is underdetermined), so early pairs are
@@ -191,8 +185,7 @@ def gate_rotation(
     so doubling still rejects it cleanly.
     """
     C_row, b_row = new_rows
-    G_pair, h_pair = C_row.T @ C_row, C_row.T @ b_row
-    G, h = state.G + G_pair, state.h + h_pair
+    G, h = state.G + C_row.T @ C_row, state.h + C_row.T @ b_row
     rotation, distance = _solve_normal(G, h)
     budget = state.distance / EVICTION_FACTOR + GATE_SLACK
     if state.row_count >= _FULL_ROWS and not distance < budget:
@@ -206,8 +199,6 @@ def gate_rotation(
         G,
         h,
         np.concatenate([state.sizes, [len(C_row)]]),
-        np.concatenate([state.G_pair, G_pair[None]]),
-        np.concatenate([state.h_pair, h_pair[None]]),
         np.concatenate([state.d_s, pair.source_line.d[None]]),
         np.concatenate([state.m_s, pair.source_line.m[None]]),
         np.concatenate([state.m_t, m_t[None]]),
@@ -220,24 +211,24 @@ def evict(state: RotationGateState) -> tuple[list[int | None], RotationGateState
     """Drop the stored pairs most at odds with the rotation estimate.
 
     Greedily peels the pair with the largest linear-system residual,
-    downdating the normal equations by its stored 9x9 block and solving them
-    again after each removal, and commits the shortest removal prefix that
-    shrinks the SO(3) distance below ``EVICTION_FACTOR`` times its starting
-    value; the committed gate rebuilds its normal equations from the kept
-    rows, so no downdate round-off stays in them, and keeps the kept pairs'
-    per-pair arrays as the gate made them.  Peeling several pairs per call
-    matters: with two or more bad pairs, removing just one barely moves the
-    distance and a single-step test would deadlock.  Peeling stops before
-    the rows would fall under ``_FULL_ROWS`` or the pairs under
-    ``VOTE_MIN_COUNT``, and when the rotation becomes undetermined.  The
-    store is left untouched when no prefix reaches the target, and when its
-    distance is within ``GATE_SLACK``: there it is float round-off, which
-    any removal halves or doubles at random.  An honest store still bleeds:
-    with few rows, dropping the worst-fitting noisy pair can halve the
-    distance by itself, so an outlier-free stream whose vote never forms
-    keeps losing pairs (20 to 36 per 60-line stream at 0.5 px / 3 mm
-    noise).  Returns the evicted ids and the gate without them, or ``[]``
-    and ``state`` itself.
+    downdating the normal equations by the 9x9 block of its own stored rows
+    (the bits the gate added) and solving them again after each removal, and
+    commits the shortest removal prefix that shrinks the SO(3) distance
+    below ``EVICTION_FACTOR`` times its starting value; the committed gate
+    rebuilds its normal equations from the kept rows, so no downdate
+    round-off stays in them, and keeps the kept pairs' per-pair arrays as
+    the gate made them.  Peeling several pairs per call matters: with two or
+    more bad pairs, removing just one barely moves the distance and a
+    single-step test would deadlock.  Peeling stops before the rows would
+    fall under ``_FULL_ROWS`` or the pairs under ``VOTE_MIN_COUNT``, and
+    when the rotation becomes undetermined.  The store is left untouched when
+    no prefix reaches the target, and when its distance is within
+    ``GATE_SLACK``: there it is float round-off, which any removal halves or
+    doubles at random.  An honest store still bleeds: with few rows, dropping
+    the worst-fitting noisy pair can halve the distance by itself, so an
+    outlier-free stream whose vote never forms keeps losing pairs (20 to 36
+    per 60-line stream at 0.5 px / 3 mm noise).  Returns the evicted ids and
+    the gate without them, or ``[]`` and ``state`` itself.
     """
     if state.rotation is None or not GATE_SLACK < state.distance < math.inf:
         return [], state
@@ -253,8 +244,10 @@ def evict(state: RotationGateState) -> tuple[list[int | None], RotationGateState
         if row_count < _FULL_ROWS:
             break
         removed.append(worst)
-        G = G - state.G_pair[worst]
-        h = h - state.h_pair[worst]
+        rows = slice(starts[worst], starts[worst] + sizes[worst])
+        C_row, b_row = state.C[rows], state.b[rows]
+        G = G - C_row.T @ C_row
+        h = h - C_row.T @ b_row
         rotation, distance = _solve_normal(G, h)
         if distance < EVICTION_FACTOR * state.distance:
             return [state.pairs[i].obs_id for i in removed], _without(state, removed)
@@ -276,8 +269,6 @@ def _without(state: RotationGateState, removed: list[int]) -> RotationGateState:
         G,
         h,
         state.sizes[kept],
-        state.G_pair[kept],
-        state.h_pair[kept],
         state.d_s[kept],
         state.m_s[kept],
         state.m_t[kept],
@@ -310,7 +301,7 @@ def candidate_from_full3d(
     """
     Rd = (R @ d_s[:, :, None])[..., 0]
     p0 = cross_rows((R @ m_s[:, :, None])[..., 0] - m_t, Rd)
-    return p0, Rd / row_norms(Rd)[:, None]
+    return p0, Rd / axis_norms(Rd, axis=1)[:, None]
 
 
 def candidate_from_pnl(
@@ -352,7 +343,7 @@ def candidate_from_pnl(
     # The rows do not depend on the endpoint ordering; only the values do.
     rows = np.stack([cross3(Rd, P.T @ x) for x in x_h] + [r for Sx in S for r in Sx @ K])
     moments = [-float(x @ PRm) for x in x_h]
-    scale = row_norms(rows)
+    scale = axis_norms(rows, axis=1)
     keep = ~(scale < 1e-12)
     A = rows[keep] / scale[keep, None]
     for picked in (c.source_endpoints, c.source_endpoints[::-1]):

@@ -154,6 +154,18 @@ def _visible_interval(
     return float(_GRID[lo]), float(_GRID[hi])
 
 
+def _free_segment(
+    K: CameraIntrinsics, spec: RigSpec, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """A segment of random length and direction about a random point of the
+    frustum of ``K``, in that camera's frame."""
+    mid = _backproject(K, _random_pixel(K, rng), rng.uniform(*spec.scene_depth_m))
+    direction = rng.normal(size=3)
+    direction /= np.linalg.norm(direction)
+    half = 0.5 * rng.uniform(*spec.line_length_m)
+    return mid - half * direction, mid + half * direction
+
+
 def _sample_segment(
     spec: RigSpec, rng: np.random.Generator, budget: _RejectBudget
 ) -> tuple[np.ndarray, np.ndarray, Interval, Interval]:
@@ -165,11 +177,7 @@ def _sample_segment(
     # has little view overlap these rarely reach the target camera, so fall
     # back to penetrating segments anchored in both views.
     for _ in range(40):
-        mid = _backproject(K_s, _random_pixel(K_s, rng), rng.uniform(*spec.scene_depth_m))
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        half = 0.5 * rng.uniform(*spec.line_length_m)
-        a, b = mid - half * direction, mid + half * direction
+        a, b = _free_segment(K_s, spec, rng)
         if seen := _seen_by_both(a, b, spec):
             return a, b, *seen
         budget.spend()
@@ -210,11 +218,7 @@ def _target_only_segment(
     observations."""
     K_t = spec.target_intrinsics
     while True:
-        mid = _backproject(K_t, _random_pixel(K_t, rng), rng.uniform(*spec.scene_depth_m))
-        direction = rng.normal(size=3)
-        direction /= np.linalg.norm(direction)
-        half = 0.5 * rng.uniform(*spec.line_length_m)
-        a, b = mid - half * direction, mid + half * direction
+        a, b = _free_segment(K_t, spec, rng)
         if (seen := _visible_interval(a, b, K_t)) is not None:
             return a, b, seen
         budget.spend()

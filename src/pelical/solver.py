@@ -11,7 +11,7 @@ rule, a relative cost decrease below ``COST_TOLERANCE``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,14 +31,13 @@ from .geometry import (
     cross3,
     line_projection_matrix,
     project_so3,
-    rotation_to_cgr,
     skew,
 )
 
 
-#: Levenberg-Marquardt settings of :func:`refine`: the iteration cap and the
-#: starting damping; and the relative cost decrease that ends both the root
-#: polish and :func:`refine`.
+#: Levenberg-Marquardt settings: the iteration cap and the relative cost
+#: decrease that end both the root polish and :func:`refine`; and the
+#: starting damping of :func:`refine`.
 MAX_LM_ITERATIONS = 100
 LM_INITIAL_DAMPING = 1e-3
 COST_TOLERANCE = 1e-10
@@ -48,8 +47,9 @@ COST_TOLERANCE = 1e-10
 class PoseSolution:
     """Estimated extrinsics plus solver bookkeeping.
 
-    ``algebraic_residual`` is ``||A r(s) + B tau||_2`` of the algebraic
-    root (fixed at solve time; refinement does not touch it).
+    ``s`` and ``algebraic_residual`` are the algebraic root and
+    ``||A r(s) + B tau||_2`` at it (fixed at solve time; refinement moves
+    ``extrinsics`` only, so ``s`` need not be the CGR of its rotation).
     ``all_candidates`` holds that one root, read off the null vector,
     polished and checked against the floor, as an ``(s, tau)`` pair.
     ``lm_converged`` is False when refinement hit its
@@ -126,13 +126,13 @@ def _levenberg_marquardt(x, evaluate, step, lam: float, max_iter: int, tries: in
     return x, cost, False
 
 
-def _polish_root(G_reduced: np.ndarray, s0: np.ndarray, max_iter: int = 80) -> np.ndarray:
+def _polish_root(G_reduced: np.ndarray, s0: np.ndarray) -> np.ndarray:
     """Polish ``||G r(s)||`` from a single start (see _levenberg_marquardt)."""
     s, _, _ = _levenberg_marquardt(
         np.asarray(s0, dtype=float),
         lambda s: (G_reduced @ monomial_vector(s), G_reduced @ monomial_jacobian(s)),
         lambda s, delta: s + delta,
-        lam=1e-10, max_iter=max_iter, tries=12,
+        lam=1e-10, max_iter=MAX_LM_ITERATIONS, tries=12,
     )
     return s
 
@@ -246,7 +246,9 @@ def refine(
     mean depth of its target endpoints, floored at 1e-6 m.  Each rotation
     update composes a small rotation onto the estimate and re-orthonormalizes
     it.  The best iterate is returned, with ``lm_converged=False`` when the
-    iteration cap ran out first (see :func:`_levenberg_marquardt`).
+    iteration cap ran out first (see :func:`_levenberg_marquardt`).  The
+    rest of ``initial``, its algebraic root ``s`` included, is kept, so a
+    pose near 180 degrees, which has no finite CGR, refines like any other.
     """
     if not correspondences:
         raise EmptyInput("nothing to refine")
@@ -266,11 +268,6 @@ def refine(
         step,
         lam=LM_INITIAL_DAMPING, max_iter=MAX_LM_ITERATIONS, tries=16,
     )
-    return PoseSolution(
-        extrinsics=Extrinsics(R, t),
-        s=rotation_to_cgr(R),
-        algebraic_residual=initial.algebraic_residual,
-        refined_cost=cost,
-        all_candidates=initial.all_candidates,
-        lm_converged=converged,
+    return replace(
+        initial, extrinsics=Extrinsics(R, t), refined_cost=cost, lm_converged=converged
     )

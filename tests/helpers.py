@@ -327,14 +327,16 @@ def reference_candidate_line(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One pair's candidate line ``(p0, u)``: the reference for the rows of
     ``pipeline._candidate_lines``.  FULL3D pairs use the one-pair form of
-    ``p0 = (R m_s - m_t) x (R d_s)``, ``u = R d_s / |R d_s|``; PNL pairs go
-    through ``candidate_from_pnl`` (raising ParallelPlanes when degenerate).
+    ``p0 = (R m_s - m_t) x (R d_s)``, ``u = R d_s / |R d_s|``, with the norm
+    summed in component order, as ``geometry.axis_norms`` sums it; PNL pairs
+    go through ``candidate_from_pnl`` (raising ParallelPlanes when
+    degenerate).
     """
     if c.kind is not CaseKind.FULL3D:
         return candidate_from_pnl(c, R, K_t)
     Rd = R @ c.source_line.d
     p0 = np.cross(R @ c.source_line.m - c.target_line_3d.m, Rd)
-    return p0, Rd / np.linalg.norm(Rd)
+    return p0, Rd / np.sqrt(np.sum(Rd * Rd))
 
 
 def reference_candidate_lines(
@@ -380,22 +382,16 @@ def full3d_inputs(cs: list[Correspondence]) -> tuple[np.ndarray, np.ndarray, np.
 
 def reference_pair_arrays(cs: list[Correspondence]) -> dict[str, np.ndarray]:
     """The gate's per-pair arrays of ``cs``, one pair at a time: each pair's
-    row count, its normal-equation block ``(C^T C, C^T b)`` of its
-    ``rotation_rows``, and its source direction and moment and target
-    moment (zero for PNL pairs)."""
-    sizes, G_pair, h_pair, d_s, m_s, m_t = [], [], [], [], [], []
+    row count of its ``rotation_rows``, and its source direction and moment
+    and target moment (zero for PNL pairs)."""
+    sizes, d_s, m_s, m_t = [], [], [], []
     for c in cs:
-        C, b = rotation_rows(c, DEFAULT_K)
-        sizes.append(len(C))
-        G_pair.append(C.T @ C)
-        h_pair.append(C.T @ b)
+        sizes.append(len(rotation_rows(c, DEFAULT_K)[0]))
         d_s.append(c.source_line.d)
         m_s.append(c.source_line.m)
         m_t.append(c.target_line_3d.m if c.kind is CaseKind.FULL3D else np.zeros(3))
     return {
         "sizes": np.array(sizes, dtype=np.intp),
-        "G_pair": np.array(G_pair).reshape(-1, 9, 9),
-        "h_pair": np.array(h_pair).reshape(-1, 9),
         "d_s": np.array(d_s).reshape(-1, 3),
         "m_s": np.array(m_s).reshape(-1, 3),
         "m_t": np.array(m_t).reshape(-1, 3),

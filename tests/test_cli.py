@@ -386,6 +386,20 @@ class TestCalibrate:
         assert err.startswith(f"error: {cfg_path}: ") and err.count("\n") == 1
         assert f"'{key}'" in err
 
+    @pytest.mark.parametrize("key", ["where", "build", "obj"])
+    def test_config_key_named_like_a_helper_parameter_exits_1(self, tmp_path, capsys, key):
+        # the keys reach dataclasses.replace through the error-mapping
+        # helper, whose own parameters must not take them
+        obs_path, cfg_path = observation_file(tmp_path), tmp_path / "cfg.json"
+        write_json(cfg_path, {key: 1})
+        code = main(["calibrate", "--input", str(obs_path), "--output",
+                     str(tmp_path / "c.json"), "--config", str(cfg_path)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg_path}: PipelineConfig.__init__() got an unexpected keyword"
+            f" argument '{key}'\n"
+        )
+
     def test_bad_flag_or_env_seed_exits_1(self, tmp_path, capsys, monkeypatch):
         argv = ["calibrate", "--input", str(observation_file(tmp_path)),
                 "--output", str(tmp_path / "c.json")]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from pelical import (
+    CameraIntrinsics,
     DegenerateLine,
     Extrinsics,
     Line2D,
@@ -584,6 +585,27 @@ class TestRobustnessEnvelope:
         assert report.termination is TerminationReason.CONVERGED
         rot_deg, trans_mm = pose_errors(report.extrinsics, ENVELOPE_TRUTH)
         assert rot_deg <= 0.5 and trans_mm <= 15.0
+
+
+def test_pose_near_180_degrees_converges():
+    # a refined rotation within 1e-3 rad of 180 degrees has no finite CGR;
+    # refine keeps the algebraic root's, so such a pose is not thrown away
+    K = CameraIntrinsics(fx=300.0, fy=300.0, cx=320.0, cy=240.0, width=640, height=480)
+    truth = Extrinsics(rotation_about_y(179.95), np.array([0.30, 0.0, 0.0]))
+    spec = RigSpec(
+        truth=truth,
+        target_intrinsics=K,
+        source_intrinsics=K,
+        n_lines=60,
+        pixel_noise_sigma=0.5,
+        depth_noise_sigma=0.003,
+        rng_seed=3,
+    )
+    report = run(generate(spec)[0], PipelineConfig(cost_threshold=30.0), K)
+    assert not any("too close to 180" in (a.note or "") for a in report.trace)
+    assert report.termination is TerminationReason.CONVERGED
+    rot_deg, trans_mm = pose_errors(report.extrinsics, truth)
+    assert rot_deg <= 0.5 and trans_mm <= 15.0
 
 
 def seeded_store(seed, outlier_fraction, pnl_fraction, n_lines=60):
