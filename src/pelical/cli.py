@@ -28,14 +28,17 @@ from .simulator import generate, sweep
 _ENV_SEED = "PELICAL_SEED"
 
 
-def _env_seed() -> int | None:
+def _seeded(record):
+    """``record``, a PipelineConfig or RigSpec, with its ``rng_seed`` taken
+    from PELICAL_SEED when that is set and not empty."""
     raw = os.environ.get(_ENV_SEED)
-    if raw is None or raw == "":
-        return None
+    if not raw:
+        return record
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError as exc:
         raise SchemaError(f"{_ENV_SEED} must be an integer, got {raw!r}") from exc
+    return fileio._checked(_ENV_SEED, replace, record, rng_seed=seed)
 
 
 def _float_list(text: str, flag: str) -> list[float]:
@@ -66,23 +69,11 @@ def _pipeline_config(args) -> PipelineConfig:
         if not isinstance(data, dict):
             raise SchemaError(f"{config_path}: config must be a JSON object")
         cfg = fileio._checked(config_path, replace, cfg, **data)
-    env = _env_seed()
-    if env is not None:
-        cfg = fileio._checked(_ENV_SEED, replace, cfg, rng_seed=env)
-    return cfg
-
-
-def _rig_spec(args):
-    """The rig spec of ``--spec``, seeded from PELICAL_SEED when it is set."""
-    spec = fileio.read_rig_spec(args.spec)
-    env = _env_seed()
-    if env is not None:
-        spec = fileio._checked(_ENV_SEED, replace, spec, rng_seed=env)
-    return spec
+    return _seeded(cfg)
 
 
 def _cmd_simulate(args) -> int:
-    spec = _rig_spec(args)
+    spec = _seeded(fileio.read_rig_spec(args.spec))
     try:
         observations, records = generate(spec)
     except InfeasibleSpec as exc:
@@ -109,7 +100,7 @@ def _cmd_sweep(args) -> int:
     baselines = _float_list(args.baselines, "--baselines")
     if args.seeds < 1:
         raise SchemaError(f"--seeds: must be at least 1, got {args.seeds}")
-    base = _rig_spec(args)
+    base = _seeded(fileio.read_rig_spec(args.spec))
     cfg = _pipeline_config(args)
     rows = sweep(base, rotations, baselines, n_seeds=args.seeds, pipeline_cfg=cfg)
     fileio.write_csv(args.output, fileio.SWEEP_COLUMNS, rows)

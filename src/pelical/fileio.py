@@ -5,7 +5,7 @@ floats at 17 significant digits -- so identical inputs produce identical
 files and a read/write round trip is byte-exact.  One writer writes every
 table.  Readers validate against the documented schemas and raise
 SchemaError with the offending field (and byte offset, for malformed JSON);
-one reader, :func:`_array`, checks every list of numbers.
+one converter, :func:`_floats`, checks every list of numbers in bulk.
 
 json parses every file but observation files, which orjson parses: it
 converts decimal floats about five times faster, to the same bits.  json
@@ -183,25 +183,35 @@ def _leaves(nodes: list, n: int) -> list | None:
     return None
 
 
+def _floats(flat: list, shape: tuple, limit: float) -> np.ndarray | None:
+    """The numbers ``flat`` as a float array of ``shape`` when each is finite
+    and of magnitude at most ``limit``, else None.  The array owns its data
+    (the shape is set in place), so making it read-only makes its views so."""
+    if set(map(type, flat)) <= {float, int}:
+        with contextlib.suppress(OverflowError):  # an int past the largest float
+            array = np.fromiter(flat, float, len(flat))
+            array.shape = shape
+            # False for NaN and, as the largest float is the cap, for inf
+            if (np.abs(array) <= min(limit, sys.float_info.max)).all():
+                return array
+    return None
+
+
 def _array(value, shape: tuple, where: str, limit: float = math.inf) -> np.ndarray:
     """``value``, a list of numbers or a list of lists of them, as a float
     array of ``shape`` (``(n,)`` or ``(rows, n)``; a None ``rows`` takes any
     count).  Every number is finite and of magnitude at most ``limit``.
 
-    The whole list is checked in bulk; only when that fails is it walked,
-    and the error names the innermost list that holds the bad entry.
+    The whole list is checked by :func:`_floats`; only when that fails is it
+    walked, and the error names the innermost list that holds the bad entry.
     """
     rows, *cols = shape
     if not isinstance(value, list) or rows not in (None, len(value)):
         expected = f"{rows} rows" if cols else f"a list of {rows} numbers"
         raise SchemaError(f"{where}: expected {expected}")
     flat = _leaves(value, *cols) if cols else value
-    if flat is not None and set(map(type, flat)) <= {float, int}:
-        with contextlib.suppress(OverflowError):
-            array = np.fromiter(flat, float, len(flat)).reshape(len(value), *cols)
-            # False for NaN and, as the largest float is the cap, for inf
-            if (np.abs(array) <= min(limit, sys.float_info.max)).all():
-                return array
+    if flat is not None and (array := _floats(flat, (len(value), *cols), limit)) is not None:
+        return array
     if cols:
         return np.stack([_array(r, cols, f"{where}[{i}]", limit) for i, r in enumerate(value)])
     return np.array([_number(v, where, limit) for v in value])
@@ -322,10 +332,10 @@ def _observations_in_bulk(raw: list) -> list[LineObservation] | None:
     fails, so that the walk can name the first bad field.
 
     It accepts exactly the documents the walk accepts and returns equal
-    values: each kind of leaf gets one type test, every sample and
-    endpoint is converted and bounded in one array, and each line is checked
-    by :func:`geometry.line_2d_fault`, as ``Line2D`` checks itself.  The
-    records' arrays are read-only views of two read-only arrays.
+    values: the samples, endpoints and coefficients are each checked in one
+    array by :func:`_floats`, as :func:`_array` checks them, and each line by
+    :func:`geometry.line_2d_fault`, as ``Line2D`` checks itself.  The
+    records' arrays are read-only views of those three read-only arrays.
     """
     try:
         ids = [_integer(e["id"], "id") for e in raw]
@@ -343,21 +353,13 @@ def _observations_in_bulk(raw: list) -> list[LineObservation] | None:
     ends = None if ends is None else _leaves(ends, 2)
     if points is None or coeffs is None or ends is None:
         return None
-    if not set(map(type, chain(points, ends, coeffs))) <= {float, int}:
+    xyz = _floats(points, (-1, 3), MAX_MAGNITUDE)
+    ends = _floats(ends, (-1, 2, 2), MAX_MAGNITUDE)
+    coeffs = _floats(coeffs, (-1, 3), math.inf)
+    if xyz is None or ends is None or coeffs is None:
         return None
-    try:
-        bounded = np.fromiter(chain(points, ends), float, len(points) + len(ends))
-        coeffs = np.fromiter(coeffs, float, len(coeffs))
-    except OverflowError:
-        return None
-    # The bound also rejects NaN, for which every comparison is False.
-    if not ((np.abs(bounded) <= MAX_MAGNITUDE).all() and np.isfinite(coeffs).all()):
-        return None
-    bounded.setflags(write=False)  # so every view of it is read-only for good
-    coeffs.setflags(write=False)
-    xyz = bounded[: len(points)].reshape(-1, 3)
-    ends = bounded[len(points) :].reshape(-1, 2, 2)
-    coeffs = coeffs.reshape(-1, 3)
+    for array in (xyz, ends, coeffs):
+        array.setflags(write=False)  # so every view of it is read-only for good
     if any(map(line_2d_fault, coeffs.tolist(), ends.tolist())):
         return None
     lines = [_prechecked(Line2D, coeffs=c, endpoints=e) for c, e in zip(coeffs, ends)]

@@ -347,18 +347,22 @@ def _candidate_lines(
 ) -> tuple[np.ndarray, np.ndarray, list[Correspondence]]:
     """Candidate translation lines of the gate's stored pairs under ``R``.
 
-    The FULL3D lines come from one stacked call on the candidate inputs the
-    gate stored at acceptance, the PNL lines one pair at a time; PNL pairs
-    with degenerate endpoint planes are dropped.  Returns
+    The FULL3D lines come from one stacked call on their pairs' source
+    directions and moments and target moments, the PNL lines one pair at a
+    time; PNL pairs with degenerate endpoint planes are dropped.  Returns
     ``(p0, u, members)``: ``(n, 3)`` arrays in store order and the pairs
     they belong to.
     """
     # a pair's row count tells its kind
     full = gate.sizes == ROTATION_ROW_COUNT[CaseKind.FULL3D]
+    fulls = [c for c, f in zip(gate.pairs, full) if f]
     p0 = np.empty((len(full), 3))
     u = np.empty((len(full), 3))
     p0[full], u[full] = candidate_from_full3d(
-        gate.d_s[full], gate.m_s[full], gate.m_t[full], R
+        np.array([c.source_line.d for c in fulls]).reshape(-1, 3),
+        np.array([c.source_line.m for c in fulls]).reshape(-1, 3),
+        np.array([c.target_line_3d.m for c in fulls]).reshape(-1, 3),
+        R,
     )
     keep = full.copy()
     for i in np.flatnonzero(~full):

@@ -8,10 +8,8 @@ solves the normal equations for the best linear map, and measures how far
 it sits from SO(3): a pair is only kept when it does not push the estimate
 away from the rotation manifold.  Solving a pair therefore costs the same
 however many are stored, and removing one subtracts the block its own rows
-make.  What else a stored pair contributes -- its row count and the inputs
-of its FULL3D candidate translation line -- is made once, when the gate
-accepts it, and stacked next to the stored pairs, so finalize attempts and
-evictions read arrays instead of rebuilding them from the pairs each time.
+make; each stored pair's row count, stacked next to the pairs, finds those
+rows.
 
 Pairs accepted while the gate was still underdetermined are never
 re-examined by the gate itself, so a single early mismatch can poison the
@@ -70,12 +68,9 @@ class RotationGateState:
     ``pairs`` holds every accepted pair in acceptance order, ``C``/``b``
     stack their :func:`rotation_rows` in that order, and ``G = C^T C``,
     ``h = C^T b`` are the rows' 9x9 normal equations, summed one pair at a
-    time.  The per-pair arrays are made once, when the gate accepts a pair,
-    and stacked in the same order: ``sizes`` holds each pair's row count
-    (:func:`evict` finds a pair's rows by them), and ``d_s``, ``m_s``,
-    ``m_t`` its :func:`candidate_from_full3d` inputs: the source line's
-    direction and moment and the target line's moment, which is zero for
-    PNL pairs.  ``rotation`` is the SO(3) projection of the minimum-norm
+    time.  ``sizes`` holds each pair's row count in the same order
+    (:func:`evict` finds a pair's rows by them, and a count of three marks
+    a FULL3D pair).  ``rotation`` is the SO(3) projection of the minimum-norm
     least-squares solution of ``G x = h`` (reshaped 3x3, row-major; None
     while the system is too degenerate to project; see
     :func:`_solve_normal`), and ``distance`` the spectrum
@@ -91,9 +86,6 @@ class RotationGateState:
     G: np.ndarray
     h: np.ndarray
     sizes: np.ndarray
-    d_s: np.ndarray
-    m_s: np.ndarray
-    m_t: np.ndarray
     rotation: np.ndarray | None = None
     distance: float = np.inf
 
@@ -101,7 +93,7 @@ class RotationGateState:
     def empty(cls) -> "RotationGateState":
         return cls(
             (), np.zeros((0, 9)), np.zeros(0), np.zeros((9, 9)), np.zeros(9),
-            np.zeros(0, dtype=np.intp), np.zeros((0, 3)), np.zeros((0, 3)), np.zeros((0, 3)),
+            np.zeros(0, dtype=np.intp),
         )
 
     @property
@@ -168,8 +160,8 @@ def gate_rotation(
     The pair's block ``(C_row^T C_row, C_row^T b_row)`` joins the normal
     equations, which are solved as they stand, so the solve costs the same
     at any store size; only an accepted pair joins ``pairs``, its rows
-    ``C``/``b`` and the per-pair arrays, which are made here, once.  A
-    rejected pair returns ``state`` itself.
+    ``C``/``b`` and its row count ``sizes``.  A rejected pair returns
+    ``state`` itself.
 
     While the accumulated system has fewer than nine rows it cannot reject
     anything (the least-squares fit is underdetermined), so early pairs are
@@ -190,8 +182,6 @@ def gate_rotation(
     budget = state.distance / EVICTION_FACTOR + GATE_SLACK
     if state.row_count >= _FULL_ROWS and not distance < budget:
         return False, state
-    # a PNL pair has no target line; it stores a zero target moment
-    m_t = pair.target_line_3d.m if pair.kind is CaseKind.FULL3D else np.zeros(3)
     return True, RotationGateState(
         state.pairs + (pair,),
         np.concatenate([state.C, C_row]),
@@ -199,9 +189,6 @@ def gate_rotation(
         G,
         h,
         np.concatenate([state.sizes, [len(C_row)]]),
-        np.concatenate([state.d_s, pair.source_line.d[None]]),
-        np.concatenate([state.m_s, pair.source_line.m[None]]),
-        np.concatenate([state.m_t, m_t[None]]),
         rotation,
         distance,
     )
@@ -216,9 +203,8 @@ def evict(state: RotationGateState) -> tuple[list[int | None], RotationGateState
     commits the shortest removal prefix that shrinks the SO(3) distance
     below ``EVICTION_FACTOR`` times its starting value; the committed gate
     rebuilds its normal equations from the kept rows, so no downdate
-    round-off stays in them, and keeps the kept pairs' per-pair arrays as
-    the gate made them.  Peeling several pairs per call matters: with two or
-    more bad pairs, removing just one barely moves the distance and a
+    round-off stays in them.  Peeling several pairs per call matters: with
+    two or more bad pairs, removing just one barely moves the distance and a
     single-step test would deadlock.  Peeling stops before the rows would
     fall under ``_FULL_ROWS`` or the pairs under ``VOTE_MIN_COUNT``, and
     when the rotation becomes undetermined.  The store is left untouched when
@@ -230,7 +216,7 @@ def evict(state: RotationGateState) -> tuple[list[int | None], RotationGateState
     per 60-line stream at 0.5 px / 3 mm noise).  Returns the evicted ids and
     the gate without them, or ``[]`` and ``state`` itself.
     """
-    if state.rotation is None or not GATE_SLACK < state.distance < math.inf:
+    if not GATE_SLACK < state.distance < math.inf:  # inf exactly while rotation is None
         return [], state
     sizes = state.sizes
     starts = np.cumsum(sizes) - sizes
@@ -256,7 +242,7 @@ def evict(state: RotationGateState) -> tuple[list[int | None], RotationGateState
 
 def _without(state: RotationGateState, removed: list[int]) -> RotationGateState:
     """``state`` without the pairs at the indices ``removed``: the kept rows
-    and per-pair arrays, and normal equations rebuilt from those rows."""
+    and row counts, and normal equations rebuilt from those rows."""
     kept = np.ones(len(state.pairs), dtype=bool)
     kept[removed] = False
     rows = np.repeat(kept, state.sizes)
@@ -269,9 +255,6 @@ def _without(state: RotationGateState, removed: list[int]) -> RotationGateState:
         G,
         h,
         state.sizes[kept],
-        state.d_s[kept],
-        state.m_s[kept],
-        state.m_t[kept],
         *_solve_normal(G, h),
     )
 
@@ -291,9 +274,8 @@ def candidate_from_full3d(
     """Translation loci of FULL3D pairs given the rotation.
 
     Pair ``i`` has the source line ``(d_s[i], m_s[i])`` and the target
-    moment ``m_t[i]``, each array ``(k, 3)`` (a gate stores them for its
-    pairs, see :class:`RotationGateState`).  The moment transport equation
-    leaves ``t`` free only along the rotated source direction
+    moment ``m_t[i]``, each array ``(k, 3)``.  The moment transport
+    equation leaves ``t`` free only along the rotated source direction
     ``u = R d_s``; the particular solution is
     ``p0 = (R m_s - m_t) x (R d_s)``.  Returns ``(p0, u)``, each ``(k, 3)``
     with unit ``u``.  Every product is a stacked matmul, so each row has the

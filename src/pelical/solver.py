@@ -76,7 +76,7 @@ def eliminate_translation(system: QuadraticSystem) -> tuple[np.ndarray, np.ndarr
     """
     B = system.B
     U, sing, Vt = np.linalg.svd(B, full_matrices=False)
-    if sing[2] <= 1e-10 * sing[0] or sing[0] == 0.0:
+    if sing[2] <= 1e-10 * sing[0]:
         raise DegenerateTranslation("translation block is rank deficient")
     B_pinv = Vt.T @ np.diag(1.0 / sing) @ U.T
     tau_map = -B_pinv @ system.A
@@ -84,7 +84,7 @@ def eliminate_translation(system: QuadraticSystem) -> tuple[np.ndarray, np.ndarr
     return G, tau_map
 
 
-def _levenberg_marquardt(x, evaluate, step, lam: float, max_iter: int, tries: int):
+def _levenberg_marquardt(x, evaluate, step, lam: float, tries: int):
     """Damped Gauss-Newton (Levenberg-Marquardt) on ``||e(x)||^2``.
 
     ``evaluate(x)`` returns the residuals and their Jacobian ``(e, J)``;
@@ -95,11 +95,11 @@ def _levenberg_marquardt(x, evaluate, step, lam: float, max_iter: int, tries: in
     of an accepted step falls below ``COST_TOLERANCE``, when none of
     ``tries`` damped trials improves the cost, or when the step is not
     finite.  Returns ``(x, cost, converged)``; ``converged`` is False only
-    when ``max_iter`` iterations ran out.
+    when ``MAX_LM_ITERATIONS`` iterations ran out.
     """
     e, J = evaluate(x)
     cost = float(e @ e)
-    for _ in range(max_iter):
+    for _ in range(MAX_LM_ITERATIONS):
         g = J.T @ e
         JtJ = J.T @ J
         for _ in range(tries):
@@ -132,7 +132,7 @@ def _polish_root(G_reduced: np.ndarray, s0: np.ndarray) -> np.ndarray:
         np.asarray(s0, dtype=float),
         lambda s: (G_reduced @ monomial_vector(s), G_reduced @ monomial_jacobian(s)),
         lambda s, delta: s + delta,
-        lam=1e-10, max_iter=MAX_LM_ITERATIONS, tries=12,
+        lam=1e-10, tries=12,
     )
     return s
 
@@ -266,7 +266,7 @@ def refine(
         (np.array(initial.extrinsics.rotation), np.array(initial.extrinsics.translation)),
         lambda pose: _stack_residuals(correspondences, K_t, *pose, w),
         step,
-        lam=LM_INITIAL_DAMPING, max_iter=MAX_LM_ITERATIONS, tries=16,
+        lam=LM_INITIAL_DAMPING, tries=16,
     )
     return replace(
         initial, extrinsics=Extrinsics(R, t), refined_cost=cost, lm_converged=converged

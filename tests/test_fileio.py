@@ -472,12 +472,16 @@ class TestBulkRead:
             ((2, "id"), True, "observations[2].id", "expected a number"),
             ((0, "target_2d", "coeffs", 1), float("nan"), "observations[0].target_2d.coeffs",
              "expected a finite number"),
+            ((0, "target_2d", "coeffs", 1), 10**400, "observations[0].target_2d.coeffs",
+             "expected a finite number"),
             ((0, "target_2d", "coeffs"), [1.0, 1.0, 0.0], "observations[0].target_2d",
              "line coefficients must be normalized"),
             ((3, "source_2d", "endpoints", 0), off_line, "observations[3].source_2d",
              "endpoints must lie on the line (within 0.5 px)"),
             ((3, "target_2d", "endpoints", 1, 0), 2e6, "observations[3].target_2d.endpoints[1]",
              "magnitude exceeds 1e+06"),
+            ((3, "target_2d", "endpoints", 1, 0), 10**400,
+             "observations[3].target_2d.endpoints[1]", "expected a finite number"),
             ((3, "target_2d", "endpoints", 1), [1.0], "observations[3].target_2d.endpoints[1]",
              "expected a list of 2 numbers"),
             ((0, "source_2d", "endpoints"), [[1.0, 2.0]] * 3,
@@ -491,7 +495,8 @@ class TestBulkRead:
         ],
         ids=["true", "string", "null", "nan", "huge-int", "1e300", "two-element-point",
              "nested-list", "fractional-id", "boolean-id", "nan-coefficient",
-             "unnormalized", "off-line-endpoint", "huge-endpoint", "one-value-endpoint",
+             "huge-int-coefficient", "unnormalized", "off-line-endpoint", "huge-endpoint",
+             "huge-int-endpoint", "one-value-endpoint",
              "three-endpoints", "two-coefficients", "one-target-sample", "10001-samples"],
     )
     def test_bad_leaf_falls_back_to_the_walk(self, path, value, where, message):
@@ -503,6 +508,11 @@ class TestBulkRead:
         (_, read_error), (_, walk_error), bulk = read_three_ways(observations)
         assert bulk is None
         assert read_error == walk_error == f"{where}: {message}"
+
+    def test_empty_list_takes_the_bulk_path(self):
+        (read, read_error), (walked, walk_error), bulk = read_three_ways([])
+        assert read_error is walk_error is None
+        assert read == walked == bulk == []
 
     @pytest.mark.parametrize(
         "value",

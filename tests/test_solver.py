@@ -235,15 +235,16 @@ class TestLevenbergMarquardt:
     """The one damped least-squares loop behind the root polish and refine,
     on small problems whose minimum is known in closed form."""
 
-    def test_relative_decrease_stop(self):
+    def test_relative_decrease_stop(self, monkeypatch):
         # Linear least squares with a nonzero residual at its minimum: the
         # loop ends on an accepted step whose relative decrease is below
         # COST_TOLERANCE, so the last point it evaluated is the one returned.
+        monkeypatch.setattr(solver, "MAX_LM_ITERATIONS", 50)
         A = np.array([[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]])
         b = np.array([1.0, 2.0, 0.0])
         evaluate, seen = tracking(lambda x: (A @ x - b, A))
         x, cost, converged = solver._levenberg_marquardt(
-            np.zeros(2), evaluate, additive, lam=1e-3, max_iter=50, tries=16
+            np.zeros(2), evaluate, additive, lam=1e-3, tries=16
         )
         x_star = np.linalg.lstsq(A, b, rcond=None)[0]
         assert converged
@@ -252,37 +253,41 @@ class TestLevenbergMarquardt:
         assert np.array_equal(seen[-1], x)
         assert len(seen) < 16
 
-    def test_no_improving_trial_stop(self):
+    def test_no_improving_trial_stop(self, monkeypatch):
         # At the exact minimum of e(x) = x every trial returns the same zero
         # cost: all `tries` trials fail and the start is returned.
+        monkeypatch.setattr(solver, "MAX_LM_ITERATIONS", 50)
         evaluate, seen = tracking(lambda x: (x.copy(), np.eye(2)))
         x, cost, converged = solver._levenberg_marquardt(
-            np.zeros(2), evaluate, additive, lam=1e-3, max_iter=50, tries=5
+            np.zeros(2), evaluate, additive, lam=1e-3, tries=5
         )
         assert converged and cost == 0.0
         assert np.array_equal(x, np.zeros(2))
         assert len(seen) == 1 + 5
 
-    def test_non_finite_step_stop(self):
+    def test_non_finite_step_stop(self, monkeypatch):
         # A NaN residual gives a NaN step; the loop stops before taking it.
+        monkeypatch.setattr(solver, "MAX_LM_ITERATIONS", 50)
         evaluate, seen = tracking(lambda x: (np.array([np.nan]), np.ones((1, 1))))
         x, _, converged = solver._levenberg_marquardt(
-            np.ones(1), evaluate, additive, lam=1e-3, max_iter=50, tries=16
+            np.ones(1), evaluate, additive, lam=1e-3, tries=16
         )
         assert converged
         assert np.array_equal(x, np.ones(1))
         assert len(seen) == 1
 
-    def test_iteration_cap_is_not_converged(self):
+    def test_iteration_cap_is_not_converged(self, monkeypatch):
         # e(x) = exp(x) has its infimum at -inf: each Gauss-Newton step moves
         # x by about -1 and cuts the cost by a constant factor, so only the
         # iteration cap ends the loop.
+        monkeypatch.setattr(solver, "MAX_LM_ITERATIONS", 7)
+
         def evaluate(x):
             e = np.exp(x)
             return e, e[:, None]
 
         x, _, converged = solver._levenberg_marquardt(
-            np.zeros(1), evaluate, additive, lam=1e-3, max_iter=7, tries=16
+            np.zeros(1), evaluate, additive, lam=1e-3, tries=16
         )
         assert not converged
         assert -7.0 < x[0] < -6.9
