@@ -3,9 +3,10 @@
 The package estimates the rigid transform between a *source* and a *target*
 camera without requiring field-of-view overlap at calibration time.  Matched
 3D line segments (and, where target depth is missing, 2D projections) feed a
-closed-form rotation/translation solver built on the Cayley--Gibbs--Rodrigues
-parametrization, followed by a Levenberg--Marquardt refinement and a
-translation-consistency vote that decides when enough evidence has been seen.
+rotation gate, a translation-consistency vote that decides when enough
+evidence has been seen, and a Levenberg--Marquardt refinement that starts
+from the gate's rotation and the vote's point.  A closed-form solver built on
+the Cayley--Gibbs--Rodrigues parametrization is part of the library.
 """
 
 from .constraints import (

@@ -271,7 +271,6 @@ def observation_file_dict(
         obs_out.append(
             {
                 "id": obs.obs_id,
-                "source_2d": _line2d_to_dict(obs.source_2d),
                 "target_2d": _line2d_to_dict(obs.target_2d),
                 "source_samples": obs.source_samples.tolist(),
                 "target_samples": None
@@ -317,9 +316,6 @@ def _observation_from_dict(entry, where: str) -> LineObservation:
         obs_id=_integer(_need(entry, "id", where), f"{where}.id"),
         source_samples=src,
         target_samples=tgt,
-        source_2d=_line2d_from_dict(
-            _need(entry, "source_2d", where), f"{where}.source_2d"
-        ),
         target_2d=_line2d_from_dict(
             _need(entry, "target_2d", where), f"{where}.target_2d"
         ),
@@ -341,7 +337,7 @@ def _observations_in_bulk(raw: list) -> list[LineObservation] | None:
         ids = [_integer(e["id"], "id") for e in raw]
         src = [e["source_samples"] for e in raw]
         tgt = [e["target_samples"] for e in raw]
-        lines = [e[key] for e in raw for key in ("source_2d", "target_2d")]
+        lines = [e["target_2d"] for e in raw]
         coeffs = _leaves([line["coeffs"] for line in lines], 3)
         ends = _leaves([line["endpoints"] for line in lines], 2)
     except (KeyError, TypeError, SchemaError):
@@ -373,10 +369,9 @@ def _observations_in_bulk(raw: list) -> list[LineObservation] | None:
             obs_id=obs_id,
             source_samples=s,
             target_samples=t,
-            source_2d=lines[2 * i],
-            target_2d=lines[2 * i + 1],
+            target_2d=line,
         )
-        for i, (obs_id, s, t) in enumerate(zip(ids, src, tgt))
+        for obs_id, s, t, line in zip(ids, src, tgt, lines)
     ]
 
 

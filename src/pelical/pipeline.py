@@ -4,9 +4,9 @@ Observations arrive one matched line pair at a time.  Each is fitted
 (RANSAC on the 3D samples of both cameras), classified by depth quality,
 and passed through the rotation gate, which stores it on acceptance.
 After every accepted pair (once a minimum population exists) the pipeline
-attempts to finalize: build candidate translation lines under the current
-gate rotation, run convergence voting, and -- if the vote carries -- solve
-and refine the full pose from the voting inliers only.  A refined mean
+attempts to finalize: gate, vote, refine.  Candidate translation lines built
+under the gate's rotation vote; if the vote carries, that rotation and the
+vote's point are refined on the voting inliers only.  A refined mean
 cost under the configured threshold ends the run as Converged; any other
 outcome hands the store to the gate's eviction (``selection.evict``).
 """
@@ -22,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .checks import MAX_SAMPLES, _real
+# only perfbench's tracer reads assemble and solve_quadratic_system here
 from .constraints import CaseKind, Correspondence, assemble, classify
 from .errors import (
-    CalibrationError,
     DegenerateLine,
     InsufficientLines,
     ParallelPlanes,
@@ -51,7 +51,7 @@ from .selection import (
     rotation_rows,
     vote_threshold,
 )
-from .solver import PoseSolution, refine, solve_quadratic_system
+from .solver import refine, solve_quadratic_system
 
 #: RANSAC line fit: inlier distance, two-point hypotheses per fit, and the
 #: fewest inliers a fitted line needs.
@@ -102,7 +102,6 @@ class LineObservation:
     obs_id: int
     source_samples: np.ndarray
     target_samples: np.ndarray | None
-    source_2d: Line2D
     target_2d: Line2D
 
     def __post_init__(self) -> None:
@@ -289,7 +288,7 @@ class PipelineState:
     rng: np.random.Generator
     gate: RotationGateState = field(default_factory=RotationGateState.empty)
     trace: list[FinalizeAttempt] = field(default_factory=list)
-    last_solution: PoseSolution | None = None
+    last_pose: Extrinsics | None = None
 
     @classmethod
     def fresh(cls, cfg: PipelineConfig, target_K: CameraIntrinsics) -> "PipelineState":
@@ -377,7 +376,8 @@ def _candidate_lines(
 def try_finalize(
     state: PipelineState, cfg: PipelineConfig
 ) -> CalibrationReport | None:
-    """Vote on translation observability and, if converged, solve the pose.
+    """Gate, vote, refine: if the vote under the gate's rotation carries,
+    refine from that rotation and the vote's point.
 
     Returns a Converged report or None (not ready).  A failed vote, or a
     converged one whose mean refined cost is not below ``cost_threshold``,
@@ -403,13 +403,8 @@ def try_finalize(
     attempt.vote_converged = vote.converged
     if vote.converged:
         inlier_cs = [members[i] for i in vote.inlier_indices]
-        try:
-            solution = solve_quadratic_system(assemble(inlier_cs, state.target_K))
-            refined = refine(solution, inlier_cs, state.target_K)
-        except CalibrationError as exc:
-            attempt.note = f"solve failed: {exc}"
-            return None
-        state.last_solution = refined
+        refined = refine(Extrinsics(R, vote.convergence_point), inlier_cs, state.target_K)
+        state.last_pose = refined.extrinsics
         attempt.mean_cost = refined.refined_cost / len(inlier_cs)
         if attempt.mean_cost < cfg.cost_threshold:  # a NaN cost never converges
             ids = tuple(c.obs_id for c in inlier_cs if c.obs_id is not None)
@@ -456,8 +451,8 @@ def run(
         if report is not None:
             return report
 
-    if state.last_solution is not None:
-        pose = state.last_solution.extrinsics
+    if state.last_pose is not None:
+        pose = state.last_pose
     elif state.gate.rotation is not None:
         pose = Extrinsics(state.gate.rotation, np.zeros(3))
     else:

@@ -348,7 +348,7 @@ class VotingResult:
 
     converged: bool
     inlier_indices: tuple[int, ...]
-    convergence_point: np.ndarray | None
+    convergence_point: np.ndarray
 
 
 def _line_distances(pts: np.ndarray, p0: np.ndarray, u: np.ndarray) -> np.ndarray:

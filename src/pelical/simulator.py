@@ -266,7 +266,8 @@ def generate(spec: RigSpec) -> tuple[list[LineObservation], list[GroundTruthReco
     records: list[GroundTruthRecord] = []
     for i in range(n):
         a, b, src_seen, tgt_seen = _sample_segment(spec, rng, budget)
-        src_pts, src_2d = _noisy_view(a, b, spec.source_intrinsics, src_seen, spec, rng)
+        # the unused source image line is still drawn, to keep the RNG stream
+        src_pts, _ = _noisy_view(a, b, spec.source_intrinsics, src_seen, spec, rng)
         if i in out_ids:
             ta, tb, tgt_seen = _target_only_segment(spec, rng, budget)
         else:
@@ -279,7 +280,6 @@ def generate(spec: RigSpec) -> tuple[list[LineObservation], list[GroundTruthReco
                 obs_id=i,
                 source_samples=src_pts,
                 target_samples=None if is_pnl else tgt_pts,
-                source_2d=src_2d,
                 target_2d=tgt_2d,
             )
         )

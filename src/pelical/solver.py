@@ -1,17 +1,18 @@
-"""Closed-loop pose estimation from the merged quadratic system.
+"""The closed-form pose solver (a library function) and the refinement.
 
 ``solve_quadratic_system`` eliminates the scaled translation, reads one
 CGR root off the null vector of the reduced system, polishes it against the
 algebraic cost and checks it against a sanity floor set by the smallest
-singular value.  ``refine`` then locally minimizes the geometric cost
-(3D point-to-line plus 2D line reprojection) on SO(3) x R^3.  The polish
-and ``refine`` run the same Levenberg-Marquardt loop with the same stop
-rule, a relative cost decrease below ``COST_TOLERANCE``.
+singular value; the pipeline does not call it.  ``refine`` locally minimizes
+the geometric cost (3D point-to-line plus 2D line reprojection) on
+SO(3) x R^3 from any start.  The polish and ``refine`` run the same
+Levenberg-Marquardt loop with the same stop rule, a relative cost decrease
+below ``COST_TOLERANCE``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,23 +46,24 @@ COST_TOLERANCE = 1e-10
 
 @dataclass(frozen=True)
 class PoseSolution:
-    """Estimated extrinsics plus solver bookkeeping.
-
-    ``s`` and ``algebraic_residual`` are the algebraic root and
-    ``||A r(s) + B tau||_2`` at it (fixed at solve time; refinement moves
-    ``extrinsics`` only, so ``s`` need not be the CGR of its rotation).
-    ``all_candidates`` holds that one root, read off the null vector,
-    polished and checked against the floor, as an ``(s, tau)`` pair.
-    ``lm_converged`` is False when refinement hit its
-    iteration cap before the relative cost decrease fell below tolerance.
-    """
+    """The closed-form solver's pose: its algebraic root ``s``, the residual
+    ``||A r(s) + B tau||_2`` there, and that one root, polished and checked
+    against the floor, as the ``(s, tau)`` pair of ``all_candidates``."""
 
     extrinsics: Extrinsics
     s: CGRParams
     algebraic_residual: float
-    refined_cost: float | None = None
     all_candidates: tuple = ()
-    lm_converged: bool = True
+
+
+@dataclass(frozen=True)
+class RefinedPose:
+    """:func:`refine`'s best pose and its geometric cost; ``lm_converged`` is
+    False when the iteration cap ran out first."""
+
+    extrinsics: Extrinsics
+    refined_cost: float
+    lm_converged: bool
 
 
 def eliminate_translation(system: QuadraticSystem) -> tuple[np.ndarray, np.ndarray]:
@@ -234,21 +236,20 @@ def _stack_residuals(
 
 
 def refine(
-    initial: PoseSolution,
+    initial: Extrinsics,
     correspondences: list[Correspondence],
     K_t: CameraIntrinsics,
-) -> PoseSolution:
-    """Levenberg-Marquardt polish of a pose against the geometric cost.
+) -> RefinedPose:
+    """Levenberg-Marquardt polish of the pose ``initial`` on the geometric cost.
 
     Minimizes the summed squared 3D point-to-line residuals (FULL3D pairs)
     plus squared 2D reprojection residuals (PNL pairs).  A FULL3D pair's
     residuals are put in pixel-equivalent units: scaled by ``fx`` over the
     mean depth of its target endpoints, floored at 1e-6 m.  Each rotation
     update composes a small rotation onto the estimate and re-orthonormalizes
-    it.  The best iterate is returned, with ``lm_converged=False`` when the
-    iteration cap ran out first (see :func:`_levenberg_marquardt`).  The
-    rest of ``initial``, its algebraic root ``s`` included, is kept, so a
-    pose near 180 degrees, which has no finite CGR, refines like any other.
+    it, so a pose near 180 degrees, which has no finite CGR, refines like
+    any other.  The best iterate is returned (see
+    :func:`_levenberg_marquardt`).
     """
     if not correspondences:
         raise EmptyInput("nothing to refine")
@@ -263,11 +264,9 @@ def refine(
         return R_new, t + delta[3:]
 
     (R, t), cost, converged = _levenberg_marquardt(
-        (np.array(initial.extrinsics.rotation), np.array(initial.extrinsics.translation)),
+        (np.array(initial.rotation), np.array(initial.translation)),
         lambda pose: _stack_residuals(correspondences, K_t, *pose, w),
         step,
         lam=LM_INITIAL_DAMPING, tries=16,
     )
-    return replace(
-        initial, extrinsics=Extrinsics(R, t), refined_cost=cost, lm_converged=converged
-    )
+    return RefinedPose(Extrinsics(R, t), cost, converged)

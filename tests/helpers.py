@@ -209,7 +209,6 @@ def make_observation(
         obs_id=obs_id,
         source_samples=src_samples,
         target_samples=tgt_samples,
-        source_2d=Line2D.from_endpoints(s_uv[0], s_uv[1]),
         target_2d=Line2D.from_endpoints(t_uv[0], t_uv[1]),
     )
 

@@ -310,9 +310,6 @@ class TestCalibrate:
                     obs_id=i,
                     source_samples=blob,
                     target_samples=blob + np.array([0.1, 0.0, 0.0]),
-                    source_2d=Line2D.from_endpoints(
-                        np.array([10.0, 10.0]), np.array([100.0, 80.0])
-                    ),
                     target_2d=Line2D.from_endpoints(
                         np.array([20.0, 15.0]), np.array([110.0, 90.0])
                     ),

@@ -265,7 +265,6 @@ class TestObservationFile:
                 assert got.target_samples is None
             else:
                 assert np.array_equal(got.target_samples, want.target_samples)
-            assert np.array_equal(got.source_2d.endpoints, want.source_2d.endpoints)
             assert np.array_equal(got.target_2d.endpoints, want.target_2d.endpoints)
 
     def test_write_read_write_is_byte_identical(self, tmp_path, observations):
@@ -405,9 +404,8 @@ def assert_same_observations(got: list, want: list) -> None:
     for g, w in zip(got, want):
         assert type(g.obs_id) is type(w.obs_id) and g.obs_id == w.obs_id
         pairs = [(g.source_samples, w.source_samples), (g.target_samples, w.target_samples)]
-        for a, b in (("source_2d", "coeffs"), ("source_2d", "endpoints"),
-                     ("target_2d", "coeffs"), ("target_2d", "endpoints")):
-            pairs.append((getattr(getattr(g, a), b), getattr(getattr(w, a), b)))
+        pairs += [(g.target_2d.coeffs, w.target_2d.coeffs),
+                  (g.target_2d.endpoints, w.target_2d.endpoints)]
         for x, y in pairs:
             if y is None:
                 assert x is None
@@ -431,8 +429,8 @@ def read_three_ways(observations: list, dumps=json.dumps) -> tuple:
 
 
 def off_line(observations: list) -> list:
-    """The first source endpoint of observation 3 moved 10 px off its line."""
-    line = observations[3]["source_2d"]
+    """The first target endpoint of observation 3 moved 10 px off its line."""
+    line = observations[3]["target_2d"]
     (a, b, _), (u, v) = line["coeffs"], line["endpoints"][0]
     return [u + 10.0 * a, v + 10.0 * b]
 
@@ -476,7 +474,7 @@ class TestBulkRead:
              "expected a finite number"),
             ((0, "target_2d", "coeffs"), [1.0, 1.0, 0.0], "observations[0].target_2d",
              "line coefficients must be normalized"),
-            ((3, "source_2d", "endpoints", 0), off_line, "observations[3].source_2d",
+            ((3, "target_2d", "endpoints", 0), off_line, "observations[3].target_2d",
              "endpoints must lie on the line (within 0.5 px)"),
             ((3, "target_2d", "endpoints", 1, 0), 2e6, "observations[3].target_2d.endpoints[1]",
              "magnitude exceeds 1e+06"),
@@ -484,8 +482,8 @@ class TestBulkRead:
              "observations[3].target_2d.endpoints[1]", "expected a finite number"),
             ((3, "target_2d", "endpoints", 1), [1.0], "observations[3].target_2d.endpoints[1]",
              "expected a list of 2 numbers"),
-            ((0, "source_2d", "endpoints"), [[1.0, 2.0]] * 3,
-             "observations[0].source_2d.endpoints", "expected 2 rows"),
+            ((0, "target_2d", "endpoints"), [[1.0, 2.0]] * 3,
+             "observations[0].target_2d.endpoints", "expected 2 rows"),
             ((2, "target_2d", "coeffs"), [0.6, 0.8], "observations[2].target_2d.coeffs",
              "expected a list of 3 numbers"),
             ((2, "target_samples"), lambda obs: obs[2]["target_samples"][:1],
@@ -508,6 +506,22 @@ class TestBulkRead:
         (_, read_error), (_, walk_error), bulk = read_three_ways(observations)
         assert bulk is None
         assert read_error == walk_error == f"{where}: {message}"
+
+    def test_source_lines_of_older_files_are_ignored(self):
+        # files written before the source image line was dropped hold a
+        # `source_2d` entry per observation; both paths read past it, even
+        # when it is malformed
+        observations = json.loads(observation_text())["observations"]
+        assert all("source_2d" not in obs for obs in observations)
+        _, (want, _), _ = read_three_ways(observations)
+        old = [{"coeffs": [0.6, 0.8, -2.2], "endpoints": [[1.0, 2.0], [5.0, -1.0]]},
+               None, "line", {"coeffs": [math.nan]}]
+        for obs, line in zip(observations, old):
+            obs["source_2d"] = line
+        (read, read_error), (walked, walk_error), bulk = read_three_ways(observations)
+        assert read_error is walk_error is None and bulk is not None
+        for got in (read, walked, bulk):
+            assert_same_observations(got, want)
 
     def test_empty_list_takes_the_bulk_path(self):
         (read, read_error), (walked, walk_error), bulk = read_three_ways([])
@@ -549,8 +563,8 @@ class TestBulkRead:
     def test_bulk_records_hold_read_only_views(self):
         (read, _), _, _ = read_three_ways(json.loads(observation_text())["observations"])
         for obs in read:
-            for array in (obs.source_samples, obs.target_samples, obs.source_2d.coeffs,
-                          obs.source_2d.endpoints, obs.target_2d.coeffs, obs.target_2d.endpoints):
+            for array in (obs.source_samples, obs.target_samples,
+                          obs.target_2d.coeffs, obs.target_2d.endpoints):
                 if array is not None:
                     with pytest.raises(ValueError):
                         array.setflags(write=True)

@@ -1,16 +1,17 @@
 """Pinned SHA-256 digests of the files every subcommand writes.
 
 The other determinism tests compare two runs of the same version.  These
-compare against digests recorded before the simulator and the writer were
-rewritten for speed, so a rewrite that moves one byte of an observation,
-truth or sweep file fails here.  The three rigs take the simulator through
+compare against recorded digests (CHANGES.md lists each recording), so a
+rewrite that moves one byte of an observation, truth or sweep file fails
+here.  The three rigs take the simulator through
 its outlier, PnL and axial-noise branches; the 80° yaw one also through the
 penetrating-segment fallback.  The calibration digests pin a converged mixed
 stream, a converged PnL-heavy one, one whose vote never carries, so it
 ends after the stream, and one that converges only after a converged vote
-with a poor cost evicted a pair; two PnL-heavy streams add the trace's
-notes: a converged vote whose solve fails, and attempts under a rotation
-the gate cannot yet determine followed by failed votes that evict.  Next
+with a poor cost evicted a pair; two PnL-heavy streams add a converged
+vote of two FULL3D and two PnL pairs, which the closed-form solve could not
+take, and the trace's notes on attempts under a rotation the gate cannot
+yet determine, followed by failed votes that evict.  Next
 to their bytes, each pins a digest of what the run decided (termination,
 accepted pairs, voting inliers and the trace without its float digits),
 so a change that moves only round-off
@@ -87,15 +88,15 @@ def decision_digest(path) -> str:
     [
         (
             rig(20.0, outlier_fraction=0.2, pnl_fraction=0.25),
-            "cc4c86bba62a3cc8908ceabf75fc6d53cc706b7250036853daa780e0fb8663a4",
+            "42667a9b2bbc05f760b32f0b57b2d396ae069c4b08033b0bcec5919ac7c1ea1f",
         ),
         (
             rig(80.0, 0.45),
-            "52ccac4cc2bc4fdf36c03aaf4de43e5f6476cf1b1d175d383b94b84397541582",
+            "34f7756c8d7ad50d381bdeb04297ffe89aca80a13654690edf7bae0cf61aa727",
         ),
         (
             rig(20.0, depth_noise_sigma=0.001, depth_noise_model="axial_z2"),
-            "d65d3a0dabc89cf0b6e091913266a03757f06f314cbeaa4ea0707fd6604af0f4",
+            "0b82c77d06dc4efcfd0493b16e49c196f2a750e2230e79611bdd826191c2f57b",
         ),
     ],
     ids=["mixed-yaw20", "penetrating-yaw80", "axial-noise"],
@@ -114,13 +115,13 @@ def test_simulate_bytes_are_pinned(tmp_path, spec, expected):
         (
             rig(20.0, outlier_fraction=0.2, pnl_fraction=0.25),
             [],
-            "ed8f77cc6fe9b1a8970b8d5b9ec7d558da746a0be95681804c800341e2330eda",
+            "75c445afa34151ce7142390a9b522759198198699658b1df7c3009864c00a8b9",
             "74c20392fab93f16f04545ed58aac78d7b9dadae343ea67ce6bae88263c3447c",
         ),
         (
             rig(20.0, pnl_fraction=0.6),
             [],
-            "13c1115b08b197844a1be97b8707d5041011c1dbfdf3d0539e1d3344876a938e",
+            "7a899992bfedae8c777198b54ac3acd2fd47835acadb5a87a8975229eceb35a2",
             "16432c47e5743fa6a22b0facaa77839148ba733d1af3285fcb1ec07660d0a630",
         ),
         (
@@ -136,27 +137,29 @@ def test_simulate_bytes_are_pinned(tmp_path, spec, expected):
             # attempt converges
             rig(20.0, outlier_fraction=0.4, rng_seed=12),
             [],
-            "597edccf578afe6714f209591f34e24b6d273a260b0aaf967805d27efddf1240",
+            "0dd62155484da8195c1b2cde215ccc85173a7ff16f88258be160bcda6561098a",
             "eb981d431542f58200f661f79aca75af8825c2c24688eb2422e50cf66a3d2b6d",
         ),
         (
-            # a converged vote whose solve fails, noted in the trace
+            # a converged vote of 2 FULL3D and 2 PnL pairs, a set the
+            # closed-form solve fails at its sanity floor, refines and
+            # converges
             rig(20.0, n_lines=60, pnl_fraction=0.75, rng_seed=1013),
             [],
-            "850196f601a830f7e3aed8f9207fbb2c1952e41b0bbadf50c4f09dc00683fe4e",
-            "d333aa663cc198ac619b0618991ce3c31347958e5578bd52d0affd6b37dd025c",
+            "948181c4d394a4f6272dbbc6896d27f97f42db42c835f11b8bcdc1b896ea2728",
+            "2a07dab61647ca0852da35d254ef4253e54d1c187be87fba10d0490c25356798",
         ),
         (
             # four attempts under an undetermined rotation, then failed
             # votes that evict pairs
             rig(20.0, n_lines=60, pnl_fraction=0.75, rng_seed=1018),
             [],
-            "1a5f73c9ab940690ade0ade75ef9fc61ed02a2657db88f9dca2f9158dad08dc6",
+            "98f8e0bdfafe5266a7bfbde99698fc46bd527363445129db82d741af03e15893",
             "e4f535d3116994b1a6b9f08e61b739bd0629c5290c9df88e00d95ffbfdcafc48",
         ),
     ],
     ids=["converged-mixed", "converged-pnl", "end-of-stream", "cost-eviction",
-         "solve-failed-note", "undetermined-notes-and-evictions"],
+         "two-plus-two-vote-converges", "undetermined-notes-and-evictions"],
 )
 def test_calibrate_bytes_are_pinned(tmp_path, spec, flags, expected, decisions):
     obs, calib = tmp_path / "obs.json", tmp_path / "calib.json"
@@ -176,7 +179,7 @@ def test_sweep_csv_bytes_are_pinned(tmp_path):
             "--output", str(table)]
     assert main(argv) == 0
     assert len(table.read_text().splitlines()) == 1 + 2 * 2 * 2
-    assert sha256(table) == "70bf99c4befb89facee99e61dac976c4ac1707d7944467e615b70b5b0323d35b"
+    assert sha256(table) == "8c8e4766d6edf06896bb0f72ccff0f61713190b7038790dbbfd41a9b812bd3ac"
 
 
 def test_pose_errors_csv_bytes_are_pinned(tmp_path):

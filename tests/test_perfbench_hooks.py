@@ -22,7 +22,8 @@ from pelical import (
     rotation_about_y,
     run,
 )
-from pelical.constraints import CaseKind
+from pelical.constraints import CaseKind, assemble
+from pelical.errors import NoRealSolution
 
 from helpers import DEFAULT_K, make_observation, rand_truth
 
@@ -63,30 +64,45 @@ def test_voting_observer_reads_the_line_count(rng):
     assert traced.counts["voting_lines_max"] == max(votes)
 
 
-def test_solve_observer_counts_one_candidate_per_returned_solve():
+def test_solve_observer_counts_one_candidate_per_returned_solve(monkeypatch):
     # candidates_mean is solve_candidates over the solves that returned; the
-    # solver returns one root, so it reads 1.0.  Streams 4 and 5 of the
-    # half-PnL rig each fail one solve (at the sanity floor) and then
-    # converge, stream 1 converges at its first solve.
+    # solver returns one root, so it reads 1.0.  The pipeline makes no solve,
+    # so the traced name is called here on the voting sets that streams 1, 4
+    # and 5 of the half-PnL rig refine, one each.  The sets of streams 4 and
+    # 5 hold 2 FULL3D and 2 PnL pairs and fail the sanity floor.
     tracer = load_tracer()
     truth = Extrinsics(rotation_about_y(20.0), np.array([0.30, 0.0, 0.0]))
+    systems = []
+    refine = pipeline.refine
+
+    def recording(start, cs, K):
+        systems.append(assemble(cs, K))
+        return refine(start, cs, K)
+
+    monkeypatch.setattr(pipeline, "refine", recording)
+    for seed in (1, 4, 5):
+        spec = RigSpec(
+            truth=truth,
+            target_intrinsics=DEFAULT_K,
+            source_intrinsics=DEFAULT_K,
+            n_lines=60,
+            pixel_noise_sigma=0.5,
+            depth_noise_sigma=0.003,
+            pnl_fraction=0.5,
+            rng_seed=seed,
+        )
+        report = run(generate(spec)[0], PipelineConfig(cost_threshold=30.0), DEFAULT_K)
+        assert report.termination.value == "converged"
+    monkeypatch.undo()
     with tracer.Tracer(MODULES) as traced:
-        for seed in (1, 4, 5):
-            spec = RigSpec(
-                truth=truth,
-                target_intrinsics=DEFAULT_K,
-                source_intrinsics=DEFAULT_K,
-                n_lines=60,
-                pixel_noise_sigma=0.5,
-                depth_noise_sigma=0.003,
-                pnl_fraction=0.5,
-                rng_seed=seed,
-            )
-            report = run(generate(spec)[0], PipelineConfig(cost_threshold=30.0), DEFAULT_K)
-            assert report.termination.value == "converged"
+        for system in systems:
+            try:
+                pipeline.solve_quadratic_system(system)
+            except NoRealSolution:
+                pass
     solves = traced.layer_totals()["solver.solve_quadratic_system"][0]
     failed = traced.counts["solve_failed"]
-    assert failed == 2 and solves == 5
+    assert failed == 2 and solves == len(systems) == 3
     assert traced.counts["solve_candidates"] == solves - failed
 
 
@@ -151,6 +167,8 @@ def test_smoke_pass_counts_one_fit_per_fit_and_one_read_per_file(tmp_path, monke
 # Every traced call count of a smoke pass (seed 1, one pass over the two
 # files) of each workload.  The benchmark compares per-layer metrics across
 # changes, so a change that moves work between layers must not move these.
+# The pipeline refines each carried vote from the gate's rotation and the
+# vote's point, so it makes no assemble or solve call.
 SMOKE_CALLS = {
     "calibrate60_mixed": (2, 15, 26, 9, 16, 2),
     "calibrate60_pnl50": (2, 12, 21, 6, 12, 2),
@@ -160,7 +178,7 @@ SMOKE_CALLS = {
 
 @pytest.mark.parametrize("name", sorted(SMOKE_CALLS))
 def test_smoke_pass_call_counts_stay_put(name, tmp_path, monkeypatch):
-    # (files, ingests, fits, attempts, PnL candidate lines, solves); each
+    # (files, ingests, fits, attempts, PnL candidate lines, refines); each
     # attempt that builds candidate lines makes one stacked FULL3D call
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import harness
@@ -179,7 +197,7 @@ def test_smoke_pass_call_counts_stay_put(name, tmp_path, monkeypatch):
     with harness.Tracer(MODULES) as traced:
         bench.run_pass(0, whole_cycles=True, cycles=1)
     calls = {layer: n for layer, (n, _) in traced.layer_totals().items()}
-    files, ingests, fits, attempts, pnl_lines, solves = SMOKE_CALLS[name]
+    files, ingests, fits, attempts, pnl_lines, refines = SMOKE_CALLS[name]
     assert calls == {
         "cli.main": files,
         "fileio.read_observation_file": files,
@@ -193,8 +211,8 @@ def test_smoke_pass_call_counts_stay_put(name, tmp_path, monkeypatch):
         "selection.candidate_from_full3d": attempts,
         "selection.candidate_from_pnl": pnl_lines,
         "selection.convergence_voting": attempts,
-        "constraints.assemble": solves,
-        "solver.solve_quadratic_system": solves,
-        "solver.refine": solves,
+        "constraints.assemble": 0,
+        "solver.solve_quadratic_system": 0,
+        "solver.refine": refines,
     }
     assert len(builds) == calls["selection.candidate_from_full3d"]

@@ -18,7 +18,6 @@ from pelical import (
     RigSpec,
     TerminationReason,
     TooFewSamples,
-    assemble,
     generate,
     ingest,
     pose_errors,
@@ -27,7 +26,6 @@ from pelical import (
     rotation_about_y,
     rotation_angle,
     run,
-    solve_quadratic_system,
     try_finalize,
 )
 from pelical import fileio, pipeline, simulator
@@ -385,7 +383,6 @@ class TestIngest:
             obs_id=0,
             source_samples=cloud,
             target_samples=good.target_samples,
-            source_2d=good.source_2d,
             target_2d=good.target_2d,
         )
         out = ingest(obs, state, cfg)
@@ -519,13 +516,21 @@ class TestRunConverged:
         assert report.termination is TerminationReason.CONVERGED
         assert not (set(report.voting_inlier_ids) & {100, 101})
 
-    def test_replay_refine_reproduces_pose(self, rng):
+    def test_replay_refine_reproduces_pose(self, rng, monkeypatch):
+        # the report's inliers, refined from the start the run refined from
+        # (the gate's rotation and the vote's point), give the report's pose
+        starts = []
+
+        def recording(initial, cs, K):
+            starts.append(initial)
+            return refine(initial, cs, K)
+
+        monkeypatch.setattr(pipeline, "refine", recording)
         truth = rand_truth(rng)
         report = run(good_stream(rng, truth, 6, 2), PipelineConfig(), DEFAULT_K)
         assert report.termination is TerminationReason.CONVERGED
-        system = assemble(report.inlier_correspondences, DEFAULT_K)
-        solution = solve_quadratic_system(system)
-        replay = refine(solution, report.inlier_correspondences, DEFAULT_K)
+        assert isinstance(starts[-1], Extrinsics)
+        replay = refine(starts[-1], report.inlier_correspondences, DEFAULT_K)
         assert np.max(
             np.abs(replay.extrinsics.rotation - report.extrinsics.rotation)
         ) < 1e-12
@@ -588,8 +593,8 @@ class TestRobustnessEnvelope:
 
 
 def test_pose_near_180_degrees_converges():
-    # a refined rotation within 1e-3 rad of 180 degrees has no finite CGR;
-    # refine keeps the algebraic root's, so such a pose is not thrown away
+    # a rotation within 1e-3 rad of 180 degrees has no finite CGR; finalize
+    # refines from the gate's rotation and never needs one
     K = CameraIntrinsics(fx=300.0, fy=300.0, cx=320.0, cy=240.0, width=640, height=480)
     truth = Extrinsics(rotation_about_y(179.95), np.array([0.30, 0.0, 0.0]))
     spec = RigSpec(

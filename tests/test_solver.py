@@ -24,7 +24,6 @@ from pelical import (
 from pelical import pipeline, solver
 from pelical.constraints import CaseKind, monomial_vector
 from pelical.errors import NoRealSolution
-from pelical.solver import PoseSolution
 
 from helpers import (
     DEFAULT_K,
@@ -112,7 +111,7 @@ class TestSolve:
             cs = consistent_correspondences(rng, truth, 4, 2)
             system = assemble(cs, DEFAULT_K)
             sol = solve_quadratic_system(system)
-            refined = refine(sol, cs, DEFAULT_K)
+            refined = refine(sol.extrinsics, cs, DEFAULT_K)
             rot_err = rotation_angle(refined.extrinsics.rotation.T @ truth.rotation)
             assert np.degrees(rot_err) < 1e-5
             assert (
@@ -321,19 +320,20 @@ REGRESSION_SEEDS = range(1, 31)
 
 @pytest.fixture(scope="module")
 def finalize_systems():
-    """Every ``(stream, system)`` that ``try_finalize`` assembles on the
-    regression streams."""
+    """The ``(stream, system)`` of every voting set that ``try_finalize``
+    refines on the regression streams, assembled as the closed form would
+    take it."""
     truth = Extrinsics(rotation_about_y(20.0), np.array([0.30, 0.0, 0.0]))
     systems = []
     with pytest.MonkeyPatch.context() as mp:
         for mix in REGRESSION_MIXES:
             for seed in REGRESSION_SEEDS:
 
-                def recording(cs, K, stream=(*mix, seed)):
+                def recording(start, cs, K, stream=(*mix, seed)):
                     systems.append((stream, assemble(cs, K)))
-                    return systems[-1][1]
+                    return refine(start, cs, K)
 
-                mp.setattr(pipeline, "assemble", recording)
+                mp.setattr(pipeline, "refine", recording)
                 spec = RigSpec(
                     truth=truth,
                     target_intrinsics=DEFAULT_K,
@@ -410,11 +410,7 @@ class TestRefine:
     def test_truth_start_is_fixed_point(self, rng):
         truth = rand_truth(rng)
         cs = consistent_correspondences(rng, truth, 4, 2)
-        s = rotation_to_cgr(truth.rotation).s
-        start = PoseSolution(
-            extrinsics=truth, s=CGRParams(s), algebraic_residual=0.0
-        )
-        out = refine(start, cs, DEFAULT_K)
+        out = refine(truth, cs, DEFAULT_K)
         assert out.refined_cost < 1e-16
         assert_allclose(out.extrinsics.rotation, truth.rotation, atol=1e-9)
 
@@ -428,12 +424,7 @@ class TestRefine:
             @ truth.rotation
         )
         t0 = truth.translation + np.array([0.02, 0, 0])
-        start = PoseSolution(
-            extrinsics=Extrinsics(R0, t0),
-            s=CGRParams(rotation_to_cgr(R0).s),
-            algebraic_residual=np.nan,
-        )
-        out = refine(start, cs, DEFAULT_K)
+        out = refine(Extrinsics(R0, t0), cs, DEFAULT_K)
         assert np.degrees(rotation_angle(out.extrinsics.rotation.T @ truth.rotation)) < 1e-5
         assert np.linalg.norm(out.extrinsics.translation - truth.translation) < 1e-6
         assert out.lm_converged
@@ -443,18 +434,14 @@ class TestRefine:
         # step is taken and refine returns the start instead of raising
         truth = rand_truth(rng)
         cs = consistent_correspondences(rng, truth, 4, 2)
-        start = PoseSolution(
-            extrinsics=Extrinsics(truth.rotation, truth.translation + 0.05),
-            s=CGRParams(rotation_to_cgr(truth.rotation).s),
-            algebraic_residual=np.nan,
-        )
+        start = Extrinsics(truth.rotation, truth.translation + 0.05)
         monkeypatch.setattr(solver, "LM_INITIAL_DAMPING", 1e300)
         with np.errstate(all="ignore"):
             out = refine(start, cs, DEFAULT_K)
-        assert np.array_equal(out.extrinsics.rotation, start.extrinsics.rotation)
-        assert np.array_equal(out.extrinsics.translation, start.extrinsics.translation)
+        assert np.array_equal(out.extrinsics.rotation, start.rotation)
+        assert np.array_equal(out.extrinsics.translation, start.translation)
 
-    def test_never_increases_cost_on_noisy_data(self):
+    def test_never_increases_cost_on_noisy_data(self, monkeypatch):
         rng = np.random.default_rng(13)
         for trial in range(20):
             truth = rand_truth(rng)
@@ -480,12 +467,13 @@ class TestRefine:
                     )
                 else:
                     noisy.append(c)
-            system = assemble(noisy, DEFAULT_K)
-            sol = solve_quadratic_system(system)
-            out = refine(sol, noisy, DEFAULT_K)
-            if sol.refined_cost is not None:
-                assert out.refined_cost <= sol.refined_cost + 1e-15
-            assert out.refined_cost is not None
+            start = solve_quadratic_system(assemble(noisy, DEFAULT_K)).extrinsics
+            out = refine(start, noisy, DEFAULT_K)
+            # with no iteration, refine returns the start and its cost
+            monkeypatch.setattr(solver, "MAX_LM_ITERATIONS", 0)
+            start_cost = refine(start, noisy, DEFAULT_K).refined_cost
+            monkeypatch.undo()
+            assert out.refined_cost <= start_cost
 
     def test_evaluates_each_pose_once(self, monkeypatch):
         # the start is evaluated once, then each trial step once; a trial
@@ -493,7 +481,7 @@ class TestRefine:
         rng = np.random.default_rng(21)
         truth = rand_truth(rng)
         cs = noisy_correspondences(rng, consistent_correspondences(rng, truth, 4, 2))
-        start = solve_quadratic_system(assemble(cs, DEFAULT_K))
+        start = solve_quadratic_system(assemble(cs, DEFAULT_K)).extrinsics
         calls = {"_stack_residuals": 0, "cgr_to_rotation": 0}
 
         def counting(name):
@@ -517,7 +505,8 @@ class TestRefine:
         # and each PNL pair by one
         truth = rand_truth(rng)
         cs = noisy_correspondences(rng, consistent_correspondences(rng, truth, 3, 1))
-        out = refine(solve_quadratic_system(assemble(cs, DEFAULT_K)), cs, DEFAULT_K)
+        start = solve_quadratic_system(assemble(cs, DEFAULT_K)).extrinsics
+        out = refine(start, cs, DEFAULT_K)
         depths = [np.mean(np.abs(c.target_endpoints[:, 2])) for c in cs[:3]]
         w = [DEFAULT_K.fx / z for z in depths] + [1.0]
         pose = (out.extrinsics.rotation, out.extrinsics.translation)
@@ -534,13 +523,8 @@ class TestRefine:
             Rotation.from_rotvec(np.array([0.05, 0.02, -0.04])).as_matrix()
             @ truth.rotation
         )
-        start = PoseSolution(
-            extrinsics=Extrinsics(R0, truth.translation + 0.05),
-            s=CGRParams(rotation_to_cgr(R0).s),
-            algebraic_residual=np.nan,
-        )
         monkeypatch.setattr(solver, "MAX_LM_ITERATIONS", 1)
-        out = refine(start, cs, DEFAULT_K)
+        out = refine(Extrinsics(R0, truth.translation + 0.05), cs, DEFAULT_K)
         assert not out.lm_converged
 
     def test_rotation_stays_orthonormal(self, rng):
@@ -548,7 +532,7 @@ class TestRefine:
         cs = consistent_correspondences(rng, truth, 4, 2)
         system = assemble(cs, DEFAULT_K)
         sol = solve_quadratic_system(system)
-        out = refine(sol, cs, DEFAULT_K)
+        out = refine(sol.extrinsics, cs, DEFAULT_K)
         R = out.extrinsics.rotation
         assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-9
 
