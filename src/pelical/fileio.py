@@ -285,13 +285,53 @@ def observation_file_dict(
     }
 
 
+@functools.lru_cache(maxsize=64)
+def _observation_template(source: int, target: int | None) -> str:
+    """The ``%`` template of an observation entry after its id, for
+    ``source`` and ``target`` samples (None: no target samples)."""
+    samples = "null" if target is None else _block_template(target, 3)
+    return (
+        f'"target_2d":{{"coeffs":{_block_template(3, 0)},'
+        f'"endpoints":{_block_template(2, 2)}}},'
+        f'"source_samples":{_block_template(source, 3)},"target_samples":{samples}}}'
+    )
+
+
+def _observations_text(observations: list[LineObservation]) -> str | None:
+    """The canonical ``observations`` list, formatted with one ``%``; None
+    when an id is not a plain int or a number is not finite, and the walk
+    in :func:`_canon` writes it."""
+    entries, arrays = [], []
+    for obs in observations:
+        if type(obs.obs_id) is not int:
+            return None
+        target = obs.target_samples
+        shape = len(obs.source_samples), None if target is None else len(target)
+        entries.append(f'{{"id":{obs.obs_id},' + _observation_template(*shape))
+        arrays += (obs.target_2d.coeffs, obs.target_2d.endpoints, obs.source_samples)
+        if target is not None:
+            arrays.append(target)
+    numbers = np.concatenate(arrays, axis=None) if arrays else np.empty(0)
+    if not np.isfinite(numbers).all():
+        return None
+    return "[" + ",".join(entries) % tuple(numbers.tolist()) + "]"
+
+
 def write_observation_file(
     path: str | Path,
     target_K: CameraIntrinsics,
     source_K: CameraIntrinsics,
     observations: list[LineObservation],
 ) -> None:
-    write_json(path, observation_file_dict(target_K, source_K, observations))
+    """Write what ``write_json(path, observation_file_dict(...))`` writes."""
+    text = _observations_text(observations)
+    if text is None:
+        write_json(path, observation_file_dict(target_K, source_K, observations))
+        return
+    Path(path).write_text(
+        f'{{"target_intrinsics":{_canon(asdict(target_K))},'
+        f'"source_intrinsics":{_canon(asdict(source_K))},"observations":{text}}}\n'
+    )
 
 
 def _samples(value, where: str, or_null: str) -> np.ndarray | None:

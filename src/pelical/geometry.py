@@ -36,9 +36,18 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 
 def skew(v: np.ndarray) -> np.ndarray:
-    """Cross-product matrix: ``skew(v) @ w == np.cross(v, w)``."""
-    x, y, z = np.asarray(v, dtype=float)
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Cross-product matrix: ``skew(v) @ w == np.cross(v, w)``.  An
+    ``(..., 3)`` array gives the ``(..., 3, 3)`` matrices of its rows."""
+    v = np.asarray(v, dtype=float)
+    x, y, z = v[..., 0], v[..., 1], v[..., 2]
+    out = np.zeros(v.shape + (3,))
+    out[..., 0, 1] = -z
+    out[..., 0, 2] = y
+    out[..., 1, 0] = z
+    out[..., 1, 2] = -x
+    out[..., 2, 0] = -y
+    out[..., 2, 1] = x
+    return out
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -53,11 +62,12 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def cross_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.cross`` of each row pair of two ``(k, 3)`` arrays, written out by
-    components like :func:`cross3`: the same bits at a third of the cost."""
+    """``np.cross`` of each row pair of two ``(k, 3)`` arrays, or of the
+    3-vector ``a`` with each row of ``b``, written out by components like
+    :func:`cross3`: the same bits at a third of the cost."""
     a0, a1, a2 = a.T
     b0, b1, b2 = b.T
-    out = np.empty((len(a), 3))
+    out = np.empty((len(b), 3))
     out[:, 0] = a1 * b2 - a2 * b1
     out[:, 1] = a2 * b0 - a0 * b2
     out[:, 2] = a0 * b1 - a1 * b0
@@ -134,8 +144,15 @@ class PluckerLine:
         object.__setattr__(self, "m", m)
 
     def distance_to_point(self, p: np.ndarray) -> float:
-        """Orthogonal distance from a point to the line."""
-        return float(np.linalg.norm(cross3(self.d, p) + self.m))
+        """Orthogonal distance from a point to the line, ``|d x p + m|``, on
+        Python floats like the checks above."""
+        d0, d1, d2 = self.d.tolist()
+        p0, p1, p2 = np.asarray(p, dtype=float).tolist()
+        m0, m1, m2 = self.m.tolist()
+        c0 = d1 * p2 - d2 * p1 + m0
+        c1 = d2 * p0 - d0 * p2 + m1
+        c2 = d0 * p1 - d1 * p0 + m2
+        return math.sqrt(c0 * c0 + c1 * c1 + c2 * c2)
 
 
 @dataclass(frozen=True)

@@ -187,21 +187,29 @@ def ransac_fit_line(
 
     ii = rng.integers(0, n, size=RANSAC_ITERATIONS)
     jj = rng.integers(0, n - 1, size=RANSAC_ITERATIONS)
-    jj = jj + (jj >= ii)
+    jj += jj >= ii
     dirs = pts[jj] - pts[ii]
     norms = axis_norms(dirs, axis=1)
     valid = norms > 1e-9
-    dirs /= np.where(valid, norms, 1.0)[:, None]
-    centroid = pts.mean(axis=0)
+    # A hypothesis through two equal samples is degenerate: its direction
+    # is left undivided and it scores -1, below any real consensus.  Only
+    # repeated samples make one, so the masking is skipped without them.
+    degenerate = not valid.all()
+    if degenerate:
+        norms = np.where(valid, norms, 1.0)
+    dirs /= norms[:, None]
+    # the sum over the count, as ``pts.mean(axis=0)`` takes it
+    centroid = np.add.reduce(pts, axis=0) / n
     centred = pts - centroid
     sq = np.einsum("nj,nj->n", centred, centred)
     along, gram = _hypothesis_products(centred, ii, dirs)
     count, mask = -1, None
     for rows in (slice(0, RANSAC_FIRST_SLICE), slice(RANSAC_FIRST_SLICE, None)):
         masks = _inlier_masks(sq, ii[rows], along[rows], gram[rows], RANSAC_DISTANCE_M)
-        # Degenerate hypotheses score -1, below any real consensus.
-        counts = np.where(valid[rows], np.count_nonzero(masks, axis=1), -1)
-        best = int(np.argmax(counts))
+        counts = np.add.reduce(masks, axis=1)
+        if degenerate:
+            counts = np.where(valid[rows], counts, -1)
+        best = counts.argmax()
         if counts[best] > count:
             count, mask = int(counts[best]), masks[best]
         if count == n:
@@ -212,7 +220,7 @@ def ransac_fit_line(
     inliers = pts
     if count < n:  # else the centring of every sample above is the refit's
         inliers = pts[mask]
-        centroid = inliers.mean(axis=0)
+        centroid = np.add.reduce(inliers, axis=0) / count
         centred = inliers - centroid
     _, _, Vt = np.linalg.svd(centred, full_matrices=False)
     direction = Vt[0]

@@ -321,7 +321,7 @@ def candidate_from_pnl(
     Rd = R @ c.source_line.d
     PRm = P @ (R @ c.source_line.m)
     x_h = [np.array([uv[0], uv[1], 1.0]) for uv in ep]
-    S = [skew(x) for x in x_h]
+    S = skew(np.array(x_h))
     # The rows do not depend on the endpoint ordering; only the values do.
     rows = np.stack([cross3(Rd, P.T @ x) for x in x_h] + [r for Sx in S for r in Sx @ K])
     moments = [-float(x @ PRm) for x in x_h]
@@ -374,9 +374,10 @@ def _proposals(p0: np.ndarray, u: np.ndarray) -> np.ndarray:
     ii, jj = _pair_indices(len(p0))
     u1, u2 = u[ii], u[jj]
     ok = axis_norms(cross_rows(u1, u2), axis=1) >= 1e-9
-    if not ok.any():
-        raise InsufficientLines("no non-parallel candidate line pair")
-    ii, jj, u1, u2 = ii[ok], jj[ok], u1[ok], u2[ok]
+    if not ok.all():
+        if not ok.any():
+            raise InsufficientLines("no non-parallel candidate line pair")
+        ii, jj, u1, u2 = ii[ok], jj[ok], u1[ok], u2[ok]
     q1, q2 = p0[ii], p0[jj]
     w0 = q1 - q2
     b = np.einsum("ij,ij->i", u1, u2)

@@ -149,7 +149,7 @@ def _visible_interval(
     if len(idx) < 2:
         return None
     lo, hi = idx[0], idx[-1]
-    if np.linalg.norm([u[hi] - u[lo], v[hi] - v[lo]]) < _MIN_SEGMENT_PX:
+    if math.hypot(u[hi] - u[lo], v[hi] - v[lo]) < _MIN_SEGMENT_PX:
         return None
     return float(_GRID[lo]), float(_GRID[hi])
 
@@ -231,10 +231,10 @@ def _noisy_view(
     seen: Interval,
     spec: RigSpec,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, Line2D]:
-    """Sample noisy 3D points and a noisy 2D line for one camera's view of
-    the segment a->b (all in that camera's frame) over its visible
-    interval ``seen``."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sample noisy 3D points and the noisy pixels of the two ends for one
+    camera's view of the segment a->b (all in that camera's frame) over its
+    visible interval ``seen``; returns ``(points, endpoint pixels)``."""
     lo, hi = seen
     lam = np.linspace(lo, hi, spec.samples_per_line)
     pts = a[None, :] + lam[:, None] * (b - a)[None, :]
@@ -249,7 +249,7 @@ def _noisy_view(
     uv = K.project(ends3d)
     if spec.pixel_noise_sigma > 0:
         uv = uv + rng.normal(scale=spec.pixel_noise_sigma, size=uv.shape)
-    return pts, Line2D.from_endpoints(uv[0], uv[1])
+    return pts, uv
 
 
 def generate(spec: RigSpec) -> tuple[list[LineObservation], list[GroundTruthRecord]]:
@@ -266,21 +266,21 @@ def generate(spec: RigSpec) -> tuple[list[LineObservation], list[GroundTruthReco
     records: list[GroundTruthRecord] = []
     for i in range(n):
         a, b, src_seen, tgt_seen = _sample_segment(spec, rng, budget)
-        # the unused source image line is still drawn, to keep the RNG stream
+        # the unused source pixels are still drawn, to keep the RNG stream
         src_pts, _ = _noisy_view(a, b, spec.source_intrinsics, src_seen, spec, rng)
         if i in out_ids:
             ta, tb, tgt_seen = _target_only_segment(spec, rng, budget)
         else:
             ta = spec.truth.transform_point(a)
             tb = spec.truth.transform_point(b)
-        tgt_pts, tgt_2d = _noisy_view(ta, tb, spec.target_intrinsics, tgt_seen, spec, rng)
+        tgt_pts, uv = _noisy_view(ta, tb, spec.target_intrinsics, tgt_seen, spec, rng)
         is_pnl = i in pnl_ids
         observations.append(
             LineObservation(
                 obs_id=i,
                 source_samples=src_pts,
                 target_samples=None if is_pnl else tgt_pts,
-                target_2d=tgt_2d,
+                target_2d=Line2D.from_endpoints(uv[0], uv[1]),
             )
         )
         records.append(

@@ -5,9 +5,10 @@ CGR root off the null vector of the reduced system, polishes it against the
 algebraic cost and checks it against a sanity floor set by the smallest
 singular value; the pipeline does not call it.  ``refine`` locally minimizes
 the geometric cost (3D point-to-line plus 2D line reprojection) on
-SO(3) x R^3 from any start.  The polish and ``refine`` run the same
-Levenberg-Marquardt loop with the same stop rule, a relative cost decrease
-below ``COST_TOLERANCE``.
+SO(3) x R^3 from any start; it stacks the pose-independent data of its
+pairs once per call and evaluates each pose as arrays.  The polish and
+``refine`` run the same Levenberg-Marquardt loop with the same stop rule, a
+relative cost decrease below ``COST_TOLERANCE``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .geometry import (
     CGRParams,
     Extrinsics,
     cgr_to_rotation,
-    cross3,
+    cross_rows,
     line_projection_matrix,
     project_so3,
     skew,
@@ -187,6 +188,95 @@ def solve_quadratic_system(system: QuadraticSystem) -> PoseSolution:
     )
 
 
+def _pose_free_terms(
+    correspondences: list[Correspondence],
+    K_t: CameraIntrinsics,
+    weights: list[float] | None = None,
+) -> tuple[tuple, tuple]:
+    """What :func:`_residuals_at` needs of the pairs that does not depend on
+    the pose, stacked once per :func:`refine` call, as ``(full, pnl)``.
+
+    ``full`` holds, for the FULL3D pairs in order: their rows, weights,
+    target-line projectors ``I - d d^T``, source endpoints with their
+    cross-product matrices, target endpoints, and weighted projectors (the
+    Jacobian's translation block).  ``pnl`` holds, for the PNL pairs: their
+    rows, the line projection matrix, the source directions and moments
+    with their cross-product matrices, and the homogeneous image endpoints.
+    A FULL3D pair has six rows and a PNL pair two, in pair order.  Pair
+    ``i``'s FULL3D residuals are scaled by ``weights[i]``, by default by
+    ``fx`` over the mean depth of its target endpoints, floored at 1e-6 m.
+    """
+    full = [c.kind is CaseKind.FULL3D for c in correspondences]
+    F = [c for c, f in zip(correspondences, full) if f]
+    N = [c for c, f in zip(correspondences, full) if not f]
+    is_full = np.array(full, dtype=bool)
+    sizes = np.where(is_full, 6, 2)
+    starts = np.cumsum(sizes) - sizes
+    d = np.array([c.target_line_3d.d for c in F]).reshape(-1, 3)
+    X = np.array([c.source_endpoints for c in F]).reshape(-1, 2, 3)
+    Y = np.array([c.target_endpoints for c in F]).reshape(-1, 2, 3)
+    if weights is None:
+        w = K_t.fx / np.maximum(np.mean(np.abs(Y[..., 2]), axis=1), 1e-6)
+    else:
+        w = np.asarray(weights, dtype=float)[is_full]
+    P = np.eye(3) - d[:, :, None] * d[:, None, :]
+    full_rows = (starts[is_full, None] + np.arange(6)).ravel()
+    d_s = np.array([c.source_line.d for c in N]).reshape(-1, 3)
+    m_s = np.array([c.source_line.m for c in N]).reshape(-1, 3)
+    x_h = np.ones((len(N), 2, 3))
+    x_h[..., :2] = np.array([c.target_line_2d.endpoints for c in N]).reshape(-1, 2, 2)
+    pnl_rows = (starts[~is_full, None] + np.arange(2)).ravel()
+    return (
+        (full_rows, w, P, X, skew(X), Y, w[:, None, None] * P),
+        (pnl_rows, line_projection_matrix(K_t), d_s, m_s, skew(d_s), skew(m_s), x_h),
+    )
+
+
+def _residuals_at(
+    terms: tuple[tuple, tuple], R: np.ndarray, t: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual vector and its Jacobian at ``(R, t)``: one stacked pass over
+    the FULL3D pairs and one over the PNL pairs of
+    :func:`_pose_free_terms`, written into pair order.
+
+    The pose is charted as ``R(delta) = R Exp(delta)``, ``t + dt``; Jacobians
+    are taken at ``delta = 0``.  A FULL3D endpoint ``X`` with target
+    endpoint ``Y`` gives ``w P (R X + t - Y)``, ``P`` the projector of its
+    target line; a PNL endpoint ``x`` gives ``x . l / |(l_1, l_2)|``, ``l``
+    the image of the transformed source line.  Every product is taken pair
+    by pair, in the order a loop over the pairs takes it, so each row has
+    the bits of evaluating its pair alone.
+    """
+    (full_rows, w, P, X, skew_X, Y, wP), pnl = terms
+    pnl_rows, P_line, d_s, m_s, skew_d, skew_m, x_h = pnl
+    rows = len(full_rows) + len(pnl_rows)
+    e = np.empty(rows)
+    J = np.empty((rows, 6))
+    if len(full_rows):
+        res = (P[:, None] @ ((R @ X[..., None])[..., 0] + t - Y)[..., None])[..., 0]
+        e[full_rows] = (w[:, None, None] * res).ravel()
+        Jf = np.empty(X.shape + (6,))
+        Jf[..., :3] = -w[:, None, None, None] * ((P @ R)[:, None] @ skew_X)
+        Jf[..., 3:] = wP[:, None]
+        J[full_rows] = Jf.reshape(-1, 6)
+    if len(pnl_rows):
+        Rd = (R @ d_s[..., None])[..., 0]
+        m_hat = (R @ m_s[..., None])[..., 0] + cross_rows(t, Rd)
+        l_hat = (P_line @ m_hat[..., None])[..., 0]
+        nrm2 = l_hat[:, 0] * l_hat[:, 0] + l_hat[:, 1] * l_hat[:, 1]
+        nrm = np.sqrt(nrm2)
+        dm_ddelta = (-R) @ skew_m - (skew(t) @ R) @ skew_d
+        dl = P_line @ np.concatenate([dm_ddelta, -skew(Rd)], axis=2)  # (k, 3, 6)
+        val = (x_h[:, :, None, :] @ l_hat[:, None, :, None])[..., 0, 0]
+        e[pnl_rows] = (val / nrm[:, None]).ravel()
+        l_12 = l_hat.copy()
+        l_12[:, 2] = 0.0
+        slope = (val / (nrm2 * nrm)[:, None])[..., None]
+        de_dl = x_h / nrm[:, None, None] - slope * l_12[:, None]
+        J[pnl_rows] = (de_dl[:, :, None, :] @ dl[:, None])[:, :, 0].reshape(-1, 6)
+    return e, J
+
+
 def _stack_residuals(
     correspondences: list[Correspondence],
     K_t: CameraIntrinsics,
@@ -194,45 +284,10 @@ def _stack_residuals(
     t: np.ndarray,
     weights: list[float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residual vector and its Jacobian at ``(R, t)``.
-
-    The pose is charted as ``R(delta) = R Exp(delta)``, ``t + dt``; Jacobians
-    are taken at ``delta = 0``.  Pair ``i``'s FULL3D residuals are scaled by
-    ``weights[i]`` (see :func:`refine`); PNL pairs ignore theirs.
-    """
-    P_line = line_projection_matrix(K_t)
-    res: list[np.ndarray] = []
-    jac: list[np.ndarray] = []
-    for c, w in zip(correspondences, weights):
-        if c.kind is CaseKind.FULL3D:
-            d = c.target_line_3d.d
-            P = np.eye(3) - np.outer(d, d)
-            for j in range(2):
-                X = c.source_endpoints[j]
-                res.append(w * (P @ (R @ X + t - c.target_endpoints[j])))
-                J = np.empty((3, 6))
-                J[:, :3] = -w * (P @ R @ skew(X))
-                J[:, 3:] = w * P
-                jac.append(J)
-        else:
-            d_s, m_s = c.source_line.d, c.source_line.m
-            Rd = R @ d_s
-            m_hat = R @ m_s + cross3(t, Rd)
-            l_hat = P_line @ m_hat
-            nrm2 = l_hat[0] * l_hat[0] + l_hat[1] * l_hat[1]
-            nrm = np.sqrt(nrm2)
-            dm_ddelta = -R @ skew(m_s) - skew(t) @ R @ skew(d_s)
-            dm_dt = -skew(Rd)
-            dl = P_line @ np.hstack([dm_ddelta, dm_dt])  # (3, 6)
-            for uv in c.target_line_2d.endpoints:
-                x_h = np.array([uv[0], uv[1], 1.0])
-                val = float(x_h @ l_hat)
-                res.append(np.array([val / nrm]))
-                de_dl = x_h / nrm - (val / (nrm2 * nrm)) * np.array(
-                    [l_hat[0], l_hat[1], 0.0]
-                )
-                jac.append((de_dl @ dl)[None, :])
-    return np.concatenate(res), np.vstack(jac)
+    """Residual vector and its Jacobian at ``(R, t)`` (see
+    :func:`_residuals_at`); pair ``i``'s FULL3D residuals are scaled by
+    ``weights[i]``, and PNL pairs ignore theirs."""
+    return _residuals_at(_pose_free_terms(correspondences, K_t, weights), R, t)
 
 
 def refine(
@@ -245,16 +300,17 @@ def refine(
     Minimizes the summed squared 3D point-to-line residuals (FULL3D pairs)
     plus squared 2D reprojection residuals (PNL pairs).  A FULL3D pair's
     residuals are put in pixel-equivalent units: scaled by ``fx`` over the
-    mean depth of its target endpoints, floored at 1e-6 m.  Each rotation
-    update composes a small rotation onto the estimate and re-orthonormalizes
-    it, so a pose near 180 degrees, which has no finite CGR, refines like
-    any other.  The best iterate is returned (see
+    mean depth of its target endpoints, floored at 1e-6 m.  What does not
+    depend on the pose is stacked once per call (:func:`_pose_free_terms`),
+    so each pose is one array pass over the pairs (:func:`_residuals_at`).
+    Each rotation update composes a small rotation onto the estimate and
+    re-orthonormalizes it, so a pose near 180 degrees, which has no finite
+    CGR, refines like any other.  The best iterate is returned (see
     :func:`_levenberg_marquardt`).
     """
     if not correspondences:
         raise EmptyInput("nothing to refine")
-    w = [K_t.fx / max(float(np.mean(np.abs(c.target_endpoints[:, 2]))), 1e-6)
-         if c.kind is CaseKind.FULL3D else 1.0 for c in correspondences]
+    terms = _pose_free_terms(correspondences, K_t)
 
     def step(pose, delta):
         R, t = pose
@@ -265,7 +321,7 @@ def refine(
 
     (R, t), cost, converged = _levenberg_marquardt(
         (np.array(initial.rotation), np.array(initial.translation)),
-        lambda pose: _stack_residuals(correspondences, K_t, *pose, w),
+        lambda pose: _residuals_at(terms, *pose),
         step,
         lam=LM_INITIAL_DAMPING, tries=16,
     )

@@ -57,7 +57,7 @@ from pelical.constraints import (
     monomial_jacobian,
     monomial_vector,
 )
-from pelical.geometry import PluckerLine, cross3, so3_distance
+from pelical.geometry import PluckerLine, cross3, skew, so3_distance
 from pelical.pipeline import RANSAC_DISTANCE_M, RANSAC_ITERATIONS
 from pelical.selection import (
     _FULL_ROWS,
@@ -521,6 +521,51 @@ def line_reprojection_residual(
     return np.array(
         [scale * (l_hat @ np.array([uv[0], uv[1], 1.0])) for uv in c.target_line_2d.endpoints]
     )
+
+
+def reference_stack_residuals(
+    correspondences: list[Correspondence],
+    K_t: CameraIntrinsics,
+    R: np.ndarray,
+    t: np.ndarray,
+    weights: list[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """``solver._stack_residuals`` as it was before it stacked the pairs: one
+    pair at a time, each endpoint's rows appended in pair order.  The
+    reference the stacked evaluation must match bit for bit."""
+    P_line = line_projection_matrix(K_t)
+    res: list[np.ndarray] = []
+    jac: list[np.ndarray] = []
+    for c, w in zip(correspondences, weights):
+        if c.kind is CaseKind.FULL3D:
+            d = c.target_line_3d.d
+            P = np.eye(3) - np.outer(d, d)
+            for j in range(2):
+                X = c.source_endpoints[j]
+                res.append(w * (P @ (R @ X + t - c.target_endpoints[j])))
+                J = np.empty((3, 6))
+                J[:, :3] = -w * (P @ R @ skew(X))
+                J[:, 3:] = w * P
+                jac.append(J)
+        else:
+            d_s, m_s = c.source_line.d, c.source_line.m
+            Rd = R @ d_s
+            m_hat = R @ m_s + cross3(t, Rd)
+            l_hat = P_line @ m_hat
+            nrm2 = l_hat[0] * l_hat[0] + l_hat[1] * l_hat[1]
+            nrm = np.sqrt(nrm2)
+            dm_ddelta = -R @ skew(m_s) - skew(t) @ R @ skew(d_s)
+            dm_dt = -skew(Rd)
+            dl = P_line @ np.hstack([dm_ddelta, dm_dt])  # (3, 6)
+            for uv in c.target_line_2d.endpoints:
+                x_h = np.array([uv[0], uv[1], 1.0])
+                val = float(x_h @ l_hat)
+                res.append(np.array([val / nrm]))
+                de_dl = x_h / nrm - (val / (nrm2 * nrm)) * np.array(
+                    [l_hat[0], l_hat[1], 0.0]
+                )
+                jac.append((de_dl @ dl)[None, :])
+    return np.concatenate(res), np.vstack(jac)
 
 
 def jacobian_check(

@@ -1,3 +1,6 @@
+from contextlib import nullcontext
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -125,6 +128,20 @@ class TestCorrespondenceValidation:
                 target_line_2d=c.target_line_2d,
                 target_line_3d=c.target_line_3d,
             )
+
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_endpoint_check_trips_between_half_and_two_micrometres(self, rng, side):
+        c = make_correspondence(rng, rand_truth(rng), CaseKind.FULL3D)
+        line = getattr(c, "source_line" if side == "source" else "target_line_3d")
+        normal = np.cross(line.d, [1.0, 0, 0])
+        normal /= np.linalg.norm(normal)
+        for offset, ok in ((5e-7, True), (2e-6, False)):
+            ends = np.array(getattr(c, f"{side}_endpoints"))
+            ends[1] += offset * normal
+            assert line.distance_to_point(ends[1]) == pytest.approx(offset, rel=1e-6)
+            refused = pytest.raises(ValueError, match=f"{side} endpoints must lie")
+            with nullcontext() if ok else refused:
+                replace(c, **{f"{side}_endpoints": ends})
 
     def test_endpoints_must_lie_on_line(self, rng):
         truth = rand_truth(rng)

@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -251,6 +252,35 @@ class TestObservationFile:
         obs = [make_observation(rng, truth, CaseKind.FULL3D, obs_id=i) for i in range(3)]
         obs.append(make_observation(rng, truth, CaseKind.PNL, obs_id=3))
         return obs
+
+    @pytest.mark.parametrize(
+        "edit, bulk",
+        [("none", True), ("empty", True), ("huge-id", True), ("numpy-id", False),
+         ("bool-id", False), ("nan-sample", False), ("inf-coeff", False)],
+    )
+    def test_written_bytes_are_the_walks(self, tmp_path, observations, edit, bulk):
+        # the writer formats the observations with one "%", and leaves an id
+        # that is not a plain int, or a number that is not finite (records
+        # edited past their checks), to the walk
+        obs = observations
+        if edit == "empty":
+            obs = []
+        elif edit.endswith("-id"):
+            new_id = {"huge": 10**30, "numpy": np.int64(7), "bool": True}[edit[:-3]]
+            obs[1] = replace(obs[1], obs_id=new_id)
+        elif edit == "nan-sample":
+            samples = np.array(obs[2].source_samples)
+            samples[1, 2] = np.nan
+            object.__setattr__(obs[2], "source_samples", samples)
+        elif edit == "inf-coeff":
+            coeffs = np.array(obs[3].target_2d.coeffs)
+            coeffs[2] = np.inf
+            object.__setattr__(obs[3].target_2d, "coeffs", coeffs)
+        assert (fileio._observations_text(obs) is not None) == bulk
+        path = tmp_path / "obs.json"
+        write_observation_file(path, DEFAULT_K, DEFAULT_K, obs)
+        doc = observation_file_dict(DEFAULT_K, DEFAULT_K, obs)
+        assert path.read_text() == canon_walk(doc) + "\n"
 
     def test_round_trip_preserves_values(self, tmp_path, observations):
         path = tmp_path / "obs.json"

@@ -22,7 +22,7 @@ from pelical import (
     rotation_to_cgr,
     transform_line,
 )
-from pelical.geometry import cross3, line_2d_fault, skew, so3_distance
+from pelical.geometry import cross3, cross_rows, line_2d_fault, skew, so3_distance
 
 from helpers import LINE2D_BOUNDARY_ROWS, rand_rotation, rand_truth
 
@@ -34,6 +34,19 @@ class TestSmallVectorForms:
         for _ in range(2000):
             a, b = rng.normal(size=(2, 3)) * rng.uniform(1e-3, 1e3, size=(2, 1))
             assert np.array_equal(cross3(a, b), np.cross(a, b))
+
+    def test_cross_rows_of_one_vector_matches_np_cross(self, rng):
+        a = rng.normal(size=3)
+        b = rng.normal(size=(50, 3)) * rng.uniform(1e-3, 1e3, size=(50, 1))
+        assert np.array_equal(cross_rows(a, b), np.cross(a, b))
+
+    def test_stacked_skew_is_each_rows_skew(self, rng):
+        v = rng.normal(size=(4, 2, 3))
+        stacked = skew(v)
+        assert stacked.shape == (4, 2, 3, 3)
+        for i in range(4):
+            for j in range(2):
+                assert stacked[i, j].tobytes() == skew(v[i, j]).tobytes()
 
 
 class TestPluckerConstruction:
@@ -63,6 +76,13 @@ class TestPluckerConstruction:
             # both generators lie on the line
             for p in (p1, p2):
                 assert line.distance_to_point(p) < 1e-9
+
+    def test_distance_to_point_matches_numpy_formula(self, rng):
+        for _ in range(500):
+            p1, p2, p = rng.normal(size=(3, 3)) * 3.0
+            line = plucker_from_points(p1, p2)
+            want = float(np.linalg.norm(np.cross(line.d, p) + line.m))
+            assert line.distance_to_point(p) == pytest.approx(want, rel=1e-15, abs=1e-15)
 
     def test_moment_is_point_cross_direction(self, rng):
         p1, p2 = rng.normal(size=(2, 3))

@@ -34,6 +34,7 @@ from pelical.constraints import CaseKind
 from pelical.pipeline import (
     RANSAC_DISTANCE_M,
     RANSAC_FIRST_SLICE,
+    RANSAC_ITERATIONS,
     FinalizeAttempt,
     PipelineState,
     RoundStatus,
@@ -257,6 +258,22 @@ class TestRansacEarlyStop:
         assert fit[1] == 0.5
         assert abs(fit[0].d @ [1.0, 0.0, 0.0]) == pytest.approx(1.0)
         assert_same_fit(fit, reference_ransac_fit_line(pts, np.random.default_rng(0)))
+
+    @pytest.mark.parametrize("outliers", [0, 5])
+    def test_repeated_samples_match_one_call_reference(self, outliers):
+        # every sample three times: a hypothesis through two copies of one
+        # sample has no direction and must score below any consensus
+        for seed in range(5):
+            pts, _, _ = segment_samples(np.random.default_rng(seed), n=12, outliers=outliers)
+            pts = np.repeat(pts, 3, axis=0)
+            rng = np.random.default_rng(seed)
+            ii = rng.integers(0, len(pts), size=RANSAC_ITERATIONS)
+            jj = rng.integers(0, len(pts) - 1, size=RANSAC_ITERATIONS)
+            jj += jj >= ii
+            assert (pts[ii] == pts[jj]).all(axis=1).any()
+            got = ransac_fit_line(pts, np.random.default_rng(seed))
+            assert_same_fit(got, reference_ransac_fit_line(pts, np.random.default_rng(seed)))
+            assert got[1] == (1.0 if not outliers else 36 / 51)
 
     def test_full_consensus_in_the_first_slice_scores_only_it(self, monkeypatch):
         rows = []

@@ -34,6 +34,7 @@ from helpers import (
     make_correspondence,
     noisy_correspondences,
     rand_truth,
+    reference_stack_residuals,
 )
 
 
@@ -476,13 +477,14 @@ class TestRefine:
             assert out.refined_cost <= start_cost
 
     def test_evaluates_each_pose_once(self, monkeypatch):
-        # the start is evaluated once, then each trial step once; a trial
-        # step builds its rotation with one cgr_to_rotation call
+        # the pairs are stacked once; the start is evaluated once, then each
+        # trial step once; a trial step builds its rotation with one
+        # cgr_to_rotation call
         rng = np.random.default_rng(21)
         truth = rand_truth(rng)
         cs = noisy_correspondences(rng, consistent_correspondences(rng, truth, 4, 2))
         start = solve_quadratic_system(assemble(cs, DEFAULT_K)).extrinsics
-        calls = {"_stack_residuals": 0, "cgr_to_rotation": 0}
+        calls = {"_pose_free_terms": 0, "_residuals_at": 0, "cgr_to_rotation": 0}
 
         def counting(name):
             fn = getattr(solver, name)
@@ -497,7 +499,8 @@ class TestRefine:
             monkeypatch.setattr(solver, name, counting(name))
         refine(start, cs, DEFAULT_K)
         assert calls["cgr_to_rotation"] > 1
-        assert calls["_stack_residuals"] == 1 + calls["cgr_to_rotation"]
+        assert calls["_pose_free_terms"] == 1
+        assert calls["_residuals_at"] == 1 + calls["cgr_to_rotation"]
 
     def test_full3d_residuals_weigh_fx_over_mean_depth(self, rng):
         # the refined cost is the sum of squares of the residuals with each
@@ -535,6 +538,30 @@ class TestRefine:
         out = refine(sol.extrinsics, cs, DEFAULT_K)
         R = out.extrinsics.rotation
         assert np.max(np.abs(R.T @ R - np.eye(3))) < 1e-9
+
+
+class TestStackedEvaluation:
+    """The array evaluation of all pairs has the bits of the pair-by-pair
+    loop, in its row order."""
+
+    @pytest.mark.parametrize(
+        "n_full3d, n_pnl", [(5, 0), (0, 5), (3, 3), (1, 4)], ids=["full3d", "pnl", "mixed", "one-full3d"]
+    )
+    def test_matches_pair_loop_bit_for_bit(self, n_full3d, n_pnl):
+        rng = np.random.default_rng(40 + n_full3d)
+        for _ in range(10):
+            truth = rand_truth(rng)
+            cs = noisy_correspondences(
+                rng, consistent_correspondences(rng, truth, n_full3d, n_pnl)
+            )
+            cs = [cs[i] for i in rng.permutation(len(cs))]  # kinds interleave
+            T = rand_truth(rng)  # away from the optimum
+            w = rng.uniform(0.5, 300.0, size=len(cs)).tolist()
+            R, t = np.array(T.rotation), np.array(T.translation)
+            e, J = solver._stack_residuals(cs, DEFAULT_K, R, t, w)
+            e_ref, J_ref = reference_stack_residuals(cs, DEFAULT_K, R, t, w)
+            assert e.tobytes() == e_ref.tobytes()
+            assert J.tobytes() == J_ref.tobytes()
 
 
 class TestJacobian:
