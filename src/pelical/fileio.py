@@ -249,10 +249,6 @@ def extrinsics_from_dict(data, where: str) -> Extrinsics:
 # observation files
 
 
-def _line2d_to_dict(line: Line2D) -> dict:
-    return {"coeffs": line.coeffs.tolist(), "endpoints": line.endpoints.tolist()}
-
-
 def _line2d_from_dict(data, where: str) -> Line2D:
     coeffs = _array(_need(data, "coeffs", where), (3,), f"{where}.coeffs")
     endpoints = _array(
@@ -261,60 +257,17 @@ def _line2d_from_dict(data, where: str) -> Line2D:
     return _checked(where, Line2D, coeffs, endpoints)
 
 
-def observation_file_dict(
-    target_K: CameraIntrinsics,
-    source_K: CameraIntrinsics,
-    observations: list[LineObservation],
-) -> dict:
-    obs_out = []
-    for obs in observations:
-        obs_out.append(
-            {
-                "id": obs.obs_id,
-                "target_2d": _line2d_to_dict(obs.target_2d),
-                "source_samples": obs.source_samples.tolist(),
-                "target_samples": None
-                if obs.target_samples is None
-                else obs.target_samples.tolist(),
-            }
-        )
-    return {
-        "target_intrinsics": asdict(target_K),
-        "source_intrinsics": asdict(source_K),
-        "observations": obs_out,
-    }
-
-
 @functools.lru_cache(maxsize=64)
 def _observation_template(source: int, target: int | None) -> str:
-    """The ``%`` template of an observation entry after its id, for
-    ``source`` and ``target`` samples (None: no target samples)."""
+    """The ``%`` template of an observation entry, for its id's canonical
+    text and the numbers of its ``source`` and ``target`` samples (None:
+    no target samples)."""
     samples = "null" if target is None else _block_template(target, 3)
     return (
-        f'"target_2d":{{"coeffs":{_block_template(3, 0)},'
+        f'{{"id":%s,"target_2d":{{"coeffs":{_block_template(3, 0)},'
         f'"endpoints":{_block_template(2, 2)}}},'
         f'"source_samples":{_block_template(source, 3)},"target_samples":{samples}}}'
     )
-
-
-def _observations_text(observations: list[LineObservation]) -> str | None:
-    """The canonical ``observations`` list, formatted with one ``%``; None
-    when an id is not a plain int or a number is not finite, and the walk
-    in :func:`_canon` writes it."""
-    entries, arrays = [], []
-    for obs in observations:
-        if type(obs.obs_id) is not int:
-            return None
-        target = obs.target_samples
-        shape = len(obs.source_samples), None if target is None else len(target)
-        entries.append(f'{{"id":{obs.obs_id},' + _observation_template(*shape))
-        arrays += (obs.target_2d.coeffs, obs.target_2d.endpoints, obs.source_samples)
-        if target is not None:
-            arrays.append(target)
-    numbers = np.concatenate(arrays, axis=None) if arrays else np.empty(0)
-    if not np.isfinite(numbers).all():
-        return None
-    return "[" + ",".join(entries) % tuple(numbers.tolist()) + "]"
 
 
 def write_observation_file(
@@ -323,14 +276,22 @@ def write_observation_file(
     source_K: CameraIntrinsics,
     observations: list[LineObservation],
 ) -> None:
-    """Write what ``write_json(path, observation_file_dict(...))`` writes."""
-    text = _observations_text(observations)
-    if text is None:
-        write_json(path, observation_file_dict(target_K, source_K, observations))
-        return
+    """Write the canonical observation file: each entry formatted with one
+    ``%`` from the template of its shape, the intrinsics through
+    :func:`_canon`."""
+    entries = []
+    for obs in observations:
+        line, target = obs.target_2d, obs.target_samples
+        shape = len(obs.source_samples), None if target is None else len(target)
+        arrays = (line.coeffs, line.endpoints, obs.source_samples, target)
+        numbers = np.concatenate([a for a in arrays if a is not None], axis=None)
+        entries.append(
+            _observation_template(*shape) % (_canon(obs.obs_id), *numbers.tolist())
+        )
     Path(path).write_text(
         f'{{"target_intrinsics":{_canon(asdict(target_K))},'
-        f'"source_intrinsics":{_canon(asdict(source_K))},"observations":{text}}}\n'
+        f'"source_intrinsics":{_canon(asdict(source_K))},'
+        f'"observations":[{",".join(entries)}]}}\n'
     )
 
 

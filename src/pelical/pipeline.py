@@ -192,12 +192,8 @@ def ransac_fit_line(
     norms = axis_norms(dirs, axis=1)
     valid = norms > 1e-9
     # A hypothesis through two equal samples is degenerate: its direction
-    # is left undivided and it scores -1, below any real consensus.  Only
-    # repeated samples make one, so the masking is skipped without them.
-    degenerate = not valid.all()
-    if degenerate:
-        norms = np.where(valid, norms, 1.0)
-    dirs /= norms[:, None]
+    # is left undivided and it scores -1, below any real consensus.
+    dirs /= np.where(valid, norms, 1.0)[:, None]
     # the sum over the count, as ``pts.mean(axis=0)`` takes it
     centroid = np.add.reduce(pts, axis=0) / n
     centred = pts - centroid
@@ -206,9 +202,7 @@ def ransac_fit_line(
     count, mask = -1, None
     for rows in (slice(0, RANSAC_FIRST_SLICE), slice(RANSAC_FIRST_SLICE, None)):
         masks = _inlier_masks(sq, ii[rows], along[rows], gram[rows], RANSAC_DISTANCE_M)
-        counts = np.add.reduce(masks, axis=1)
-        if degenerate:
-            counts = np.where(valid[rows], counts, -1)
+        counts = np.where(valid[rows], np.add.reduce(masks, axis=1), -1)
         best = counts.argmax()
         if counts[best] > count:
             count, mask = int(counts[best]), masks[best]

@@ -374,10 +374,9 @@ def _proposals(p0: np.ndarray, u: np.ndarray) -> np.ndarray:
     ii, jj = _pair_indices(len(p0))
     u1, u2 = u[ii], u[jj]
     ok = axis_norms(cross_rows(u1, u2), axis=1) >= 1e-9
-    if not ok.all():
-        if not ok.any():
-            raise InsufficientLines("no non-parallel candidate line pair")
-        ii, jj, u1, u2 = ii[ok], jj[ok], u1[ok], u2[ok]
+    if not ok.any():
+        raise InsufficientLines("no non-parallel candidate line pair")
+    ii, jj, u1, u2 = ii[ok], jj[ok], u1[ok], u2[ok]
     q1, q2 = p0[ii], p0[jj]
     w0 = q1 - q2
     b = np.einsum("ij,ij->i", u1, u2)

@@ -191,7 +191,7 @@ def solve_quadratic_system(system: QuadraticSystem) -> PoseSolution:
 def _pose_free_terms(
     correspondences: list[Correspondence],
     K_t: CameraIntrinsics,
-    weights: list[float] | None = None,
+    weights: np.ndarray,
 ) -> tuple[tuple, tuple]:
     """What :func:`_residuals_at` needs of the pairs that does not depend on
     the pose, stacked once per :func:`refine` call, as ``(full, pnl)``.
@@ -202,9 +202,8 @@ def _pose_free_terms(
     Jacobian's translation block).  ``pnl`` holds, for the PNL pairs: their
     rows, the line projection matrix, the source directions and moments
     with their cross-product matrices, and the homogeneous image endpoints.
-    A FULL3D pair has six rows and a PNL pair two, in pair order.  Pair
-    ``i``'s FULL3D residuals are scaled by ``weights[i]``, by default by
-    ``fx`` over the mean depth of its target endpoints, floored at 1e-6 m.
+    A FULL3D pair has six rows and a PNL pair two, in pair order.  The
+    ``k``-th FULL3D pair's residuals are scaled by ``weights[k]``.
     """
     full = [c.kind is CaseKind.FULL3D for c in correspondences]
     F = [c for c, f in zip(correspondences, full) if f]
@@ -215,10 +214,7 @@ def _pose_free_terms(
     d = np.array([c.target_line_3d.d for c in F]).reshape(-1, 3)
     X = np.array([c.source_endpoints for c in F]).reshape(-1, 2, 3)
     Y = np.array([c.target_endpoints for c in F]).reshape(-1, 2, 3)
-    if weights is None:
-        w = K_t.fx / np.maximum(np.mean(np.abs(Y[..., 2]), axis=1), 1e-6)
-    else:
-        w = np.asarray(weights, dtype=float)[is_full]
+    w = np.asarray(weights, dtype=float)
     P = np.eye(3) - d[:, :, None] * d[:, None, :]
     full_rows = (starts[is_full, None] + np.arange(6)).ravel()
     d_s = np.array([c.source_line.d for c in N]).reshape(-1, 3)
@@ -277,19 +273,6 @@ def _residuals_at(
     return e, J
 
 
-def _stack_residuals(
-    correspondences: list[Correspondence],
-    K_t: CameraIntrinsics,
-    R: np.ndarray,
-    t: np.ndarray,
-    weights: list[float],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Residual vector and its Jacobian at ``(R, t)`` (see
-    :func:`_residuals_at`); pair ``i``'s FULL3D residuals are scaled by
-    ``weights[i]``, and PNL pairs ignore theirs."""
-    return _residuals_at(_pose_free_terms(correspondences, K_t, weights), R, t)
-
-
 def refine(
     initial: Extrinsics,
     correspondences: list[Correspondence],
@@ -310,7 +293,10 @@ def refine(
     """
     if not correspondences:
         raise EmptyInput("nothing to refine")
-    terms = _pose_free_terms(correspondences, K_t)
+    full = [c for c in correspondences if c.kind is CaseKind.FULL3D]
+    depth = np.abs(np.reshape([c.target_endpoints[:, 2] for c in full], (-1, 2)))
+    weights = K_t.fx / np.maximum(np.mean(depth, axis=1), 1e-6)
+    terms = _pose_free_terms(correspondences, K_t, weights)
 
     def step(pose, delta):
         R, t = pose

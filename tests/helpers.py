@@ -13,8 +13,9 @@ scores every line hypothesis in one call, where the package stops early;
 ``reference_convergence_voting`` scores every proposal at once with the
 generic numpy helpers, where the package scores them a chunk at a time;
 ``brute_force_roots`` is a grid-search oracle that certifies the
-closed-form solver, and ``canon_walk`` the one-value-at-a-time writer that
-checks the bulk one.  ``mutated`` is the hypothesis strategy that breaks
+closed-form solver, ``canon_walk`` the one-value-at-a-time writer that
+checks the bulk one, and ``observation_file_dict`` the field-by-field
+document that checks the observation writer's template.  ``mutated`` is the hypothesis strategy that breaks
 valid documents for the reader fuzzes, and ``odd_rig_spec`` the one that
 makes odd but valid rig specs.  ``LINE2D_BOUNDARY_ROWS`` holds image lines
 on either side of each of ``Line2D``'s bounds.
@@ -25,7 +26,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import scipy.ndimage
@@ -68,7 +69,7 @@ from pelical.selection import (
     RotationGateState,
     VotingResult,
 )
-from pelical.solver import _stack_residuals, eliminate_translation
+from pelical.solver import _pose_free_terms, _residuals_at, eliminate_translation
 
 DEFAULT_K = CameraIntrinsics(fx=600.0, fy=600.0, cx=320.0, cy=240.0, width=640, height=480)
 
@@ -496,7 +497,7 @@ def point_to_line_residual(c: Correspondence, T: Extrinsics) -> np.ndarray:
 
     Returns a (2, 3) array; row ``j`` is ``(I - d d^T)(R X_j + t - Y_j)``
     with ``Y_j`` the matching target endpoint.  The reference for the
-    FULL3D rows of ``solver._stack_residuals`` at unit weight.
+    FULL3D rows of :func:`stack_residuals` at unit weight.
     """
     d = c.target_line_3d.d
     P = np.eye(3) - np.outer(d, d)
@@ -514,13 +515,27 @@ def line_reprojection_residual(
     The source line is mapped into the target frame, its moment projected
     to an image line ``l_hat``, and each endpoint ``x`` contributes
     ``x^T l_hat / sqrt(l1^2 + l2^2)``.  The reference for the PNL rows of
-    ``solver._stack_residuals``.
+    :func:`stack_residuals`.
     """
     l_hat = line_projection_matrix(K_t) @ transform_line(c.source_line, T).m
     scale = 1.0 / np.hypot(l_hat[0], l_hat[1])
     return np.array(
         [scale * (l_hat @ np.array([uv[0], uv[1], 1.0])) for uv in c.target_line_2d.endpoints]
     )
+
+
+def stack_residuals(
+    correspondences: list[Correspondence],
+    K_t: CameraIntrinsics,
+    R: np.ndarray,
+    t: np.ndarray,
+    weights: list[float],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Residual vector and Jacobian at ``(R, t)`` as ``solver.refine``
+    evaluates a pose (``solver._residuals_at``), pair ``i``'s FULL3D
+    residuals scaled by ``weights[i]``; PNL pairs ignore theirs."""
+    w = [wi for c, wi in zip(correspondences, weights) if c.kind is CaseKind.FULL3D]
+    return _residuals_at(_pose_free_terms(correspondences, K_t, np.array(w)), R, t)
 
 
 def reference_stack_residuals(
@@ -530,9 +545,9 @@ def reference_stack_residuals(
     t: np.ndarray,
     weights: list[float],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``solver._stack_residuals`` as it was before it stacked the pairs: one
-    pair at a time, each endpoint's rows appended in pair order.  The
-    reference the stacked evaluation must match bit for bit."""
+    """:func:`stack_residuals` as ``solver`` computed it before it stacked
+    the pairs: one pair at a time, each endpoint's rows appended in pair
+    order.  The reference the stacked evaluation must match bit for bit."""
     P_line = line_projection_matrix(K_t)
     res: list[np.ndarray] = []
     jac: list[np.ndarray] = []
@@ -575,15 +590,15 @@ def jacobian_check(
     step: float = 1e-6,
 ) -> float:
     """Max relative deviation between the analytic Jacobian of
-    ``solver._stack_residuals`` and its central differences at ``T``."""
+    :func:`stack_residuals` and its central differences at ``T``."""
     w = np.ones(len(correspondences))
     R0 = np.array(T.rotation)
     t0 = np.array(T.translation)
-    _, J = _stack_residuals(correspondences, K_t, R0, t0, w)
+    _, J = stack_residuals(correspondences, K_t, R0, t0, w)
 
     def res_at(x: np.ndarray) -> np.ndarray:
         R = R0 @ Rotation.from_rotvec(x[:3]).as_matrix()
-        e, _ = _stack_residuals(correspondences, K_t, R, t0 + x[3:], w)
+        e, _ = stack_residuals(correspondences, K_t, R, t0 + x[3:], w)
         return e
 
     J_fd = np.empty_like(J)
@@ -687,6 +702,34 @@ def canon_walk(value) -> str:
     if isinstance(value, np.ndarray):
         return canon_walk(value.tolist())
     raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def observation_file_dict(
+    target_K: CameraIntrinsics,
+    source_K: CameraIntrinsics,
+    observations: list[LineObservation],
+) -> dict:
+    """An observation file as a document, field by field: the reference for
+    ``fileio.write_observation_file``, which formats each entry from one
+    template."""
+    return {
+        "target_intrinsics": asdict(target_K),
+        "source_intrinsics": asdict(source_K),
+        "observations": [
+            {
+                "id": obs.obs_id,
+                "target_2d": {
+                    "coeffs": obs.target_2d.coeffs.tolist(),
+                    "endpoints": obs.target_2d.endpoints.tolist(),
+                },
+                "source_samples": obs.source_samples.tolist(),
+                "target_samples": None
+                if obs.target_samples is None
+                else obs.target_samples.tolist(),
+            }
+            for obs in observations
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from pelical.cli import _pipeline_config, build_parser, main
 from pelical.fileio import (
     SWEEP_COLUMNS,
     extrinsics_to_dict,
-    observation_file_dict,
     read_calibration_file,
     read_observation_file,
     rig_spec_to_dict,
@@ -44,7 +43,7 @@ from pelical.fileio import (
     write_observation_file,
 )
 
-from helpers import DEFAULT_K, mutated, odd_rig_spec
+from helpers import DEFAULT_K, mutated, observation_file_dict, odd_rig_spec
 
 
 @pytest.fixture(autouse=True)

@@ -26,7 +26,6 @@ from pelical.constraints import (
     Correspondence,
     monomial_jacobian,
 )
-from pelical.solver import _stack_residuals
 
 from helpers import (
     DEFAULT_K,
@@ -36,6 +35,7 @@ from helpers import (
     make_correspondence,
     point_to_line_residual,
     rand_truth,
+    stack_residuals,
 )
 
 
@@ -265,12 +265,12 @@ class TestRowAssembly:
 def stacked_residuals(cs, T, K=DEFAULT_K, weights=None):
     """The residual vector ``refine`` minimises, at pose ``T``."""
     w = np.ones(len(cs)) if weights is None else weights
-    e, _ = _stack_residuals(cs, K, T.rotation, T.translation, w)
+    e, _ = stack_residuals(cs, K, T.rotation, T.translation, w)
     return e
 
 
 class TestResiduals:
-    """``solver._stack_residuals``: 3 entries per FULL3D endpoint, 1 per PNL one."""
+    """``helpers.stack_residuals``: 3 entries per FULL3D endpoint, 1 per PNL one."""
 
     def test_line_reprojection_zero_at_truth(self, rng):
         truth = rand_truth(rng)

@@ -45,7 +45,6 @@ from pelical.fileio import (
     dumps_canonical,
     dumps_csv,
     load_json,
-    observation_file_dict,
     read_calibration_file,
     read_observation_file,
     read_rig_spec,
@@ -65,6 +64,7 @@ from helpers import (
     canon_walk,
     make_observation,
     mutated,
+    observation_file_dict,
     rand_truth,
 )
 
@@ -253,30 +253,17 @@ class TestObservationFile:
         obs.append(make_observation(rng, truth, CaseKind.PNL, obs_id=3))
         return obs
 
-    @pytest.mark.parametrize(
-        "edit, bulk",
-        [("none", True), ("empty", True), ("huge-id", True), ("numpy-id", False),
-         ("bool-id", False), ("nan-sample", False), ("inf-coeff", False)],
-    )
-    def test_written_bytes_are_the_walks(self, tmp_path, observations, edit, bulk):
-        # the writer formats the observations with one "%", and leaves an id
-        # that is not a plain int, or a number that is not finite (records
-        # edited past their checks), to the walk
+    @pytest.mark.parametrize("edit", ["none", "empty", "huge-id", "numpy-id", "bool-id"])
+    def test_written_bytes_are_the_walks(self, tmp_path, observations, edit):
+        # the writer formats each entry from one template; an id goes
+        # through _canon, so one that is not a plain int is written as the
+        # walk writes it
         obs = observations
         if edit == "empty":
             obs = []
         elif edit.endswith("-id"):
             new_id = {"huge": 10**30, "numpy": np.int64(7), "bool": True}[edit[:-3]]
             obs[1] = replace(obs[1], obs_id=new_id)
-        elif edit == "nan-sample":
-            samples = np.array(obs[2].source_samples)
-            samples[1, 2] = np.nan
-            object.__setattr__(obs[2], "source_samples", samples)
-        elif edit == "inf-coeff":
-            coeffs = np.array(obs[3].target_2d.coeffs)
-            coeffs[2] = np.inf
-            object.__setattr__(obs[3].target_2d, "coeffs", coeffs)
-        assert (fileio._observations_text(obs) is not None) == bulk
         path = tmp_path / "obs.json"
         write_observation_file(path, DEFAULT_K, DEFAULT_K, obs)
         doc = observation_file_dict(DEFAULT_K, DEFAULT_K, obs)

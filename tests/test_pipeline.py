@@ -56,6 +56,7 @@ from helpers import (
     assert_gate_holds_store_rows,
     make_correspondence,
     make_observation,
+    observation_file_dict,
     rand_rotation,
     rand_truth,
     reference_candidate_lines,
@@ -360,7 +361,7 @@ class TestLineObservation:
 
         stream = good_stream(rng, rand_truth(rng), 3, 1)
         raw = json.loads(fileio.dumps_canonical(
-            fileio.observation_file_dict(DEFAULT_K, DEFAULT_K, stream)
+            observation_file_dict(DEFAULT_K, DEFAULT_K, stream)
         ))["observations"]
         monkeypatch.setattr(fileio, "_samples", recording)
         walked = [fileio._observation_from_dict(e, f"observations[{i}]")

@@ -35,6 +35,7 @@ from helpers import (
     noisy_correspondences,
     rand_truth,
     reference_stack_residuals,
+    stack_residuals,
 )
 
 
@@ -513,7 +514,7 @@ class TestRefine:
         depths = [np.mean(np.abs(c.target_endpoints[:, 2])) for c in cs[:3]]
         w = [DEFAULT_K.fx / z for z in depths] + [1.0]
         pose = (out.extrinsics.rotation, out.extrinsics.translation)
-        e, _ = solver._stack_residuals(cs, DEFAULT_K, *pose, w)
+        e, _ = stack_residuals(cs, DEFAULT_K, *pose, w)
         assert out.refined_cost == float(e @ e)
         assert min(w[:3]) > 100.0  # so unit weights would not pass above
 
@@ -558,7 +559,7 @@ class TestStackedEvaluation:
             T = rand_truth(rng)  # away from the optimum
             w = rng.uniform(0.5, 300.0, size=len(cs)).tolist()
             R, t = np.array(T.rotation), np.array(T.translation)
-            e, J = solver._stack_residuals(cs, DEFAULT_K, R, t, w)
+            e, J = stack_residuals(cs, DEFAULT_K, R, t, w)
             e_ref, J_ref = reference_stack_residuals(cs, DEFAULT_K, R, t, w)
             assert e.tobytes() == e_ref.tobytes()
             assert J.tobytes() == J_ref.tobytes()
@@ -576,9 +577,7 @@ class TestJacobian:
     def test_full_rank_at_truth(self, rng):
         truth = rand_truth(rng)
         cs = consistent_correspondences(rng, truth, 3, 2)
-        from pelical.solver import _stack_residuals
-
-        _, J = _stack_residuals(
+        _, J = stack_residuals(
             cs,
             DEFAULT_K,
             truth.rotation,
